@@ -26,7 +26,7 @@ from .special import (
     sphere_measure,
 )
 from .verify import (
-    CHECK_ANCHORS,
+    CHECKS,
     CheckReport,
     SampleRecord,
     check_annuli_absorption,

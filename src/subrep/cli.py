@@ -42,7 +42,11 @@ Config files are INI-style.  Sections and keys, all optional except
     outer_cells = 8      cells = 12
 
 Exit codes: 0 all non-degenerate checks pass, 1 some check fails or errors,
-2 config/usage error.
+2 config/usage error.  `eval` exits 0 with the value, or 2 with a message on
+stderr when its flags are invalid or the operator rejects them.
+
+The checks `run` accepts, their anchors and how each is called from a loaded
+config all come from verify.CHECKS.
 """
 
 from __future__ import annotations
@@ -57,7 +61,7 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -65,7 +69,7 @@ from . import verify
 from .functions import FAMILIES, Cube, TestFunction
 from .norms import lorentz_norm, lp_norm
 from .operators import (
-    GradientMagnitude,
+    OperatorError,
     SphereSymbol,
     TruncationGrid,
     frac_derivative,
@@ -74,8 +78,7 @@ from .operators import (
     riesz_potential,
     rough_maximal,
 )
-from .quadrature import QuadratureScheme
-from .verify import CHECK_ANCHORS
+from .quadrature import QuadratureError, QuadratureScheme
 from .weights import Weight
 
 EVAL_OPERATORS = ("riesz", "frac_derivative", "tw", "rough_maximal", "mwc", "lp_norm", "lorentz")
@@ -105,14 +108,105 @@ def _floats(raw: str, where: str) -> tuple:
         raise ConfigError(f"{where} must be a list of numbers, got {raw!r}")
 
 
-def _get_float(section, key: str, default: float, where: str) -> float:
-    raw = section.get(key)
-    if raw is None:
-        return default
-    try:
-        return float(raw)
-    except ValueError:
-        raise ConfigError(f"{where} {key} must be a number, got {raw!r}")
+@dataclass(frozen=True)
+class _Fields:
+    """One group of settings, from an INI section or from eval's flags.
+    get(key) is the raw value (None when unset); label(key) names the field
+    the way the user wrote it, for error messages."""
+
+    get: Callable[[str], object]
+    label: Callable[[str], str]
+
+    @classmethod
+    def section(cls, parser, name: str) -> "_Fields":
+        sec = parser[name] if name in parser else {}
+        return cls(sec.get, lambda key: f"[{name}] {key}")
+
+    @classmethod
+    def flags(cls, args, **renames: str) -> "_Fields":
+        def dest(key: str) -> str:
+            return renames.get(key, key)
+
+        return cls(lambda key: getattr(args, dest(key), None),
+                   lambda key: "--" + dest(key).replace("_", "-"))
+
+    def text(self, key: str, default: str) -> str:
+        raw = self.get(key)
+        return default if raw is None else raw
+
+    def number(self, key: str, default: float) -> float:
+        raw = self.get(key)
+        if raw is None:
+            return default
+        try:
+            return float(raw)
+        except ValueError:
+            raise ConfigError(f"{self.label(key)} must be a number, got {raw!r}")
+
+    def coords(self, key: str, n: int) -> tuple:
+        raw = self.get(key)
+        if raw is None:
+            return (0.0,) * n
+        vals = _floats(raw, self.label(key))
+        if len(vals) != n:
+            raise ConfigError(f"{self.label(key)} has {len(vals)} coordinates, dimension is {n}")
+        return vals
+
+
+# -- builders shared by the config file and eval's flags ---------------------------
+
+
+def _build_scheme(src: _Fields) -> QuadratureScheme:
+    return QuadratureScheme(
+        rel_tol=src.number("rel_tol", 1e-3),
+        annuli_per_decade=int(src.number("annuli_per_decade", 4)),
+        points_per_dim=int(src.number("points_per_dim", 16)),
+    )
+
+
+def _build_function(src: _Fields, n: int) -> TestFunction:
+    family = src.text("family", "smooth_bump")
+    if family not in FAMILIES:
+        raise ConfigError(f"{src.label('family')} must be one of {FAMILIES}, got {family!r}")
+    center = src.coords("center", n)
+    scale = src.number("scale", 1.0)
+    if scale <= 0.0:
+        raise ConfigError(f"{src.label('scale')} must be positive, got {scale}")
+    amplitude = src.number("amplitude", 1.0)
+    if amplitude < 0.0:
+        raise ConfigError(f"{src.label('amplitude')} must be nonnegative, got {amplitude}")
+    return TestFunction(family, center, scale, amplitude)
+
+
+def _build_weight(src: _Fields, n: int) -> Weight:
+    kind = src.text("kind", "constant")
+    if kind == "constant":
+        value = src.number("value", 1.0)
+        if value <= 0.0:
+            raise ConfigError(f"{src.label('value')} must be positive, got {value}")
+        return Weight.constant(n, value)
+    if kind not in ("radial_power", "power_plus_one"):
+        raise ConfigError(
+            f"{src.label('kind')} must be constant, radial_power or power_plus_one, got {kind!r}"
+        )
+    beta = src.number("beta", 0.5)
+    if not 0.0 <= beta < n:
+        raise ConfigError(f"{src.label('beta')} must sit in [0, {n}), got {beta}")
+    ctor = Weight.radial_power if kind == "radial_power" else Weight.power_plus_one
+    return ctor(src.coords("pole", n), beta)
+
+
+def _build_omega(src: _Fields, n: int) -> SphereSymbol:
+    profile = src.text("profile", "cosine_harmonic" if n == 2 else "odd_polynomial")
+    amplitude = src.number("amplitude", 1.0)
+    if profile == "cosine_harmonic":
+        return SphereSymbol.cosine_harmonic(k=int(src.number("k", 1)), amplitude=amplitude)
+    if profile == "sign_profile":
+        return SphereSymbol.sign_profile(cells=int(src.number("cells", 64)), amplitude=amplitude)
+    if profile == "odd_polynomial":
+        coeffs = _floats(src.text("coefficients", "1.0"), src.label("coefficients"))
+        return SphereSymbol.odd_polynomial(list(coeffs), amplitude=amplitude)
+    raise ConfigError(f"{src.label('profile')} unknown: {profile!r}")
 
 
 DEFAULT_PARAMS = {
@@ -150,8 +244,8 @@ def load_config(path) -> RunConfig:
     raw_checks = run.get("checks", "")
     checks = [tok.strip() for tok in raw_checks.replace(",", " ").split() if tok.strip()]
     for cid in checks:
-        if cid not in CHECK_ANCHORS:
-            known = ", ".join(sorted(CHECK_ANCHORS))
+        if cid not in verify.CHECKS:
+            known = ", ".join(sorted(verify.CHECKS))
             raise ConfigError(f"[run] checks: unknown check {cid!r}; known: {known}")
     seen = set()
     checks = [c for c in checks if not (c in seen or seen.add(c))]
@@ -162,67 +256,15 @@ def load_config(path) -> RunConfig:
             raise ConfigError(f"[run] formats must be a subset of json, csv; got {fmt!r}")
     output_dir = Path(run.get("output_dir", "reports"))
 
-    quad = parser["quadrature"] if "quadrature" in parser else {}
-    scheme = QuadratureScheme(
-        rel_tol=_get_float(quad, "rel_tol", 1e-3, "[quadrature]"),
-        annuli_per_decade=int(_get_float(quad, "annuli_per_decade", 4, "[quadrature]")),
-        points_per_dim=int(_get_float(quad, "points_per_dim", 16, "[quadrature]")),
-    )
+    scheme = _build_scheme(_Fields.section(parser, "quadrature"))
+    function = _build_function(_Fields.section(parser, "function"), n)
+    weight = _build_weight(_Fields.section(parser, "weight"), n)
+    omega = _build_omega(_Fields.section(parser, "omega"), n)
 
-    fsec = parser["function"] if "function" in parser else {}
-    family = fsec.get("family", "smooth_bump")
-    if family not in FAMILIES:
-        raise ConfigError(f"[function] family must be one of {FAMILIES}, got {family!r}")
-    center = _floats(fsec.get("center", ", ".join(["0"] * n)), "[function] center")
-    if len(center) != n:
-        raise ConfigError(f"[function] center has {len(center)} coordinates, dimension is {n}")
-    scale = _get_float(fsec, "scale", 1.0, "[function]")
-    if scale <= 0.0:
-        raise ConfigError(f"[function] scale must be positive, got {scale}")
-    amplitude = _get_float(fsec, "amplitude", 1.0, "[function]")
-    function = TestFunction(family, center, scale, amplitude)
-
-    wsec = parser["weight"] if "weight" in parser else {}
-    kind = wsec.get("kind", "constant")
-    if kind == "constant":
-        value = _get_float(wsec, "value", 1.0, "[weight]")
-        if value <= 0.0:
-            raise ConfigError(f"[weight] value must be positive, got {value}")
-        weight = Weight.constant(n, value)
-    elif kind in ("radial_power", "power_plus_one"):
-        beta = _get_float(wsec, "beta", 0.5, "[weight]")
-        if not 0.0 <= beta < n:
-            raise ConfigError(f"[weight] beta must sit in [0, {n}), got {beta}")
-        pole = _floats(wsec.get("pole", ", ".join(["0"] * n)), "[weight] pole")
-        if len(pole) != n:
-            raise ConfigError(f"[weight] pole has {len(pole)} coordinates, dimension is {n}")
-        ctor = Weight.radial_power if kind == "radial_power" else Weight.power_plus_one
-        weight = ctor(pole, beta)
-    else:
-        raise ConfigError(f"[weight] kind must be constant, radial_power or power_plus_one, got {kind!r}")
-
-    osec = parser["omega"] if "omega" in parser else {}
-    profile = osec.get("profile", "cosine_harmonic" if n == 2 else "odd_polynomial")
-    oamp = _get_float(osec, "amplitude", 1.0, "[omega]")
-    if profile == "cosine_harmonic":
-        omega = SphereSymbol.cosine_harmonic(k=int(_get_float(osec, "k", 1, "[omega]")), amplitude=oamp)
-    elif profile == "sign_profile":
-        omega = SphereSymbol.sign_profile(cells=int(_get_float(osec, "cells", 64, "[omega]")), amplitude=oamp)
-    elif profile == "odd_polynomial":
-        coeffs = _floats(osec.get("coefficients", "1.0"), "[omega] coefficients")
-        omega = SphereSymbol.odd_polynomial(list(coeffs), amplitude=oamp)
-    else:
-        raise ConfigError(f"[omega] profile unknown: {profile!r}")
-
-    psec = parser["params"] if "params" in parser else {}
-    params = dict(DEFAULT_PARAMS)
-    params["variant"] = "avg_11"
+    psec = _Fields.section(parser, "params")
     fallbacks = {"d": float(n), "a1": 0.8 * n, "a2": 0.8 * n}
-    for key in DEFAULT_PARAMS:
-        default = fallbacks.get(key, params[key])
-        params[key] = _get_float(psec, key, default, "[params]")
-    if "variant" in psec:
-        params["variant"] = psec.get("variant")
+    params = {key: psec.number(key, fallbacks.get(key, default)) for key, default in DEFAULT_PARAMS.items()}
+    params["variant"] = psec.text("variant", "avg_11")
 
     alpha = params["alpha"]
     if not 0.0 < alpha < 1.0:
@@ -257,50 +299,6 @@ def load_config(path) -> RunConfig:
 # -- check dispatch ------------------------------------------------------------
 
 
-def _build_check(rc: RunConfig, check_id: str):
-    f, w, n = rc.function, rc.weight, rc.dimension
-    p = rc.params
-    alpha = p["alpha"]
-    e0 = np.zeros(n)
-    e0[0] = 1.0
-    off_center = np.asarray(f.support_center) + 0.1 * f.support_radius * e0
-    if check_id == "subrepresentation_identity":
-        return verify.check_subrepresentation_identity(f, w, scheme=rc.scheme)
-    if check_id == "rough_subrepresentation":
-        return verify.check_rough_subrepresentation(f, w, rc.omega, scheme=rc.scheme)
-    if check_id == "fractional_domination":
-        return verify.check_fractional_domination(f, alpha, rc.omega, scheme=rc.scheme)
-    if check_id == "lemma_domination":
-        return verify.check_lemma_domination(f, alpha, scheme=rc.scheme)
-    if check_id == "poincare_bbm":
-        Q = Cube(tuple(f.support_center), p["cube_side"])
-        return verify.check_poincare_bbm(
-            f, Q, alpha, variant=p["variant"], scheme=rc.scheme, outer_cells=int(p["outer_cells"])
-        )
-    if check_id == "identity_fractional":
-        return verify.check_identity_fractional(f, w, alpha, scheme=rc.scheme)
-    if check_id == "rough_fractional":
-        return verify.check_rough_fractional(f, w, alpha, rc.omega, scheme=rc.scheme)
-    if check_id == "annuli_absorption":
-        return verify.check_annuli_absorption(GradientMagnitude(f), off_center, int(p["K"]), scheme=rc.scheme)
-    if check_id == "beta_identity":
-        x1 = np.zeros(n)
-        x2 = p["separation"] * e0
-        return verify.check_beta_identity(n, p["a1"], p["a2"], x1, x2, scheme=rc.scheme)
-    if check_id == "hedberg_split":
-        return verify.check_hedberg_split(f, w, p["p"], p["d"], off_center, scheme=rc.scheme)
-    if check_id == "sobolev_mapping":
-        return verify.check_sobolev_mapping(
-            [f], w, p["p"], p["d"], scheme=rc.scheme, cells=int(p["cells"])
-        )
-    if check_id == "bbm_limit":
-        alphas = [1.0 - 2.0**-k for k in range(1, int(p["bbm_octaves"]) + 1)]
-        return verify.check_bbm_limit(n, alphas)
-    if check_id == "lower_ahlfors":
-        return verify.check_lower_ahlfors(beta=p["ahlfors_beta"])
-    raise ConfigError(f"[run] checks: unknown check {check_id!r}")
-
-
 @dataclass
 class CheckFailure:
     check_id: str
@@ -309,20 +307,21 @@ class CheckFailure:
 
 def _run_one(rc: RunConfig, check_id: str):
     try:
-        return _build_check(rc, check_id)
+        return verify.CHECKS[check_id].run(rc)
     except Exception as exc:  # recorded, never aborts the batch
         return CheckFailure(check_id, f"{type(exc).__name__}: {exc}")
 
 
 def _resolve_threads(flag: Optional[int]) -> int:
+    """--threads, else SUBREP_THREADS, else one thread per CPU."""
+    if flag is not None:
+        return max(1, flag)
     env = os.environ.get("SUBREP_THREADS")
     if env is not None:
         try:
             return max(1, int(env))
         except ValueError:
             raise ConfigError(f"SUBREP_THREADS must be an integer, got {env!r}")
-    if flag is not None:
-        return max(1, flag)
     return os.cpu_count() or 1
 
 
@@ -401,7 +400,7 @@ def run_command(args) -> int:
     try:
         rc = load_config(args.config)
         threads = _resolve_threads(args.threads)
-    except ConfigError as exc:
+    except (ValueError, QuadratureError) as exc:  # ConfigError, or a constructor's own check
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     results = {}
@@ -425,50 +424,15 @@ def run_command(args) -> int:
 # -- single-operator evaluation --------------------------------------------------
 
 
-def _eval_function(args) -> TestFunction:
-    n = args.dimension
-    center = _floats(args.center, "--center") if args.center else tuple([0.0] * n)
-    if len(center) != n:
-        raise ConfigError(f"--center has {len(center)} coordinates, --dimension is {n}")
-    if args.scale <= 0.0:
-        raise ConfigError(f"--scale must be positive, got {args.scale}")
-    if args.family not in FAMILIES:
-        raise ConfigError(f"--family must be one of {FAMILIES}, got {args.family!r}")
-    return TestFunction(args.family, center, args.scale, args.amplitude)
-
-
-def _eval_weight(args) -> Weight:
-    n = args.dimension
-    if args.weight == "constant":
-        return Weight.constant(n, args.weight_value)
-    if args.weight in ("radial_power", "power_plus_one"):
-        if not 0.0 <= args.beta < n:
-            raise ConfigError(f"--beta must sit in [0, {n}), got {args.beta}")
-        pole = _floats(args.pole, "--pole") if args.pole else tuple([0.0] * n)
-        ctor = Weight.radial_power if args.weight == "radial_power" else Weight.power_plus_one
-        return ctor(pole, args.beta)
-    raise ConfigError(f"--weight unknown: {args.weight!r}")
-
-
-def _eval_omega(args) -> SphereSymbol:
-    if args.profile == "cosine_harmonic":
-        return SphereSymbol.cosine_harmonic(k=args.k, amplitude=args.omega_amplitude)
-    if args.profile == "sign_profile":
-        return SphereSymbol.sign_profile(amplitude=args.omega_amplitude)
-    if args.profile == "odd_polynomial":
-        return SphereSymbol.odd_polynomial([1.0], amplitude=args.omega_amplitude)
-    raise ConfigError(f"--profile unknown: {args.profile!r}")
-
-
 def eval_command(args) -> int:
     try:
-        scheme = QuadratureScheme(
-            rel_tol=args.rel_tol,
-            annuli_per_decade=args.annuli_per_decade,
-            points_per_dim=args.points_per_dim,
-        )
-        f = _eval_function(args)
         n = args.dimension
+        scheme = _build_scheme(_Fields.flags(args))
+        f = _build_function(_Fields.flags(args), n)
+
+        def weight() -> Weight:
+            return _build_weight(_Fields.flags(args, kind="weight", value="weight_value"), n)
+
         x = np.asarray(_floats(args.x, "--x") if args.x else f.support_center, dtype=float)
         if x.size != n:
             raise ConfigError(f"--x has {x.size} coordinates, --dimension is {n}")
@@ -478,47 +442,45 @@ def eval_command(args) -> int:
             if not 0.0 < alpha < n:
                 raise ConfigError(f"--alpha must sit in (0, {n}) for riesz, got {alpha}")
             value = riesz_potential(f, alpha, x, scheme)
-            err = abs(value) * scheme.rel_tol
         elif op == "frac_derivative":
             alpha = args.alpha if args.alpha is not None else 0.5
             if not 0.0 < alpha < 1.0:
                 raise ConfigError(f"--alpha must sit in (0, 1), got {alpha}")
             value = frac_derivative(f, alpha, x, scheme)
-            err = abs(value) * scheme.rel_tol
         elif op == "tw":
             alpha = args.alpha if args.alpha is not None else 1.0
             if not 0.0 < alpha <= 1.0:
                 raise ConfigError(f"--alpha must sit in (0, 1] for tw, got {alpha}")
-            value = potential_Tw(f, _eval_weight(args), alpha, x, scheme)
-            err = abs(value) * scheme.rel_tol
+            value = potential_Tw(f, weight(), alpha, x, scheme)
         elif op == "rough_maximal":
+            omega = _build_omega(_Fields.flags(args, amplitude="omega_amplitude"), n)
             grid = TruncationGrid.covering(f, x, octaves=args.octaves)
-            value = rough_maximal(f, _eval_omega(args), x, grid, scheme)
-            err = abs(value) * scheme.rel_tol
+            value = rough_maximal(f, omega, x, grid, scheme)
         elif op == "mwc":
-            value = maximal_Mwc(f, _eval_weight(args), x, None, scheme)
-            err = abs(value) * scheme.rel_tol
+            value = maximal_Mwc(f, weight(), x, None, scheme)
         elif op == "lp_norm":
-            value = lp_norm(f, _eval_weight(args), args.p, f.support_box(pad=1.0), scheme)
-            err = abs(value) * scheme.rel_tol
+            value = lp_norm(f, weight(), args.p, f.support_box(pad=1.0), scheme)
         elif op == "lorentz":
             q = args.q if args.q is not None else 1.0
             side = args.cube_side if args.cube_side is not None else 2.0 * f.support_radius
             Q = Cube(tuple(f.support_center), side)
             value = lorentz_norm(f, args.p, q, Q, samples=args.samples)
-            err = 2.0 * abs(value) / math.sqrt(args.samples)
         else:
             raise ConfigError(f"unknown operator {op!r}")
-    except (ConfigError, ValueError) as exc:
+    except (ValueError, QuadratureError, OperatorError) as exc:
         print(f"eval error: {exc}", file=sys.stderr)
         return 2
+    if op == "lorentz":
+        err = 2.0 * abs(value) / math.sqrt(args.samples)
+    else:
+        err = abs(value) * scheme.rel_tol
     print(f"{value!r} +/- {err:.3g}")
     return 0
 
 
 def list_checks_command(_args) -> int:
-    for cid in sorted(CHECK_ANCHORS):
-        print(f"{cid:28s} {CHECK_ANCHORS[cid]}")
+    for cid in sorted(verify.CHECKS):
+        print(f"{cid:28s} {verify.CHECKS[cid].anchor}")
     return 0
 
 

@@ -27,7 +27,6 @@ __all__ = [
     "QuadratureScheme",
     "QuadratureError",
     "AnnularResult",
-    "AnnulusDecomposition",
     "annulus_nodes",
     "integrate_annular",
     "integrate_box",
@@ -82,6 +81,13 @@ class QuadratureScheme:
             points_per_dim=self.points_per_dim * factor,
             rel_tol=self.rel_tol / factor,
         )
+
+    def describe(self) -> dict:
+        return {
+            "rel_tol": self.rel_tol,
+            "annuli_per_decade": self.annuli_per_decade,
+            "points_per_dim": self.points_per_dim,
+        }
 
 
 @lru_cache(maxsize=64)
@@ -145,43 +151,6 @@ def annulus_nodes(
     else:
         raise QuadratureError(f"annulus rules cover dimensions 1-3, got {n}")
     return pts, wts, rad
-
-
-@dataclass
-class AnnulusDecomposition:
-    """A fixed family of concentric annuli with their quadrature rules."""
-
-    center: np.ndarray
-    edges: np.ndarray  # descending shell boundaries, len K+1
-    points_per_dim: int
-
-    @classmethod
-    def geometric(
-        cls,
-        center: np.ndarray,
-        r_outer: float,
-        r_inner: float,
-        ratio: float,
-        points_per_dim: int = 16,
-    ) -> "AnnulusDecomposition":
-        if not 0.0 < r_inner < r_outer or ratio <= 1.0:
-            raise QuadratureError("need 0 < r_inner < r_outer and ratio > 1")
-        edges = [r_outer]
-        while edges[-1] > r_inner * (1.0 + 1e-12):
-            edges.append(max(edges[-1] / ratio, r_inner))
-            if len(edges) > _MAX_SHELLS:
-                raise QuadratureError("annulus decomposition exceeds shell cap")
-        return cls(np.asarray(center, dtype=float), np.array(edges), points_per_dim)
-
-    @property
-    def shell_count(self) -> int:
-        return len(self.edges) - 1
-
-    def shell(self, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return annulus_nodes(self.center, self.edges[k + 1], self.edges[k], self.points_per_dim)
-
-    def measures(self) -> np.ndarray:
-        return np.array([float(np.sum(self.shell(k)[1])) for k in range(self.shell_count)])
 
 
 @dataclass

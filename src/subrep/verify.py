@@ -15,6 +15,10 @@ the empirical constant is directly the smallest constant making the
 inequality hold on the sample.  A1 constants enter through the certified
 lower bound of estimate_a1; underestimating a factor that multiplies the RHS
 only makes every check stricter.
+
+CHECKS, at the bottom, is the registry of all checks: each id maps to the
+anchor of its statement and to the call that runs it from a loaded run
+config.  The CLI's list-checks, config validation and dispatch read it.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ import json
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -73,7 +77,8 @@ __all__ = [
     "check_sobolev_mapping",
     "check_bbm_limit",
     "check_lower_ahlfors",
-    "CHECK_ANCHORS",
+    "Check",
+    "CHECKS",
 ]
 
 STABILITY_LIMIT = 0.20
@@ -100,6 +105,9 @@ class ConstantField:
 
     def values(self, pts: np.ndarray) -> np.ndarray:
         return np.full(len(np.atleast_2d(pts)), self.constant)
+
+    def describe(self) -> dict:
+        return {"family": "constant", "dimension": self.dimension, "value": self.constant}
 
 
 # -- report plumbing ---------------------------------------------------------
@@ -156,12 +164,66 @@ class CheckReport:
         }
 
 
+def _native(value):
+    """numpy scalars (and containers of them) as plain bool/int/float, so
+    that reports serialize with the json module."""
+    if isinstance(value, dict):
+        return {k: _native(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple, np.ndarray)):
+        return [_native(v) for v in value]
+    if isinstance(value, np.generic):
+        return value.item()
+    return value
+
+
+def _report(
+    check_id: str,
+    config: dict,
+    samples: Sequence[SampleRecord],
+    empirical: float,
+    passed: bool,
+    started: float,
+    *,
+    budget: float,
+    theoretical: Optional[float] = None,
+    anchor: Optional[str] = None,
+    degenerate: bool = False,
+    notes: tuple = (),
+    extras: Optional[dict] = None,
+) -> CheckReport:
+    """The one way a check builds its report: id, anchor, digest and wall
+    time filled in, every value JSON-native."""
+    config = _native({"check": check_id, **config})
+    return CheckReport(
+        check_id=check_id,
+        paper_anchor=anchor or CHECKS[check_id].anchor,
+        config=config,
+        config_digest=config_digest(config),
+        samples=[
+            SampleRecord(tuple(_native(s.point)), *_native([s.lhs, s.rhs, s.ratio]))
+            for s in samples
+        ],
+        empirical_constant=_native(empirical),
+        theoretical_constant=_native(theoretical),
+        passed=bool(passed),
+        error_budget=_native(budget),
+        degenerate=bool(degenerate),
+        notes=tuple(notes),
+        extras=_native(extras or {}),
+        wall_time=time.perf_counter() - started,
+    )
+
+
 def _ratio(lhs: float, rhs: float) -> float:
     if lhs == 0.0:
         return 0.0
     if rhs <= 0.0:
         return math.inf
     return lhs / rhs
+
+
+def _record(point, lhs: float, rhs: float) -> SampleRecord:
+    return SampleRecord(tuple(point), lhs, rhs, _ratio(lhs, rhs))
 
 
 def _empirical(samples: Sequence[SampleRecord]) -> float:
@@ -181,39 +243,13 @@ def _stability(base: float, refined: float) -> tuple[bool, float]:
     return change <= STABILITY_LIMIT, change
 
 
-def _describe_function(f) -> dict:
-    if isinstance(f, TestFunction):
-        return {
-            "family": f.family,
-            "center": list(f.center),
-            "scale": f.scale,
-            "amplitude": f.amplitude,
-        }
-    if isinstance(f, ConstantField):
-        return {"family": "constant", "dimension": f.dimension, "value": f.constant}
-    return {"family": type(f).__name__}
-
-
-def _describe_weight(w: Weight) -> dict:
-    d = {"kind": w.kind, "dimension": w.dimension}
-    if w.kind == "constant":
-        d["value"] = w.value_constant
-    elif w.kind in ("radial_power", "power_plus_one"):
-        d["pole"] = list(w.pole)
-        d["beta"] = w.beta
-    return d
-
-
-def _describe_scheme(scheme: QuadratureScheme) -> dict:
-    return {
-        "rel_tol": scheme.rel_tol,
-        "annuli_per_decade": scheme.annuli_per_decade,
-        "points_per_dim": scheme.points_per_dim,
-    }
-
-
 def _points_list(points) -> list:
     return [list(np.asarray(p, dtype=float)) for p in points]
+
+
+def _require_alpha(alpha: float) -> None:
+    if not 0.0 < alpha < 1.0:
+        raise CheckError(f"alpha must sit in (0, 1), got {alpha}")
 
 
 # -- evaluation point builders -----------------------------------------------
@@ -251,7 +287,51 @@ def default_a1_balls(f: TestFunction, levels: Sequence[float] = (0.3, 0.6, 1.2))
     return [(c, lam * s) for c in centers for lam in levels]
 
 
-# -- Theorem 2.1 --------------------------------------------------------------
+def _a1(w: Weight, f: TestFunction, factor: int) -> float:
+    return estimate_a1(w, default_a1_balls(f), samples_per_ball=1000 * factor).value
+
+
+def _truncations(f: TestFunction, x: np.ndarray, tgrid: Optional[TruncationGrid], factor: int):
+    grid = tgrid if tgrid is not None else TruncationGrid.covering(f, x, octaves=10)
+    return grid.refined() if factor > 1 else grid
+
+
+# -- the pointwise stability checks ----------------------------------------------
+
+
+def _two_pass(
+    check_id: str,
+    started: float,
+    points: list,
+    scheme: QuadratureScheme,
+    make_pass: Callable,
+    config: dict,
+    *,
+    notes: tuple = (),
+    extras: Optional[dict] = None,
+) -> CheckReport:
+    """Stability rule for a pointwise inequality: make_pass(scheme, factor)
+    returns x -> (lhs, rhs) at one resolution, and the empirical constant of
+    the base pass must move at most STABILITY_LIMIT in the refined pass,
+    where every resolution doubles (factor 2)."""
+    passes = []
+    for sch, factor in ((scheme, 1), (scheme.refined(), 2)):
+        pair = make_pass(sch, factor)
+        records = []
+        for x in points:
+            x = np.asarray(x, dtype=float)
+            records.append(_record(x, *pair(x)))
+        passes.append(records)
+    base, refined = passes
+    e1, e2 = _empirical(base), _empirical(refined)
+    passed, change = _stability(e1, e2)
+    config = {**config, "points": _points_list(points), "scheme": scheme.describe()}
+    return _report(
+        check_id, config, base, e1, passed, started,
+        budget=scheme.rel_tol,
+        notes=notes,
+        extras={"refined_constant": e2, "stability_change": change, **(extras or {})},
+    )
 
 
 def check_subrepresentation_identity(
@@ -260,51 +340,19 @@ def check_subrepresentation_identity(
     points: Optional[Sequence] = None,
     scheme: Optional[QuadratureScheme] = None,
 ) -> CheckReport:
-    """|f(x)| against [w]_A1 T_w(|grad f|)(x), existential dimensional
-    constant, refinement-stability pass rule."""
+    """Theorem 2.1: |f(x)| against [w]_A1 T_w(|grad f|)(x), existential
+    dimensional constant, refinement-stability pass rule."""
     scheme = scheme or QuadratureScheme()
     points = list(points) if points is not None else default_points(f)
     started = time.perf_counter()
     grad = GradientMagnitude(f)
-    balls = default_a1_balls(f)
 
-    def run(sch: QuadratureScheme, factor: int) -> list:
-        a1 = estimate_a1(w, balls, samples_per_ball=1000 * factor).value
-        records = []
-        for x in points:
-            x = np.asarray(x, dtype=float)
-            lhs = abs(f.value(x))
-            rhs = a1 * potential_Tw(grad, w, 1.0, x, sch)
-            records.append(SampleRecord(tuple(x), lhs, rhs, _ratio(lhs, rhs)))
-        return records
+    def make_pass(sch, factor):
+        a1 = _a1(w, f, factor)
+        return lambda x: (abs(f.value(x)), a1 * potential_Tw(grad, w, 1.0, x, sch))
 
-    base = run(scheme, 1)
-    refined = run(scheme.refined(), 2)
-    e1, e2 = _empirical(base), _empirical(refined)
-    passed, change = _stability(e1, e2)
-    config = {
-        "check": "subrepresentation_identity",
-        "f": _describe_function(f),
-        "w": _describe_weight(w),
-        "points": _points_list(points),
-        "scheme": _describe_scheme(scheme),
-    }
-    return CheckReport(
-        check_id="subrepresentation_identity",
-        paper_anchor="Theorem 2.1",
-        config=config,
-        config_digest=config_digest(config),
-        samples=base,
-        empirical_constant=e1,
-        theoretical_constant=None,
-        passed=passed,
-        error_budget=scheme.rel_tol,
-        extras={"refined_constant": e2, "stability_change": change},
-        wall_time=time.perf_counter() - started,
-    )
-
-
-# -- Theorem 2.2 --------------------------------------------------------------
+    config = {"f": f.describe(), "w": w.describe()}
+    return _two_pass("subrepresentation_identity", started, points, scheme, make_pass, config)
 
 
 def check_rough_subrepresentation(
@@ -315,57 +363,26 @@ def check_rough_subrepresentation(
     tgrid: Optional[TruncationGrid] = None,
     scheme: Optional[QuadratureScheme] = None,
 ) -> CheckReport:
-    """T*_Omega f against ||Omega||_{L^{n,inf}} [w]_A1 T_w(|grad f|)."""
+    """Theorem 2.2: T*_Omega f against ||Omega||_{L^{n,inf}} [w]_A1
+    T_w(|grad f|)."""
     scheme = scheme or QuadratureScheme()
     points = list(points) if points is not None else default_points(f, interior=4)
     started = time.perf_counter()
-    n = f.dimension
     grad = GradientMagnitude(f)
-    balls = default_a1_balls(f)
-    omega_norm = sphere_lorentz_weak(omega, float(n))
+    omega_norm = sphere_lorentz_weak(omega, float(f.dimension))
 
-    def run(sch: QuadratureScheme, factor: int) -> list:
-        a1 = estimate_a1(w, balls, samples_per_ball=1000 * factor).value
-        records = []
-        for x in points:
-            x = np.asarray(x, dtype=float)
-            grid = tgrid if tgrid is not None else TruncationGrid.covering(f, x, octaves=10)
-            if factor > 1:
-                grid = grid.refined()
-            lhs = rough_maximal(f, omega, x, grid, sch)
-            rhs = omega_norm * a1 * potential_Tw(grad, w, 1.0, x, sch)
-            records.append(SampleRecord(tuple(x), lhs, rhs, _ratio(lhs, rhs)))
-        return records
+    def make_pass(sch, factor):
+        a1 = _a1(w, f, factor)
+        return lambda x: (
+            rough_maximal(f, omega, x, _truncations(f, x, tgrid, factor), sch),
+            omega_norm * a1 * potential_Tw(grad, w, 1.0, x, sch),
+        )
 
-    base = run(scheme, 1)
-    refined = run(scheme.refined(), 2)
-    e1, e2 = _empirical(base), _empirical(refined)
-    passed, change = _stability(e1, e2)
-    config = {
-        "check": "rough_subrepresentation",
-        "f": _describe_function(f),
-        "w": _describe_weight(w),
-        "omega": omega.describe(),
-        "points": _points_list(points),
-        "scheme": _describe_scheme(scheme),
-    }
-    return CheckReport(
-        check_id="rough_subrepresentation",
-        paper_anchor="Theorem 2.2",
-        config=config,
-        config_digest=config_digest(config),
-        samples=base,
-        empirical_constant=e1,
-        theoretical_constant=None,
-        passed=passed,
-        error_budget=scheme.rel_tol,
-        notes=(ROUGH_FACTORIZATION_NOTE,),
-        extras={"refined_constant": e2, "stability_change": change, "omega_norm": omega_norm},
-        wall_time=time.perf_counter() - started,
+    config = {"f": f.describe(), "w": w.describe(), "omega": omega.describe()}
+    return _two_pass(
+        "rough_subrepresentation", started, points, scheme, make_pass, config,
+        notes=(ROUGH_FACTORIZATION_NOTE,), extras={"omega_norm": omega_norm},
     )
-
-
-# -- Theorem 2.3 --------------------------------------------------------------
 
 
 def check_fractional_domination(
@@ -377,54 +394,90 @@ def check_fractional_domination(
     scheme: Optional[QuadratureScheme] = None,
     grid_points: int = 64,
 ) -> CheckReport:
-    """T*_Omega f against (1 - alpha) ||Omega||_{L^{n/alpha,inf}} I_alpha(D^alpha f)."""
-    if not 0.0 < alpha < 1.0:
-        raise CheckError(f"alpha must sit in (0, 1), got {alpha}")
+    """Theorem 2.3: T*_Omega f against (1 - alpha) ||Omega||_{L^{n/alpha,inf}}
+    I_alpha(D^alpha f)."""
+    _require_alpha(alpha)
     scheme = scheme or QuadratureScheme()
     points = list(points) if points is not None else default_points(f, interior=4)
     started = time.perf_counter()
-    n = f.dimension
-    omega_norm = sphere_lorentz_weak(omega, n / alpha)
+    omega_norm = sphere_lorentz_weak(omega, f.dimension / alpha)
 
-    def run(sch: QuadratureScheme, factor: int) -> list:
+    def make_pass(sch, factor):
         frac = FracDerivativeField(f, alpha, sch, grid_points=grid_points * factor)
-        records = []
-        for x in points:
-            x = np.asarray(x, dtype=float)
-            grid = tgrid if tgrid is not None else TruncationGrid.covering(f, x, octaves=10)
-            if factor > 1:
-                grid = grid.refined()
-            lhs = rough_maximal(f, omega, x, grid, sch)
-            rhs = (1.0 - alpha) * omega_norm * riesz_potential(frac, alpha, x, sch)
-            records.append(SampleRecord(tuple(x), lhs, rhs, _ratio(lhs, rhs)))
-        return records
+        return lambda x: (
+            rough_maximal(f, omega, x, _truncations(f, x, tgrid, factor), sch),
+            (1.0 - alpha) * omega_norm * riesz_potential(frac, alpha, x, sch),
+        )
 
-    base = run(scheme, 1)
-    refined = run(scheme.refined(), 2)
-    e1, e2 = _empirical(base), _empirical(refined)
-    passed, change = _stability(e1, e2)
+    config = {"f": f.describe(), "alpha": alpha, "omega": omega.describe(), "grid_points": grid_points}
+    return _two_pass(
+        "fractional_domination", started, points, scheme, make_pass, config,
+        notes=(ROUGH_FACTORIZATION_NOTE,), extras={"omega_norm": omega_norm},
+    )
+
+
+def check_identity_fractional(
+    f: TestFunction,
+    w: Weight,
+    alpha: float,
+    points: Optional[Sequence] = None,
+    scheme: Optional[QuadratureScheme] = None,
+    grid_points: int = 64,
+) -> CheckReport:
+    """Theorem 2.6: |f(x)| against (1 - alpha) [w]_A1 T_{w,alpha}(D^alpha f)(x)."""
+    _require_alpha(alpha)
+    scheme = scheme or QuadratureScheme()
+    points = list(points) if points is not None else default_points(f)
+    started = time.perf_counter()
+
+    def make_pass(sch, factor):
+        a1 = _a1(w, f, factor)
+        frac = FracDerivativeField(f, alpha, sch, grid_points=grid_points * factor)
+        return lambda x: (
+            abs(f.value(x)),
+            (1.0 - alpha) * a1 * potential_Tw(frac, w, alpha, x, sch),
+        )
+
+    config = {"f": f.describe(), "w": w.describe(), "alpha": alpha, "grid_points": grid_points}
+    return _two_pass("identity_fractional", started, points, scheme, make_pass, config)
+
+
+def check_rough_fractional(
+    f: TestFunction,
+    w: Weight,
+    alpha: float,
+    omega: SphereSymbol,
+    points: Optional[Sequence] = None,
+    tgrid: Optional[TruncationGrid] = None,
+    scheme: Optional[QuadratureScheme] = None,
+    grid_points: int = 64,
+) -> CheckReport:
+    """Theorem 2.7: T*_Omega f against (1-alpha) ||Omega||_{L^{n/alpha,inf}}
+    [w]_A1 T_{w,alpha}(D^alpha f)."""
+    _require_alpha(alpha)
+    scheme = scheme or QuadratureScheme()
+    points = list(points) if points is not None else default_points(f, interior=4)
+    started = time.perf_counter()
+    omega_norm = sphere_lorentz_weak(omega, f.dimension / alpha)
+
+    def make_pass(sch, factor):
+        a1 = _a1(w, f, factor)
+        frac = FracDerivativeField(f, alpha, sch, grid_points=grid_points * factor)
+        return lambda x: (
+            rough_maximal(f, omega, x, _truncations(f, x, tgrid, factor), sch),
+            (1.0 - alpha) * omega_norm * a1 * potential_Tw(frac, w, alpha, x, sch),
+        )
+
     config = {
-        "check": "fractional_domination",
-        "f": _describe_function(f),
+        "f": f.describe(),
+        "w": w.describe(),
         "alpha": alpha,
         "omega": omega.describe(),
-        "points": _points_list(points),
-        "scheme": _describe_scheme(scheme),
         "grid_points": grid_points,
     }
-    return CheckReport(
-        check_id="fractional_domination",
-        paper_anchor="Theorem 2.3",
-        config=config,
-        config_digest=config_digest(config),
-        samples=base,
-        empirical_constant=e1,
-        theoretical_constant=None,
-        passed=passed,
-        error_budget=scheme.rel_tol,
-        notes=(ROUGH_FACTORIZATION_NOTE,),
-        extras={"refined_constant": e2, "stability_change": change, "omega_norm": omega_norm},
-        wall_time=time.perf_counter() - started,
+    return _two_pass(
+        "rough_fractional", started, points, scheme, make_pass, config,
+        notes=(ROUGH_FACTORIZATION_NOTE,), extras={"omega_norm": omega_norm},
     )
 
 
@@ -441,44 +494,33 @@ def check_lemma_domination(
 ) -> CheckReport:
     """(1 - alpha) I_alpha(D^alpha f) <= c_{alpha,n} I_1(|grad f|) pointwise,
     with the explicit gamma-function constant."""
-    if not 0.0 < alpha < 1.0:
-        raise CheckError(f"alpha must sit in (0, 1), got {alpha}")
+    _require_alpha(alpha)
     scheme = scheme or QuadratureScheme()
     points = list(points) if points is not None else inscribed_grid(f, 4)
     started = time.perf_counter()
-    n = f.dimension
-    theoretical = bbm_constant(alpha, n)
+    theoretical = bbm_constant(alpha, f.dimension)
     grad = GradientMagnitude(f)
     frac = FracDerivativeField(f, alpha, scheme, grid_points=grid_points)
     records = []
     for x in points:
         x = np.asarray(x, dtype=float)
         lhs = (1.0 - alpha) * riesz_potential(frac, alpha, x, scheme)
-        rhs = riesz_potential(grad, 1.0, x, scheme)
-        records.append(SampleRecord(tuple(x), lhs, rhs, _ratio(lhs, rhs)))
+        records.append(_record(x, lhs, riesz_potential(grad, 1.0, x, scheme)))
     empirical = _empirical(records)
-    passed = empirical <= theoretical * (1.0 + tolerance)
     config = {
-        "check": "lemma_domination",
-        "f": _describe_function(f),
+        "f": f.describe(),
         "alpha": alpha,
         "points": _points_list(points),
-        "scheme": _describe_scheme(scheme),
+        "scheme": scheme.describe(),
         "tolerance": tolerance,
         "grid_points": grid_points,
     }
-    return CheckReport(
-        check_id="lemma_domination",
-        paper_anchor="Lemma 2.4",
-        config=config,
-        config_digest=config_digest(config),
-        samples=records,
-        empirical_constant=empirical,
-        theoretical_constant=theoretical,
-        passed=passed,
-        error_budget=scheme.rel_tol,
+    return _report(
+        "lemma_domination", config, records, empirical,
+        empirical <= theoretical * (1.0 + tolerance), started,
+        budget=scheme.rel_tol,
+        theoretical=theoretical,
         extras={"margin": (theoretical - empirical) / theoretical if theoretical else 0.0},
-        wall_time=time.perf_counter() - started,
     )
 
 
@@ -532,33 +574,24 @@ def check_poincare_bbm(
     fractional double integral; three left-hand sides share one RHS."""
     if variant not in POINCARE_VARIANTS:
         raise CheckError(f"unknown variant {variant!r}, pick one of {POINCARE_VARIANTS}")
-    if not 0.0 < alpha < 1.0:
-        raise CheckError(f"alpha must sit in (0, 1), got {alpha}")
+    _require_alpha(alpha)
     if outer_cells > 64:
         raise CheckError("outer grid capped at 64 cells per axis")
     scheme = scheme or QuadratureScheme()
     started = time.perf_counter()
-    n = Q.dimension
-    p_conj = conjugate_exponent(n / alpha)
+    p_conj = conjugate_exponent(Q.dimension / alpha)
     box = Q.to_box()
 
     def run(sch: QuadratureScheme, factor: int) -> tuple[SampleRecord, dict]:
         f_Q = cube_average(f, Q, sch)
-        if variant == "avg_11":
-            def osc(pts):
-                return np.abs(f.values(pts) - f_Q)
-
-            val, _ = integrate_box(osc, box.lower, box.upper, sch)
-            lhs = val / Q.volume
-        elif variant == "exponent_conjugate":
-            def osc_p(pts):
-                return np.abs(f.values(pts) - f_Q) ** p_conj
-
-            val, _ = integrate_box(osc_p, box.lower, box.upper, sch)
-            lhs = (val / Q.volume) ** (1.0 / p_conj)
-        else:
+        if variant == "lorentz":
             shifted = lambda pts: f.values(pts) - f_Q
             lhs = lorentz_norm(shifted, p_conj, 1.0, Q, samples=lorentz_samples * factor)
+        else:
+            p = 1.0 if variant == "avg_11" else p_conj
+            osc = lambda pts: np.abs(f.values(pts) - f_Q) ** p
+            val, _ = integrate_box(osc, box.lower, box.upper, sch)
+            lhs = (val / Q.volume) ** (1.0 / p)
         double = _bbm_double_integral(f, Q, alpha, sch, outer_cells * factor)
         rhs = (1.0 - alpha) * Q.side**alpha * double
         extras = {}
@@ -569,160 +602,24 @@ def check_poincare_bbm(
             grad_rhs = Q.side * grad_avg_val / Q.volume
             extras["gradient_rhs"] = grad_rhs
             extras["rhs_vs_gradient_ratio"] = _ratio(rhs, grad_rhs)
-        point = tuple(Q.center) + (alpha,)
-        return SampleRecord(point, lhs, rhs, _ratio(lhs, rhs)), extras
+        return _record(tuple(Q.center) + (alpha,), lhs, rhs), extras
 
-    rec1, extras1 = run(scheme, 1)
+    rec1, extras = run(scheme, 1)
     rec2, _ = run(scheme.refined(), 2)
     passed, change = _stability(rec1.ratio, rec2.ratio)
     config = {
-        "check": "poincare_bbm",
-        "f": _describe_function(f),
+        "f": f.describe(),
         "cube": {"center": list(Q.center), "side": Q.side},
         "alpha": alpha,
         "variant": variant,
-        "scheme": _describe_scheme(scheme),
+        "scheme": scheme.describe(),
         "outer_cells": outer_cells,
     }
-    extras1.update({"refined_ratio": rec2.ratio, "stability_change": change})
-    return CheckReport(
-        check_id="poincare_bbm",
-        paper_anchor=_POINCARE_ANCHORS[variant],
-        config=config,
-        config_digest=config_digest(config),
-        samples=[rec1],
-        empirical_constant=rec1.ratio,
-        theoretical_constant=None,
-        passed=passed,
-        error_budget=scheme.rel_tol,
-        extras=extras1,
-        wall_time=time.perf_counter() - started,
-    )
-
-
-# -- Theorem 2.6 --------------------------------------------------------------
-
-
-def check_identity_fractional(
-    f: TestFunction,
-    w: Weight,
-    alpha: float,
-    points: Optional[Sequence] = None,
-    scheme: Optional[QuadratureScheme] = None,
-    grid_points: int = 64,
-) -> CheckReport:
-    """|f(x)| against (1 - alpha) [w]_A1 T_{w,alpha}(D^alpha f)(x)."""
-    if not 0.0 < alpha < 1.0:
-        raise CheckError(f"alpha must sit in (0, 1), got {alpha}")
-    scheme = scheme or QuadratureScheme()
-    points = list(points) if points is not None else default_points(f)
-    started = time.perf_counter()
-    balls = default_a1_balls(f)
-
-    def run(sch: QuadratureScheme, factor: int) -> list:
-        a1 = estimate_a1(w, balls, samples_per_ball=1000 * factor).value
-        frac = FracDerivativeField(f, alpha, sch, grid_points=grid_points * factor)
-        records = []
-        for x in points:
-            x = np.asarray(x, dtype=float)
-            lhs = abs(f.value(x))
-            rhs = (1.0 - alpha) * a1 * potential_Tw(frac, w, alpha, x, sch)
-            records.append(SampleRecord(tuple(x), lhs, rhs, _ratio(lhs, rhs)))
-        return records
-
-    base = run(scheme, 1)
-    refined = run(scheme.refined(), 2)
-    e1, e2 = _empirical(base), _empirical(refined)
-    passed, change = _stability(e1, e2)
-    config = {
-        "check": "identity_fractional",
-        "f": _describe_function(f),
-        "w": _describe_weight(w),
-        "alpha": alpha,
-        "points": _points_list(points),
-        "scheme": _describe_scheme(scheme),
-        "grid_points": grid_points,
-    }
-    return CheckReport(
-        check_id="identity_fractional",
-        paper_anchor="Theorem 2.6",
-        config=config,
-        config_digest=config_digest(config),
-        samples=base,
-        empirical_constant=e1,
-        theoretical_constant=None,
-        passed=passed,
-        error_budget=scheme.rel_tol,
-        extras={"refined_constant": e2, "stability_change": change},
-        wall_time=time.perf_counter() - started,
-    )
-
-
-# -- Theorem 2.7 --------------------------------------------------------------
-
-
-def check_rough_fractional(
-    f: TestFunction,
-    w: Weight,
-    alpha: float,
-    omega: SphereSymbol,
-    points: Optional[Sequence] = None,
-    tgrid: Optional[TruncationGrid] = None,
-    scheme: Optional[QuadratureScheme] = None,
-    grid_points: int = 64,
-) -> CheckReport:
-    """T*_Omega f against (1-alpha) ||Omega||_{L^{n/alpha,inf}} [w]_A1
-    T_{w,alpha}(D^alpha f)."""
-    if not 0.0 < alpha < 1.0:
-        raise CheckError(f"alpha must sit in (0, 1), got {alpha}")
-    scheme = scheme or QuadratureScheme()
-    points = list(points) if points is not None else default_points(f, interior=4)
-    started = time.perf_counter()
-    n = f.dimension
-    omega_norm = sphere_lorentz_weak(omega, n / alpha)
-    balls = default_a1_balls(f)
-
-    def run(sch: QuadratureScheme, factor: int) -> list:
-        a1 = estimate_a1(w, balls, samples_per_ball=1000 * factor).value
-        frac = FracDerivativeField(f, alpha, sch, grid_points=grid_points * factor)
-        records = []
-        for x in points:
-            x = np.asarray(x, dtype=float)
-            grid = tgrid if tgrid is not None else TruncationGrid.covering(f, x, octaves=10)
-            if factor > 1:
-                grid = grid.refined()
-            lhs = rough_maximal(f, omega, x, grid, sch)
-            rhs = (1.0 - alpha) * omega_norm * a1 * potential_Tw(frac, w, alpha, x, sch)
-            records.append(SampleRecord(tuple(x), lhs, rhs, _ratio(lhs, rhs)))
-        return records
-
-    base = run(scheme, 1)
-    refined = run(scheme.refined(), 2)
-    e1, e2 = _empirical(base), _empirical(refined)
-    passed, change = _stability(e1, e2)
-    config = {
-        "check": "rough_fractional",
-        "f": _describe_function(f),
-        "w": _describe_weight(w),
-        "alpha": alpha,
-        "omega": omega.describe(),
-        "points": _points_list(points),
-        "scheme": _describe_scheme(scheme),
-        "grid_points": grid_points,
-    }
-    return CheckReport(
-        check_id="rough_fractional",
-        paper_anchor="Theorem 2.7",
-        config=config,
-        config_digest=config_digest(config),
-        samples=base,
-        empirical_constant=e1,
-        theoretical_constant=None,
-        passed=passed,
-        error_budget=scheme.rel_tol,
-        notes=(ROUGH_FACTORIZATION_NOTE,),
-        extras={"refined_constant": e2, "stability_change": change, "omega_norm": omega_norm},
-        wall_time=time.perf_counter() - started,
+    return _report(
+        "poincare_bbm", config, [rec1], rec1.ratio, passed, started,
+        budget=scheme.rel_tol,
+        anchor=_POINCARE_ANCHORS[variant],
+        extras={**extras, "refined_ratio": rec2.ratio, "stability_change": change},
     )
 
 
@@ -798,28 +695,19 @@ def check_annuli_absorption(
                 abs(s_holes - closed_holes) / closed_holes,
             )
     config = {
-        "check": "annuli_absorption",
-        "g": _describe_function(g),
+        "g": g.describe(),
         "x": list(x),
         "K": K,
         "radius": radius,
         "tolerance": tolerance,
-        "scheme": _describe_scheme(scheme),
+        "scheme": scheme.describe(),
     }
-    record = SampleRecord(tuple(x), s_full, s_holes, empirical)
-    return CheckReport(
-        check_id="annuli_absorption",
-        paper_anchor="Equation (3.1)",
-        config=config,
-        config_digest=config_digest(config),
-        samples=[record],
-        empirical_constant=empirical,
-        theoretical_constant=theoretical,
-        passed=passed,
-        error_budget=scheme.rel_tol,
+    return _report(
+        "annuli_absorption", config, [_record(x, s_full, s_holes)], empirical, passed, started,
+        budget=scheme.rel_tol,
+        theoretical=theoretical,
         degenerate=degenerate,
         extras=extras,
-        wall_time=time.perf_counter() - started,
     )
 
 
@@ -884,31 +772,23 @@ def check_beta_identity(
     separation = float(np.linalg.norm(x1 - x2))
     closed = beta_identity_rhs(n, a1, a2, separation)
     quad = _beta_quadrature(n, a1, a2, x1, x2, scheme)
-    ratio = _ratio(quad, closed)
-    passed = math.isfinite(ratio) and abs(ratio - 1.0) <= tolerance
+    record = _record(tuple(x1) + tuple(x2), quad, closed)
+    ratio = record.ratio
     config = {
-        "check": "beta_identity",
         "n": n,
         "a1": a1,
         "a2": a2,
         "x1": list(x1),
         "x2": list(x2),
         "tolerance": tolerance,
-        "scheme": _describe_scheme(scheme),
+        "scheme": scheme.describe(),
     }
-    record = SampleRecord(tuple(x1) + tuple(x2), quad, closed, ratio)
-    return CheckReport(
-        check_id="beta_identity",
-        paper_anchor="Lemma 2.4, proof",
-        config=config,
-        config_digest=config_digest(config),
-        samples=[record],
-        empirical_constant=ratio,
-        theoretical_constant=1.0,
-        passed=passed,
-        error_budget=tolerance,
+    return _report(
+        "beta_identity", config, [record], ratio,
+        math.isfinite(ratio) and abs(ratio - 1.0) <= tolerance, started,
+        budget=tolerance,
+        theoretical=1.0,
         extras={"relative_error": abs(ratio - 1.0)},
-        wall_time=time.perf_counter() - started,
     )
 
 
@@ -948,9 +828,7 @@ def check_hedberg_split(
         for R in R_values:
             near = potential_Tw(f, w, 1.0, x, sch, r_max=R)
             far = potential_Tw(f, w, 1.0, x, sch, r_min=R)
-            lhs = near + far
-            rhs = R ** (1.0 - d / p) * norm_f + R * mwc
-            records.append(SampleRecord((R,), lhs, rhs, _ratio(lhs, rhs)))
+            records.append(_record((R,), near + far, R ** (1.0 - d / p) * norm_f + R * mwc))
             near_ratios.append(_ratio(near, R * mwc))
             far_ratios.append(_ratio(far, R ** (1.0 - d / p) * norm_f))
         r_star = ((d / p - 1.0) * norm_f / mwc) ** (p / d)
@@ -971,49 +849,30 @@ def check_hedberg_split(
 
     base = run(scheme, 1)
     config = {
-        "check": "hedberg_split",
-        "f": _describe_function(f),
-        "w": _describe_weight(w),
+        "f": f.describe(),
+        "w": w.describe(),
         "p": p,
         "d": d,
         "x": list(x),
         "R_values": R_values,
-        "scheme": _describe_scheme(scheme),
+        "scheme": scheme.describe(),
     }
     if base is None:
-        return CheckReport(
-            check_id="hedberg_split",
-            paper_anchor="Theorem 4.1, proof",
-            config=config,
-            config_digest=config_digest(config),
-            samples=[],
-            empirical_constant=0.0,
-            theoretical_constant=None,
-            passed=True,
-            error_budget=scheme.rel_tol,
+        return _report(
+            "hedberg_split", config, [], 0.0, True, started,
+            budget=scheme.rel_tol,
             degenerate=True,
             notes=("maximal function vanished at x; nothing to optimize",),
-            wall_time=time.perf_counter() - started,
         )
     records, aux = base
     refined = run(scheme.refined(), 2)
     e1 = _empirical(records)
     e2 = _empirical(refined[0])
     stable, change = _stability(e1, e2)
-    passed = stable and aux["r_star_gap"] <= 0.05
-    aux.update({"refined_constant": e2, "stability_change": change})
-    return CheckReport(
-        check_id="hedberg_split",
-        paper_anchor="Theorem 4.1, proof",
-        config=config,
-        config_digest=config_digest(config),
-        samples=records,
-        empirical_constant=e1,
-        theoretical_constant=None,
-        passed=passed,
-        error_budget=scheme.rel_tol,
-        extras=aux,
-        wall_time=time.perf_counter() - started,
+    return _report(
+        "hedberg_split", config, records, e1, stable and aux["r_star_gap"] <= 0.05, started,
+        budget=scheme.rel_tol,
+        extras={**aux, "refined_constant": e2, "stability_change": change},
     )
 
 
@@ -1091,35 +950,25 @@ def check_sobolev_mapping(
     e_ref = _empirical(refined)
     stable_ref, change_ref = _stability(e_base, e_ref)
     stable_enl, change_enl = _stability(e_base, e_enl)
-    passed = stable_ref and stable_enl
     config = {
-        "check": "sobolev_mapping",
-        "family": [_describe_function(g) for g in family],
-        "w": _describe_weight(w),
+        "family": [g.describe() for g in family],
+        "w": w.describe(),
         "p": p,
         "d": d,
         "q": q,
         "cells": cells,
         "scales": list(scales),
-        "scheme": _describe_scheme(scheme),
+        "scheme": scheme.describe(),
     }
-    return CheckReport(
-        check_id="sobolev_mapping",
-        paper_anchor="Theorem 4.1",
-        config=config,
-        config_digest=config_digest(config),
-        samples=base,
-        empirical_constant=e_base,
-        theoretical_constant=None,
-        passed=passed,
-        error_budget=scheme.rel_tol,
+    return _report(
+        "sobolev_mapping", config, base, e_base, stable_ref and stable_enl, started,
+        budget=scheme.rel_tol,
         extras={
             "refined_constant": e_ref,
             "stability_change": change_ref,
             "enlarged_constant": e_enl,
             "scale_change": change_enl,
         },
-        wall_time=time.perf_counter() - started,
     )
 
 
@@ -1156,26 +1005,14 @@ def check_bbm_limit(
             "gap decays linearly in 1 - alpha, so the threshold needs "
             "alpha far closer to 1 than the supplied sequence reaches",
         )
-    config = {
-        "check": "bbm_limit",
-        "n": n,
-        "alpha_sequence": alphas,
-        "final_gap": final_gap,
-    }
-    return CheckReport(
-        check_id="bbm_limit",
-        paper_anchor="Lemma 2.4, Remark",
-        config=config,
-        config_digest=config_digest(config),
-        samples=records,
-        empirical_constant=max(r.ratio for r in records),
-        theoretical_constant=sigma,
-        passed=passed,
-        error_budget=0.0,
+    config = {"n": n, "alpha_sequence": alphas, "final_gap": final_gap}
+    return _report(
+        "bbm_limit", config, records, max(r.ratio for r in records), passed, started,
+        budget=0.0,
+        theoretical=sigma,
         degenerate=degenerate,
         notes=notes,
         extras={"gaps": gaps, "monotone": monotone, "final_gap": gaps[-1]},
-        wall_time=time.perf_counter() - started,
     )
 
 
@@ -1201,40 +1038,113 @@ def check_lower_ahlfors(
     ratios = [rec.ratio for rec in records]
     decreasing = all(ratios[i + 1] < ratios[i] for i in range(len(ratios) - 1))
     collapsed = ratios[-1] < 0.1 * ratios[0]
-    passed = decreasing and collapsed
-    config = {
-        "check": "lower_ahlfors",
-        "beta": beta,
-        "k_range": [int(k) for k in k_range],
-        "r": r,
-    }
-    return CheckReport(
-        check_id="lower_ahlfors",
-        paper_anchor="Section 4, Remark",
-        config=config,
-        config_digest=config_digest(config),
-        samples=records,
-        empirical_constant=ratios[-1] / ratios[0],
-        theoretical_constant=None,
-        passed=passed,
-        error_budget=0.0,
+    config = {"beta": beta, "k_range": [int(k) for k in k_range], "r": r}
+    return _report(
+        "lower_ahlfors", config, records, ratios[-1] / ratios[0], decreasing and collapsed, started,
+        budget=0.0,
         extras={"decreasing": decreasing, "final_over_first": ratios[-1] / ratios[0]},
-        wall_time=time.perf_counter() - started,
     )
 
 
-CHECK_ANCHORS = {
-    "subrepresentation_identity": "Theorem 2.1",
-    "rough_subrepresentation": "Theorem 2.2",
-    "fractional_domination": "Theorem 2.3",
-    "lemma_domination": "Lemma 2.4",
-    "poincare_bbm": "Equations (2.6)-(2.8)",
-    "identity_fractional": "Theorem 2.6",
-    "rough_fractional": "Theorem 2.7",
-    "annuli_absorption": "Equation (3.1)",
-    "beta_identity": "Lemma 2.4, proof",
-    "hedberg_split": "Theorem 4.1, proof",
-    "sobolev_mapping": "Theorem 4.1",
-    "bbm_limit": "Lemma 2.4, Remark",
-    "lower_ahlfors": "Section 4, Remark",
+# -- the registry -------------------------------------------------------------------
+
+
+class Check(NamedTuple):
+    """One registered check: the anchor of its statement, and run, which
+    takes a loaded run config (function, weight, omega, scheme, dimension,
+    params) and returns the report.  The run calls name the check_*
+    functions, so they resolve through this module at call time."""
+
+    anchor: str
+    run: Callable
+
+
+def _e0(n: int) -> np.ndarray:
+    e = np.zeros(n)
+    e[0] = 1.0
+    return e
+
+
+def _off_center(f: TestFunction) -> np.ndarray:
+    return np.asarray(f.support_center) + 0.1 * f.support_radius * _e0(f.dimension)
+
+
+def _run_poincare_bbm(rc) -> CheckReport:
+    f, p = rc.function, rc.params
+    Q = Cube(tuple(f.support_center), p["cube_side"])
+    return check_poincare_bbm(
+        f, Q, p["alpha"], variant=p["variant"], scheme=rc.scheme, outer_cells=int(p["outer_cells"])
+    )
+
+
+def _run_beta_identity(rc) -> CheckReport:
+    n, p = rc.dimension, rc.params
+    x2 = p["separation"] * _e0(n)
+    return check_beta_identity(n, p["a1"], p["a2"], np.zeros(n), x2, scheme=rc.scheme)
+
+
+CHECKS = {
+    "subrepresentation_identity": Check(
+        "Theorem 2.1",
+        lambda rc: check_subrepresentation_identity(rc.function, rc.weight, scheme=rc.scheme),
+    ),
+    "rough_subrepresentation": Check(
+        "Theorem 2.2",
+        lambda rc: check_rough_subrepresentation(rc.function, rc.weight, rc.omega, scheme=rc.scheme),
+    ),
+    "fractional_domination": Check(
+        "Theorem 2.3",
+        lambda rc: check_fractional_domination(
+            rc.function, rc.params["alpha"], rc.omega, scheme=rc.scheme
+        ),
+    ),
+    "lemma_domination": Check(
+        "Lemma 2.4",
+        lambda rc: check_lemma_domination(rc.function, rc.params["alpha"], scheme=rc.scheme),
+    ),
+    "poincare_bbm": Check("Equations (2.6)-(2.8)", _run_poincare_bbm),
+    "identity_fractional": Check(
+        "Theorem 2.6",
+        lambda rc: check_identity_fractional(
+            rc.function, rc.weight, rc.params["alpha"], scheme=rc.scheme
+        ),
+    ),
+    "rough_fractional": Check(
+        "Theorem 2.7",
+        lambda rc: check_rough_fractional(
+            rc.function, rc.weight, rc.params["alpha"], rc.omega, scheme=rc.scheme
+        ),
+    ),
+    "annuli_absorption": Check(
+        "Equation (3.1)",
+        lambda rc: check_annuli_absorption(
+            GradientMagnitude(rc.function), _off_center(rc.function), int(rc.params["K"]),
+            scheme=rc.scheme,
+        ),
+    ),
+    "beta_identity": Check("Lemma 2.4, proof", _run_beta_identity),
+    "hedberg_split": Check(
+        "Theorem 4.1, proof",
+        lambda rc: check_hedberg_split(
+            rc.function, rc.weight, rc.params["p"], rc.params["d"], _off_center(rc.function),
+            scheme=rc.scheme,
+        ),
+    ),
+    "sobolev_mapping": Check(
+        "Theorem 4.1",
+        lambda rc: check_sobolev_mapping(
+            [rc.function], rc.weight, rc.params["p"], rc.params["d"],
+            scheme=rc.scheme, cells=int(rc.params["cells"]),
+        ),
+    ),
+    "bbm_limit": Check(
+        "Lemma 2.4, Remark",
+        lambda rc: check_bbm_limit(
+            rc.dimension, [1.0 - 2.0**-k for k in range(1, int(rc.params["bbm_octaves"]) + 1)]
+        ),
+    ),
+    "lower_ahlfors": Check(
+        "Section 4, Remark",
+        lambda rc: check_lower_ahlfors(beta=rc.params["ahlfors_beta"]),
+    ),
 }

@@ -9,12 +9,10 @@ Ball masses are closed-form wherever the geometry allows it:
                      with a square-root flattening at both endpoints, which
                      is accurate to near machine precision
   power_plus_one     1 + |y - pole|^{-beta}, the sum of the two above
-  tabulated          multilinear interpolation of grid samples; masses fall
-                     back to the annular integrator at tight tolerance
 
-The estimators at the bottom sample the A1 ratio, the doubling ratio, and
-the lower Ahlfors bound over finite families of balls.  Sampling uses
-deterministic low-discrepancy points, so every estimate is reproducible.
+The estimator at the bottom samples the A1 ratio over a finite family of
+balls.  Sampling uses deterministic low-discrepancy points, so every
+estimate is reproducible.
 """
 
 from __future__ import annotations
@@ -26,21 +24,15 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .functions import Box
-from .quadrature import (
-    QuadratureScheme,
-    halton_points,
-    integrate_annular,
-)
+# integrate_annular is unused here but stays bound: perfbench/tracing.py
+# wraps it on every module that imports it.
+from .quadrature import halton_points, integrate_annular  # noqa: F401
 from .special import ball_volume, sphere_measure
 
 __all__ = [
     "Weight",
-    "BallMassTable",
     "A1Estimate",
     "estimate_a1",
-    "doubling_estimate",
-    "lower_ahlfors_constant",
     "ball_sample_points",
 ]
 
@@ -71,8 +63,6 @@ class Weight:
     value_constant: float = 1.0
     pole: Optional[tuple[float, ...]] = None
     beta: float = 0.0
-    table_box: Optional[Box] = None
-    table_values: Optional[np.ndarray] = None
 
     # -- constructors ------------------------------------------------------
 
@@ -98,44 +88,18 @@ class Weight:
             raise ValueError(f"power_plus_one needs 0 <= beta < {n}, got {beta}")
         return cls("power_plus_one", n, pole=pole, beta=beta)
 
-    @classmethod
-    def tabulated(cls, box: Box, values: np.ndarray) -> "Weight":
-        values = np.asarray(values, dtype=float)
-        if values.ndim != box.dimension:
-            raise ValueError("table rank must match the box dimension")
-        if np.any(values < 0.0):
-            raise ValueError("tabulated weight must be nonnegative")
-        return cls("tabulated", box.dimension, table_box=box, table_values=values.copy())
-
     # -- pointwise values --------------------------------------------------
 
     def values(self, pts: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         if self.kind == "constant":
             return np.full(len(pts), self.value_constant)
-        if self.kind in ("radial_power", "power_plus_one"):
-            rho = np.linalg.norm(pts - np.asarray(self.pole), axis=1)
-            with np.errstate(divide="ignore"):
-                powed = np.where(rho > 0.0, rho ** (-self.beta), np.inf)
-            if self.beta == 0.0:
-                powed = np.ones(len(pts))
-            return powed if self.kind == "radial_power" else 1.0 + powed
-        return self._interp(pts)
-
-    def _interp(self, pts: np.ndarray) -> np.ndarray:
-        from scipy.interpolate import RegularGridInterpolator
-
-        vals = self.table_values
-        box = self.table_box
-        axes = [
-            np.linspace(box.lower[i], box.upper[i], vals.shape[i])
-            for i in range(box.dimension)
-        ]
-        itp = RegularGridInterpolator(
-            axes, vals, method="linear", bounds_error=False, fill_value=None
-        )
-        clipped = np.clip(pts, np.asarray(box.lower), np.asarray(box.upper))
-        return np.asarray(itp(clipped), dtype=float)
+        rho = np.linalg.norm(pts - np.asarray(self.pole), axis=1)
+        with np.errstate(divide="ignore"):
+            powed = np.where(rho > 0.0, rho ** (-self.beta), np.inf)
+        if self.beta == 0.0:
+            powed = np.ones(len(pts))
+        return powed if self.kind == "radial_power" else 1.0 + powed
 
     def value(self, x) -> float:
         return float(self.values(np.atleast_2d(x))[0])
@@ -154,9 +118,7 @@ class Weight:
             return self.value_constant * ball_volume(n) * radii**n
         if self.kind == "radial_power":
             return self._power_mass(center, radii)
-        if self.kind == "power_plus_one":
-            return ball_volume(n) * radii**n + self._power_mass(center, radii)
-        return self._numeric_mass(center, radii)
+        return ball_volume(n) * radii**n + self._power_mass(center, radii)
 
     def ball_mass(self, center, r: float) -> float:
         return float(self.ball_mass_many(np.asarray(center, dtype=float), np.array([r]))[0])
@@ -243,58 +205,14 @@ class Weight:
             left[sub] = mid[sub] ** (nu + 1.0) * np.sum(smooth * wu[None, :], axis=1)
         return left + right
 
-    def _numeric_mass(self, center: np.ndarray, radii: np.ndarray) -> np.ndarray:
-        scheme = QuadratureScheme(rel_tol=1e-6, abs_floor=1e-14)
-
-        def kernel(pts, rad):
-            return self.values(pts)
-
-        out = np.empty(len(radii))
-        for i, r in enumerate(radii):
-            out[i] = integrate_annular(
-                kernel, center, float(r), scheme, singular_exponent=0.0
-            ).value
-        return out
-
     def describe(self) -> dict:
         d = {"kind": self.kind, "dimension": self.dimension}
         if self.kind == "constant":
             d["value"] = self.value_constant
-        elif self.kind in ("radial_power", "power_plus_one"):
+        else:
             d["pole"] = list(self.pole)
             d["beta"] = self.beta
-        else:
-            d["table_shape"] = list(self.table_values.shape)
         return d
-
-
-@dataclass
-class BallMassTable:
-    """Cached masses w(B(center, r)) on a fixed radius grid.
-
-    For analytic weights mass_at delegates to the exact formula; for
-    tabulated weights it interpolates the cached profile, which is monotone
-    in r.  Cached entries always agree with direct evaluation.
-    """
-
-    weight: Weight
-    center: np.ndarray
-    radii: np.ndarray
-    masses: np.ndarray
-
-    @classmethod
-    def build(cls, weight: Weight, center, radii) -> "BallMassTable":
-        center = np.asarray(center, dtype=float)
-        radii = np.sort(np.atleast_1d(np.asarray(radii, dtype=float)))
-        masses = weight.ball_mass_many(center, radii)
-        return cls(weight, center, radii, masses)
-
-    def mass_at(self, r: float) -> float:
-        if self.weight.kind != "tabulated":
-            return self.weight.ball_mass(self.center, r)
-        if r <= self.radii[0] or r >= self.radii[-1]:
-            return self.weight.ball_mass(self.center, r)
-        return float(np.interp(r, self.radii, self.masses))
 
 
 def ball_sample_points(center: np.ndarray, radius: float, count: int) -> np.ndarray:
@@ -345,30 +263,3 @@ def estimate_a1(
             ratios.append(avg / inf_w)
     value = max(ratios) if ratios else math.nan
     return A1Estimate(value=value, ratios=ratios, degenerate=degenerate)
-
-
-def doubling_estimate(
-    weight: Weight, balls: Sequence[tuple[np.ndarray, float]], factor: float = 2.0
-) -> float:
-    """max over balls of w(B(x, factor r)) / w(B(x, r))."""
-    worst = 0.0
-    for center, r in balls:
-        center = np.asarray(center, dtype=float)
-        big = weight.ball_mass(center, factor * r)
-        small = weight.ball_mass(center, r)
-        worst = max(worst, big / small)
-    return worst
-
-
-def lower_ahlfors_constant(
-    weight: Weight, d: float, balls: Sequence[tuple[np.ndarray, float]]
-) -> float:
-    """min over balls of w(B(x, r)) / r^d; positive iff the sampled family
-    sees d-dimensional mass growth from below."""
-    if d <= 0.0:
-        raise ValueError(f"dimension parameter must be positive, got {d}")
-    best = math.inf
-    for center, r in balls:
-        center = np.asarray(center, dtype=float)
-        best = min(best, weight.ball_mass(center, r) / r**d)
-    return best

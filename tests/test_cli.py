@@ -4,10 +4,13 @@ single-operator evaluation."""
 import csv
 import json
 import math
+import re
+from pathlib import Path
 
 import pytest
 
-from subrep.cli import main
+from subrep import verify
+from subrep.cli import _resolve_threads, main
 
 # Independent fine-grid oracle for D^0.5(smooth_bump) at the center, n=2:
 # radial reduction of the defining integral, 40-digit quadrature.
@@ -87,6 +90,16 @@ def test_config_error_bad_weight_beta(tmp_path, capsys):
     )
     assert main(["run", cfg]) == 2
     assert "[weight] beta" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "section, field",
+    [("function", "amplitude = -1"), ("omega", "k = 0"), ("quadrature", "rel_tol = -1")],
+)
+def test_config_rejected_by_a_constructor_exits_two(tmp_path, capsys, section, field):
+    cfg = write_config(tmp_path, f"[run]\nchecks = bbm_limit\n[{section}]\n{field}\n")
+    assert main(["run", cfg]) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
 
 
 def test_json_reports_byte_identical(tmp_path):
@@ -171,3 +184,78 @@ def test_eval_unknown_operator_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["eval", "convolve"])
     assert exc.value.code == 2
+
+
+# -- the check registry and the CLI contract on every check -----------------------
+
+LIGHT_INI = """\
+[run]
+dimension = 2
+checks = {check}
+output_dir = {out}
+formats = json, csv
+[quadrature]
+rel_tol = 1e-2
+points_per_dim = 8
+[params]
+outer_cells = 3
+cells = 4
+"""
+
+# The CLI runs the fractional checks at grid_points = 64 and 128 whatever the
+# scheme; each took 40-53 s on a light scheme on a 2-CPU machine, so the
+# round trip leaves them to the acceptance suite.
+SLOW_FRACTIONAL = {"fractional_domination", "identity_fractional", "rough_fractional"}
+
+
+@pytest.mark.parametrize("check", sorted(set(verify.CHECKS) - SLOW_FRACTIONAL))
+def test_run_round_trip_every_check(tmp_path, check):
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, LIGHT_INI.format(check=check, out=out))
+    assert main(["run", cfg, "--threads", "1"]) in (0, 1)
+    summary = json.loads((out / "summary.json").read_text())
+    assert [row["check_id"] for row in summary["checks"]] == [check]
+    assert "error" not in summary["checks"][0]
+    report = json.loads((out / f"{check}.json").read_text())
+    assert report["check_id"] == check
+    assert report["config"]["check"] == check
+    assert (out / f"{check}.csv").exists()
+
+
+def test_annuli_absorption_records_its_input(tmp_path):
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, LIGHT_INI.format(check="annuli_absorption", out=out))
+    main(["run", cfg])
+    report = json.loads((out / "annuli_absorption.json").read_text())
+    assert report["config"]["g"] == {
+        "field": "gradient_magnitude",
+        "of": {"family": "smooth_bump", "center": [0.0, 0.0], "scale": 1.0, "amplitude": 1.0},
+    }
+
+
+def test_registry_matches_checks_list_and_readme(capsys):
+    functions = {name[len("check_"):] for name in dir(verify) if name.startswith("check_")}
+    assert functions == set(verify.CHECKS)
+    assert main(["list-checks"]) == 0
+    expected = [f"{cid:28s} {verify.CHECKS[cid].anchor}" for cid in sorted(verify.CHECKS)]
+    assert capsys.readouterr().out.splitlines() == expected
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = re.findall(r"^\| `(\w+)` \|", readme, flags=re.MULTILINE)
+    assert sorted(table) == sorted(verify.CHECKS)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["eval", "riesz", "--dimension", "4"], ["eval", "rough_maximal", "--dimension", "3"]],
+)
+def test_eval_library_errors_exit_two(argv, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("eval error: ")
+    assert "Traceback" not in err
+
+
+def test_threads_flag_overrides_environment(monkeypatch):
+    monkeypatch.setenv("SUBREP_THREADS", "3")
+    assert _resolve_threads(1) == 1
+    assert _resolve_threads(None) == 3

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from subrep.quadrature import (
-    AnnulusDecomposition,
     QuadratureError,
     QuadratureScheme,
     annulus_nodes,
@@ -143,14 +142,6 @@ def test_scheme_validation():
         QuadratureScheme(rel_tol=-1.0)
     with pytest.raises(QuadratureError):
         QuadratureScheme(inner_cutoff_factor=0.5)
-
-
-def test_decomposition_measures():
-    dec = AnnulusDecomposition.geometric(np.zeros(2), 1.0, 2.0**-5, 2.0)
-    assert dec.shell_count == 5
-    total = dec.measures().sum()
-    ball = math.pi * (1.0 - (2.0**-5) ** 2)
-    assert total == pytest.approx(ball, rel=1e-12)
 
 
 def test_box_integrator_polynomial():

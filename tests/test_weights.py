@@ -3,17 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from subrep.functions import Box
 from subrep.quadrature import QuadratureScheme, integrate_annular
 from subrep.special import ball_volume, sphere_measure
-from subrep.weights import (
-    BallMassTable,
-    Weight,
-    ball_sample_points,
-    doubling_estimate,
-    estimate_a1,
-    lower_ahlfors_constant,
-)
+from subrep.weights import Weight, ball_sample_points, estimate_a1
 
 RNG = np.random.default_rng(7)
 
@@ -115,33 +107,6 @@ def test_ball_mass_scaling_relation():
     assert m2 / m1 == pytest.approx(2.0 ** (2.0 - 0.5), rel=1e-11)
 
 
-def test_tabulated_weight_roundtrip():
-    box = Box((-1.0, -1.0), (1.0, 1.0))
-    grid = np.linspace(-1.0, 1.0, 33)
-    xx, yy = np.meshgrid(grid, grid, indexing="ij")
-    table = 1.0 + 0.5 * xx**2 + 0.25 * yy**2
-    w = Weight.tabulated(box, table)
-    # Interpolation reproduces node values exactly.
-    pts = np.stack([xx.ravel(), yy.ravel()], axis=1)[::97]
-    assert np.allclose(w.values(pts), (1.0 + 0.5 * pts[:, 0] ** 2 + 0.25 * pts[:, 1] ** 2), atol=1e-12)
-    # Mass against the smooth closed form, grid bias allowed for:
-    # int over B(0,r) of x^2 (or y^2) is (pi/4) r^4.
-    r = 0.5
-    exact = math.pi * r**2 + 0.75 * (math.pi / 4.0) * r**4
-    assert w.ball_mass([0.0, 0.0], r) == pytest.approx(exact, rel=5e-3)
-
-
-def test_ball_mass_table_matches_direct():
-    w = Weight.radial_power([0.0, 0.0], 0.5)
-    center = [0.5, 0.5]
-    radii = np.geomspace(0.05, 2.0, 12)
-    table = BallMassTable.build(w, center, radii)
-    for r in radii:
-        assert table.mass_at(float(r)) == pytest.approx(
-            w.ball_mass(center, float(r)), rel=1e-10
-        )
-
-
 def test_ball_sample_points_inside():
     pts = ball_sample_points(np.array([1.0, -2.0]), 0.7, 500)
     assert pts.shape == (500, 2)
@@ -175,26 +140,6 @@ def test_a1_estimate_grows_with_beta():
     assert est_b.value > est_a.value >= 1.0
 
 
-def test_doubling_bounded_by_dimension_times_a1():
-    # w(B(x, 2r)) <= 2^n [w]_A1 w(B(x, r)); for the plain measure the
-    # doubling ratio is exactly 2^n.
-    w1 = Weight.constant(2)
-    balls = [(np.array([0.3, -0.1]), 0.5), (np.zeros(2), 2.0)]
-    assert doubling_estimate(w1, balls) == pytest.approx(4.0, rel=1e-12)
-    wp = Weight.radial_power([0.0, 0.0], 0.5)
-    dbl = doubling_estimate(wp, balls)
-    a1 = estimate_a1(wp, balls)
-    assert dbl <= 4.0 * a1.value * (1.0 + 1e-6)
-    assert dbl > 0.0
-
-
-def test_lower_ahlfors_lebesgue():
-    w = Weight.constant(2)
-    balls = [(np.zeros(2), r) for r in (0.1, 1.0, 10.0)]
-    c = lower_ahlfors_constant(w, 2.0, balls)
-    assert c == pytest.approx(math.pi, rel=1e-12)
-
-
 def test_validation():
     with pytest.raises(ValueError):
         Weight.radial_power([0.0, 0.0], 2.0)  # beta >= n
@@ -204,5 +149,3 @@ def test_validation():
         Weight.constant(2, 0.0)
     with pytest.raises(ValueError):
         Weight.constant(2, 1.0).ball_mass([0.0, 0.0], -1.0)
-    with pytest.raises(ValueError):
-        lower_ahlfors_constant(Weight.constant(1), 0.0, [])
