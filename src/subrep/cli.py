@@ -42,8 +42,10 @@ Config files are INI-style.  Sections and keys, all optional except
     outer_cells = 8      cells = 12
 
 Exit codes: 0 all non-degenerate checks pass, 1 some check fails or errors,
-2 config/usage error.  `eval` exits 0 with the value, or 2 with a message on
-stderr when its flags are invalid or the operator rejects them.
+2 config/usage error or reports that cannot be written (output_dir is
+created before any check runs; a write that fails later also exits 2).
+`eval` exits 0 with the value, or 2 with a message on stderr when its flags
+are invalid or the operator rejects them.
 
 The checks `run` accepts, their anchors and how each is called from a loaded
 config all come from verify.CHECKS.
@@ -249,6 +251,11 @@ def load_config(path) -> RunConfig:
             raise ConfigError(f"[run] checks: unknown check {cid!r}; known: {known}")
     seen = set()
     checks = [c for c in checks if not (c in seen or seen.add(c))]
+    for cid in checks:
+        lo, hi = verify.CHECKS[cid].dimensions
+        if n < lo or (hi is not None and n > hi):
+            span = f"{lo} and up" if hi is None else f"{lo}-{hi}"
+            raise ConfigError(f"[run] dimension = {n}: check {cid} runs in dimensions {span}")
 
     formats = tuple(tok.strip() for tok in run.get("formats", "json").replace(",", " ").split() if tok.strip())
     for fmt in formats:
@@ -365,7 +372,6 @@ def _write_csv(path: Path, report) -> None:
 
 
 def _write_outputs(rc: RunConfig, results: list) -> dict:
-    rc.output_dir.mkdir(parents=True, exist_ok=True)
     rows = []
     for res in results:
         if isinstance(res, CheckFailure):
@@ -403,13 +409,22 @@ def run_command(args) -> int:
     except (ValueError, QuadratureError) as exc:  # ConfigError, or a constructor's own check
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    try:
+        rc.output_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"cannot write reports: {exc}", file=sys.stderr)
+        return 2
     results = {}
     if rc.checks:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             futures = {cid: pool.submit(_run_one, rc, cid) for cid in rc.checks}
         results = {cid: fut.result() for cid, fut in futures.items()}
     ordered = [results[cid] for cid in sorted(results)]
-    summary = _write_outputs(rc, ordered)
+    try:
+        summary = _write_outputs(rc, ordered)
+    except OSError as exc:
+        print(f"cannot write reports: {exc}", file=sys.stderr)
+        return 2
     for row in summary["checks"]:
         tag = "PASS" if row["pass"] else ("SKIP" if row.get("degenerate") else "FAIL")
         extra = f"  error: {row['error']}" if "error" in row else ""

@@ -1050,12 +1050,14 @@ def check_lower_ahlfors(
 
 
 class Check(NamedTuple):
-    """One registered check: the anchor of its statement, and run, which
-    takes a loaded run config (function, weight, omega, scheme, dimension,
-    params) and returns the report.  The run calls name the check_*
-    functions, so they resolve through this module at call time."""
+    """One registered check: the anchor of its statement, the lowest and
+    highest dimension it runs in (None: no highest), and run, which takes a
+    loaded run config (function, weight, omega, scheme, dimension, params)
+    and returns the report.  The run calls name the check_* functions, so
+    they resolve through this module at call time."""
 
     anchor: str
+    dimensions: tuple[int, Optional[int]]
     run: Callable
 
 
@@ -1083,68 +1085,72 @@ def _run_beta_identity(rc) -> CheckReport:
     return check_beta_identity(n, p["a1"], p["a2"], np.zeros(n), x2, scheme=rc.scheme)
 
 
+# Dimensions: the annulus rules cover n = 1-3.  At n = 1 there is no second
+# axis for default_points' exterior points, bbm_constant and the absorption
+# constant need n >= 2, and potential_Tw's order 1 needs n > 1.  bbm_limit
+# and lower_ahlfors are closed-form or one-dimensional and use no annulus.
 CHECKS = {
     "subrepresentation_identity": Check(
-        "Theorem 2.1",
+        "Theorem 2.1", (2, 3),
         lambda rc: check_subrepresentation_identity(rc.function, rc.weight, scheme=rc.scheme),
     ),
     "rough_subrepresentation": Check(
-        "Theorem 2.2",
+        "Theorem 2.2", (2, 3),
         lambda rc: check_rough_subrepresentation(rc.function, rc.weight, rc.omega, scheme=rc.scheme),
     ),
     "fractional_domination": Check(
-        "Theorem 2.3",
+        "Theorem 2.3", (2, 3),
         lambda rc: check_fractional_domination(
             rc.function, rc.params["alpha"], rc.omega, scheme=rc.scheme
         ),
     ),
     "lemma_domination": Check(
-        "Lemma 2.4",
+        "Lemma 2.4", (2, 3),
         lambda rc: check_lemma_domination(rc.function, rc.params["alpha"], scheme=rc.scheme),
     ),
-    "poincare_bbm": Check("Equations (2.6)-(2.8)", _run_poincare_bbm),
+    "poincare_bbm": Check("Equations (2.6)-(2.8)", (1, 3), _run_poincare_bbm),
     "identity_fractional": Check(
-        "Theorem 2.6",
+        "Theorem 2.6", (2, 3),
         lambda rc: check_identity_fractional(
             rc.function, rc.weight, rc.params["alpha"], scheme=rc.scheme
         ),
     ),
     "rough_fractional": Check(
-        "Theorem 2.7",
+        "Theorem 2.7", (2, 3),
         lambda rc: check_rough_fractional(
             rc.function, rc.weight, rc.params["alpha"], rc.omega, scheme=rc.scheme
         ),
     ),
     "annuli_absorption": Check(
-        "Equation (3.1)",
+        "Equation (3.1)", (2, 3),
         lambda rc: check_annuli_absorption(
             GradientMagnitude(rc.function), _off_center(rc.function), int(rc.params["K"]),
             scheme=rc.scheme,
         ),
     ),
-    "beta_identity": Check("Lemma 2.4, proof", _run_beta_identity),
+    "beta_identity": Check("Lemma 2.4, proof", (1, 3), _run_beta_identity),
     "hedberg_split": Check(
-        "Theorem 4.1, proof",
+        "Theorem 4.1, proof", (2, 3),
         lambda rc: check_hedberg_split(
             rc.function, rc.weight, rc.params["p"], rc.params["d"], _off_center(rc.function),
             scheme=rc.scheme,
         ),
     ),
     "sobolev_mapping": Check(
-        "Theorem 4.1",
+        "Theorem 4.1", (2, 3),
         lambda rc: check_sobolev_mapping(
             [rc.function], rc.weight, rc.params["p"], rc.params["d"],
             scheme=rc.scheme, cells=int(rc.params["cells"]),
         ),
     ),
     "bbm_limit": Check(
-        "Lemma 2.4, Remark",
+        "Lemma 2.4, Remark", (2, None),
         lambda rc: check_bbm_limit(
             rc.dimension, [1.0 - 2.0**-k for k in range(1, int(rc.params["bbm_octaves"]) + 1)]
         ),
     ),
     "lower_ahlfors": Check(
-        "Section 4, Remark",
+        "Section 4, Remark", (1, None),
         lambda rc: check_lower_ahlfors(beta=rc.params["ahlfors_beta"]),
     ),
 }

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from subrep import verify
+from subrep import cli, verify
 from subrep.cli import _resolve_threads, main
 
 # Independent fine-grid oracle for D^0.5(smooth_bump) at the center, n=2:
@@ -81,6 +81,43 @@ def test_config_error_unknown_check(tmp_path, capsys):
     cfg = write_config(tmp_path, "[run]\nchecks = no_such_check\n")
     assert main(["run", cfg]) == 2
     assert "no_such_check" in capsys.readouterr().err
+
+
+def test_unwritable_output_dir_exits_two_before_any_check(tmp_path, capsys, monkeypatch):
+    blocker = tmp_path / "taken"
+    blocker.write_text("a regular file\n")
+    cfg = write_config(tmp_path, f"[run]\nchecks = lower_ahlfors\noutput_dir = {blocker}\n")
+    monkeypatch.setattr(cli, "_run_one", lambda rc, cid: pytest.fail(f"{cid} ran"))
+    assert main(["run", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("cannot write reports: ")
+    assert str(blocker) in err
+    assert blocker.read_text() == "a regular file\n"
+
+
+@pytest.mark.parametrize(
+    "n, check, span",
+    [(1, "bbm_limit", "2 and up"), (1, "annuli_absorption", "2-3"), (4, "annuli_absorption", "2-3")],
+)
+def test_config_error_dimension_a_check_cannot_run_in(tmp_path, capsys, n, check, span):
+    cfg = write_config(tmp_path, f"[run]\ndimension = {n}\nchecks = lower_ahlfors, {check}\n")
+    assert main(["run", cfg]) == 2
+    assert f"[run] dimension = {n}: check {check} runs in dimensions {span}" in capsys.readouterr().err
+
+
+def test_dimension_check_keeps_working_configs(tmp_path):
+    cfg = write_config(
+        tmp_path, f"[run]\ndimension = 5\nchecks = lower_ahlfors\noutput_dir = {tmp_path / 'out'}\n"
+    )
+    assert main(["run", cfg]) == 0
+
+
+def test_report_write_failure_exits_two(tmp_path, capsys):
+    out = tmp_path / "out"
+    (out / "lower_ahlfors.json").mkdir(parents=True)  # a directory where the report goes
+    cfg = write_config(tmp_path, f"[run]\nchecks = lower_ahlfors\noutput_dir = {out}\n")
+    assert main(["run", cfg]) == 2
+    assert capsys.readouterr().err.startswith("cannot write reports: ")
 
 
 def test_config_error_bad_weight_beta(tmp_path, capsys):
@@ -202,13 +239,7 @@ outer_cells = 3
 cells = 4
 """
 
-# The CLI runs the fractional checks at grid_points = 64 and 128 whatever the
-# scheme; each took 40-53 s on a light scheme on a 2-CPU machine, so the
-# round trip leaves them to the acceptance suite.
-SLOW_FRACTIONAL = {"fractional_domination", "identity_fractional", "rough_fractional"}
-
-
-@pytest.mark.parametrize("check", sorted(set(verify.CHECKS) - SLOW_FRACTIONAL))
+@pytest.mark.parametrize("check", sorted(verify.CHECKS))
 def test_run_round_trip_every_check(tmp_path, check):
     out = tmp_path / "out"
     cfg = write_config(tmp_path, LIGHT_INI.format(check=check, out=out))

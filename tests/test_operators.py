@@ -10,6 +10,7 @@ from subrep.operators import (
     OperatorError,
     SphereSymbol,
     TruncationGrid,
+    _support_layer,
     frac_derivative,
     maximal_Mwc,
     mwc_default_radii,
@@ -111,6 +112,57 @@ def test_frac_field_batches_agree_with_scalars():
     batch = field.values(pts)
     singles = [field.value(p) for p in pts]
     assert np.allclose(batch, singles, rtol=1e-12)
+
+
+@pytest.mark.parametrize("family", ["smooth_bump", "tensor_hat"])
+@pytest.mark.parametrize("center", [(0.7, -0.4), (0.7, -0.4, 0.2)])
+def test_frac_field_far_values_match_direct_sum(family, center):
+    # Gram-form distances against the plain difference-array sum, from the
+    # box face out to 1e3 s.  grid_points = 2 puts the whole grid in the far
+    # band, so the build is cheap.
+    alpha, s = 0.5, 0.6
+    f = TestFunction(family, center, s)
+    field = FracDerivativeField(f, alpha, SCHEME, grid_points=2)
+    n = f.dimension
+    dirs = np.random.default_rng(3).normal(size=(40, n))
+    dirs /= np.max(np.abs(dirs), axis=1)[:, None]
+    pts = np.asarray(center) + np.geomspace(2.5 * s, 1e3 * s, 40)[:, None] * dirs
+    dist = np.linalg.norm(pts[:, None, :] - field._far_nodes[None, :, :], axis=2)
+    direct = dist ** -(n + alpha) @ field._far_weights
+    np.testing.assert_allclose(field._far_values(pts), direct, rtol=1e-13)
+
+
+def _near_band(field):
+    """Grid nodes with 1 <= |x - c|/s < 1.5, and the field's values there."""
+    mesh = np.meshgrid(*field._axes, indexing="ij")
+    X = np.stack([g.ravel() for g in mesh], axis=1)
+    dist = np.linalg.norm(X - field.support_center, axis=1) / field.f.support_radius
+    near = (dist >= 1.0) & (dist < 1.5)
+    return X[near], field._grid_values.ravel()[near]
+
+
+def test_frac_field_near_band_within_budget_of_adaptive():
+    # The refined pass of a light scheme: grid 32, 16 nodes, rel_tol 5e-3.
+    scheme = QuadratureScheme(points_per_dim=8, rel_tol=1e-2).refined()
+    alpha = 0.5
+    field = FracDerivativeField(BUMP, alpha, scheme, grid_points=32)
+    X, got = _near_band(field)
+    adaptive = np.array([_support_layer(BUMP, 2.0 + alpha, x, scheme) for x in X])
+    assert np.all(np.abs(got - adaptive) <= scheme.rel_tol * np.abs(adaptive) + scheme.abs_floor)
+    # Most of the band took the two-resolution rule, not the adaptive path.
+    assert np.count_nonzero(got != adaptive) > len(X) // 2
+
+
+def test_frac_field_near_band_fallback_is_adaptive():
+    # tensor_hat's kinks keep the two fixed rules further apart than the
+    # 1e-3 budget at every near node of this grid, so each one falls back.
+    f = TestFunction("tensor_hat", (0.0, 0.0))
+    alpha = 0.5
+    field = FracDerivativeField(f, alpha, SCHEME, grid_points=11)
+    X, got = _near_band(field)
+    assert len(X) == 16
+    adaptive = [_support_layer(f, 2.0 + alpha, x, SCHEME) for x in X]
+    assert got.tolist() == adaptive
 
 
 def test_potential_tw_unit_weight_is_scaled_riesz():
