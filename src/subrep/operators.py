@@ -3,7 +3,9 @@ nonlinear fractional derivative, rough maximal truncations, and the centered
 weighted maximal function.
 
 Every pointwise evaluation reduces to integrate_annular with a kernel whose
-singularity strength is declared explicitly.  Integrands built from a weight
+singularity strength is declared explicitly.  The sups over radii (rough
+truncations, the maximal function) are one integrate_annular sweep cut at
+every radius, read off its per-gap pieces.  Integrands built from a weight
 w always divide by the exact ball mass w(B(x, |x - y|)), evaluated once per
 distinct node radius.
 
@@ -25,13 +27,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .functions import TestFunction
-from .quadrature import (
-    QuadratureScheme,
-    _Shell,
-    _refine_to_tolerance,
-    annulus_nodes,
-    integrate_annular,
-)
+from .quadrature import QuadratureScheme, annulus_nodes, integrate_annular, shell_edges
 from .special import sphere_measure
 from .weights import Weight
 
@@ -289,10 +285,7 @@ class FracDerivativeField:
         fx = f.values(X)
         reach = float(np.max(np.linalg.norm(X - c, axis=1))) + s
         eps = scheme.inner_cutoff_factor * reach
-        ratio = scheme.shell_ratio
-        edges = [reach]
-        while edges[-1] > eps * (1.0 + 1e-12):
-            edges.append(max(edges[-1] / ratio, eps))
+        edges = shell_edges([eps, reach], scheme.shell_ratio)
         m = scheme.points_per_dim
         s_exp = n + alpha - 1.0
         sigma = sphere_measure(n)
@@ -619,8 +612,8 @@ def rough_maximal(
 ) -> float:
     """sup over grid radii t of |int_{|y| > t} Omega(y/|y|) |y|^{-n} field(x - y) dy|.
 
-    All truncations share one shell decomposition whose edges include every
-    grid radius, so the family of integrals costs one sweep.  The sup over a
+    One integrate_annular sweep cut at every grid radius gives the whole
+    family: the truncation at t sums the pieces above t.  The sup over a
     finite grid is a lower bound for the true supremum, which is the
     conservative direction for every inequality verified against it.
     """
@@ -636,33 +629,11 @@ def rough_maximal(
         dirs = (x[None, :] - pts) / rad[:, None]
         return omega.unit_values(dirs) * rad ** (-n) * field.values(pts)
 
-    # Shell edges: the grid radii below r_max, geometrically subdivided to
-    # the scheme's grading, plus r_max itself.
     ts = [t for t in grid.radii if t < r_max]
     if not ts:
         return 0.0
-    edges = set(ts) | {r_max}
-    ratio = scheme.shell_ratio
-    for a, b in zip(sorted(edges), sorted(edges)[1:]):
-        steps = math.ceil(math.log(b / a) / math.log(ratio))
-        for j in range(1, steps):
-            edges.add(a * (b / a) ** (j / steps))
-    edges = sorted(edges)
-
-    shells = [
-        _Shell(kernel, x, edges[i], edges[i + 1], scheme.points_per_dim)
-        for i in range(len(edges) - 1)
-    ]
-    _refine_to_tolerance(shells, kernel, x, scheme)
-    # Partial sums from the outside in give every truncation at once.
-    best = 0.0
-    acc = 0.0
-    cut_radii = set(ts)
-    for sh in sorted(shells, key=lambda s: -s.a):
-        acc += sh.value
-        if sh.a in cut_radii:
-            best = max(best, abs(acc))
-    return best
+    res = integrate_annular(kernel, x, r_max, scheme, r_inner=ts[0], cuts=ts[1:])
+    return float(np.max(np.abs(np.cumsum(res.pieces[::-1]))))
 
 
 def mwc_default_radii(field, x, per_decade: int = 32, decades: float = 4.0) -> np.ndarray:
@@ -684,9 +655,9 @@ def maximal_Mwc(
 ) -> float:
     """sup over r of w(B(x, r))^{-1} int_{B(x, r)} |field| w dy.
 
-    The radius sweep shares one nested shell decomposition; cumulative sums
-    give every numerator in a single pass.  The sup over the finite sweep is
-    again a lower bound of the true maximal function.
+    One integrate_annular sweep cut at every radius below the largest gives
+    every numerator as a cumulative sum of its pieces.  The sup over the
+    finite sweep is again a lower bound of the true maximal function.
     """
     x = np.asarray(x, dtype=float)
     n = x.size
@@ -707,23 +678,10 @@ def maximal_Mwc(
     ):
         s_exp = w.beta
 
-    # Shells: below the smallest radius, handled by integrate_annular with
-    # its analytic core; between consecutive radii, plain shells.
-    base = integrate_annular(
-        kernel, x, float(radii[0]), scheme, singular_exponent=s_exp
+    res = integrate_annular(
+        kernel, x, float(radii[-1]), scheme, singular_exponent=s_exp, cuts=radii[:-1]
     )
-    shells = []
-    for a, b in zip(radii[:-1], radii[1:]):
-        shells.append(_Shell(kernel, x, float(a), float(b), scheme.points_per_dim))
-    if shells:
-        _refine_to_tolerance(shells, kernel, x, scheme)
     masses = w.ball_mass_many(x, radii)
     if np.any(masses <= 0.0):
         raise OperatorError("zero ball mass under the weight")
-    best = 0.0
-    acc = base.value
-    best = acc / masses[0]
-    for i, sh in enumerate(shells):
-        acc += sh.value
-        best = max(best, acc / masses[i + 1])
-    return best
+    return float(np.max(np.cumsum(res.pieces) / masses))

@@ -1,20 +1,23 @@
 """Deterministic quadrature for radially singular kernels.
 
 The central routine, integrate_annular, integrates kernel(y) over a ball or
-annulus around a point.  The domain is cut into geometrically graded shells;
-each shell carries a tensor rule that is exact for the shell measure
-(Gauss-Legendre in the radius, midpoint in the angle, Gauss-Legendre in the
-polar cosine for n = 3).  Shells are refined independently by node doubling
-until the summed per-shell discrepancies meet the tolerance.  A kernel with a
-power singularity at the center is cut off at a tiny core radius and the core
-ball is restored analytically from the strength observed on the innermost
-shell.  Reductions use compensated summation so results are reproducible
-across thread schedules.
+annulus around a point.  The domain is cut into geometrically graded shells
+(shell_edges) whose edges include any radii given as cuts; the integral over
+each gap between cuts comes back as a piece, so a family of truncated or
+nested integrals costs one sweep.  Each shell carries a tensor rule that is
+exact for the shell measure (Gauss-Legendre in the radius, midpoint in the
+angle, Gauss-Legendre in the polar cosine for n = 3).  Shells are refined
+independently by node doubling until the summed per-shell discrepancies meet
+the tolerance.  A kernel with a power singularity at the center is cut off at
+a tiny core radius and the core ball is restored analytically from the
+strength observed on the innermost shell.  Reductions use compensated
+summation so results are reproducible across thread schedules.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Callable, Optional, Sequence
@@ -30,6 +33,7 @@ __all__ = [
     "annulus_nodes",
     "integrate_annular",
     "integrate_box",
+    "shell_edges",
     "halton_points",
 ]
 
@@ -163,6 +167,7 @@ class AnnularResult:
     tail_error: float
     shells: int
     evaluations: int
+    pieces: tuple[float, ...]  # per gap between breaks, inside out; (value,) without cuts
 
     def __float__(self) -> float:
         return self.value
@@ -255,6 +260,26 @@ def _core_correction(
     return c0 * scale, (0.5 * spread + 1e-3 * abs(c0)) * scale
 
 
+def shell_edges(breaks: Sequence[float], ratio: float) -> list[float]:
+    """Shell edges, from the top down, for ascending radii breaks.
+
+    Within each gap the edges step down from the top by ratio and clip at the
+    bottom.  A step within 1e-12 of the bottom ends the gap; it is moved onto
+    the bottom, except at the lowest break.  A gap that needs _MAX_SHELLS
+    shells raises QuadratureError.
+    """
+    edges = [breaks[-1]]
+    for k in range(len(breaks) - 2, -1, -1):
+        lo, top = breaks[k], len(edges)
+        while edges[-1] > lo * (1.0 + 1e-12):
+            edges.append(max(edges[-1] / ratio, lo))
+            if len(edges) - top >= _MAX_SHELLS:
+                raise QuadratureError("shell count exceeded; widen inner_cutoff_factor")
+        if k:
+            edges[-1] = lo
+    return edges
+
+
 def integrate_annular(
     kernel: Kernel,
     center: np.ndarray,
@@ -262,6 +287,7 @@ def integrate_annular(
     scheme: QuadratureScheme,
     *,
     r_inner: float = 0.0,
+    cuts: Sequence[float] = (),
     singular_exponent: Optional[float] = None,
     extend_outer: bool = False,
     outer_ratio: float = 2.0,
@@ -271,10 +297,19 @@ def integrate_annular(
     kernel(points, radii) must be vectorized: (M, n) and (M,) arrays in, (M,)
     values out, with radii = |points - center| supplied to spare a recompute.
 
+    cuts are radii strictly between r_inner and r_outer that every shell set
+    must include as edges.  The result's pieces are the integrals over the
+    gaps between consecutive breaks (r_inner, the sorted cuts, r_outer),
+    from the inside out, so one sweep yields every truncated or nested
+    integral at the cuts.  The innermost piece includes the analytic core,
+    and the outermost one any shells extend_outer appends.
+
     singular_exponent declares the power s with kernel = O(r^-s) at the
     center after any cancellation the caller is entitled to; it must satisfy
     s < n for integrability.  With r_inner = 0 the shells stop at a core
-    radius and the core ball is restored analytically from that strength.
+    radius, inner_cutoff_factor times the innermost break (the smallest cut,
+    or r_outer without cuts), and the core ball is restored analytically
+    from that strength.
 
     extend_outer keeps appending shells beyond r_outer (ratio outer_ratio)
     until they stop mattering; the unresolved geometric tail is charged to
@@ -284,6 +319,10 @@ def integrate_annular(
     n = center.size
     if r_outer <= 0.0 or r_inner < 0.0 or r_inner >= r_outer:
         raise QuadratureError(f"bad radial range [{r_inner}, {r_outer}]")
+    cuts = sorted(float(c) for c in cuts)
+    bounds = [r_inner, *cuts, r_outer]
+    if any(a >= b for a, b in zip(bounds, bounds[1:])):
+        raise QuadratureError(f"cuts must be distinct radii inside ({r_inner}, {r_outer})")
     s_exp = 0.0 if singular_exponent is None else float(singular_exponent)
     if s_exp >= n:
         raise QuadratureError(
@@ -295,19 +334,13 @@ def integrate_annular(
     core_err = 0.0
     inner = r_inner
     if r_inner == 0.0:
-        eps = scheme.inner_cutoff_factor * r_outer
+        eps = scheme.inner_cutoff_factor * (cuts[0] if cuts else r_outer)
         core_value, core_err = _core_correction(
             kernel, center, eps, s_exp, n, scheme.points_per_dim
         )
         inner = eps
 
-    ratio = scheme.shell_ratio
-    edges = [r_outer]
-    while edges[-1] > inner * (1.0 + 1e-12):
-        edges.append(max(edges[-1] / ratio, inner))
-        if len(edges) > _MAX_SHELLS:
-            raise QuadratureError("shell count exceeded; widen inner_cutoff_factor")
-
+    edges = shell_edges([inner, *cuts, r_outer], scheme.shell_ratio)
     m0 = scheme.points_per_dim
     shells = [
         _Shell(kernel, center, edges[k + 1], edges[k], m0)
@@ -344,6 +377,11 @@ def integrate_annular(
             decay = min(abs(last) / prev_mag, 0.75)
             tail_err = abs(last) * decay / (1.0 - decay)
 
+    gaps = [[] for _ in range(len(cuts) + 1)]
+    for s in shells:
+        gaps[bisect_right(cuts, s.a)].append(s.value)
+    pieces = [math.fsum(g) for g in gaps]
+    pieces[0] += core_value
     evals = sum(s.evals for s in shells)
     return AnnularResult(
         value=total,
@@ -352,6 +390,7 @@ def integrate_annular(
         tail_error=tail_err,
         shells=len(shells),
         evaluations=evals,
+        pieces=tuple(pieces),
     )
 
 

@@ -24,6 +24,7 @@ config.  The CLI's list-checks, config validation and dispatch read it.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 import time
@@ -257,14 +258,15 @@ def _require_alpha(alpha: float) -> None:
 
 def default_points(f: TestFunction, interior: int = 5, exterior_factor: float = 1.5) -> list:
     """interior x interior grid over the support box restricted to f != 0,
-    plus 4 exterior points on the first two axes."""
+    plus exterior points at both ends of the first two axes (of the one axis
+    in 1-d)."""
     box = f.support_box()
     grid = box.grid(interior)
     vals = f.values(grid)
     pts = [grid[i] for i in range(len(grid)) if vals[i] != 0.0]
     c = f.support_center
     s = f.support_radius
-    for axis in range(2):
+    for axis in range(min(2, f.dimension)):
         for sign in (1.0, -1.0):
             e = np.zeros(f.dimension)
             e[axis] = sign
@@ -655,20 +657,12 @@ def check_annuli_absorption(
     def kernel(pts, rad):
         return g.values(pts)
 
-    holes = []
-    for k in range(K):
-        res = integrate_annular(
-            kernel, x, radii[k], scheme, r_inner=radii[k + 1]
-        )
-        holes.append(res.value)
-    core = integrate_annular(kernel, x, radii[K], scheme).value
-
-    ball_masses = []
-    acc = core
-    for k in range(K - 1, -1, -1):
-        acc += holes[k]
-        ball_masses.append(acc)
-    ball_masses.reverse()
+    # One sweep cut at r_2 .. r_{K+1}: its pieces run from the core ball
+    # B_{K+1} out to the hole B_1 minus B_2, and their running sums from the
+    # inside out are the integrals over the balls.
+    pieces = integrate_annular(kernel, x, radii[0], scheme, cuts=radii[1:]).pieces
+    holes = pieces[:0:-1]
+    ball_masses = list(itertools.accumulate(pieces))[:0:-1]
 
     vols = [ball_volume(n) * radii[k] ** n for k in range(K)]
     full_terms = [radii[k] * ball_masses[k] / vols[k] for k in range(K)]
@@ -1085,10 +1079,10 @@ def _run_beta_identity(rc) -> CheckReport:
     return check_beta_identity(n, p["a1"], p["a2"], np.zeros(n), x2, scheme=rc.scheme)
 
 
-# Dimensions: the annulus rules cover n = 1-3.  At n = 1 there is no second
-# axis for default_points' exterior points, bbm_constant and the absorption
-# constant need n >= 2, and potential_Tw's order 1 needs n > 1.  bbm_limit
-# and lower_ahlfors are closed-form or one-dimensional and use no annulus.
+# Dimensions: the annulus rules cover n = 1-3.  At n = 1 the sphere symbols
+# have no profile, bbm_constant and the absorption constant need n >= 2, and
+# the order-1 potentials (I_1, T_w) need n > 1.  bbm_limit and lower_ahlfors
+# are closed-form or one-dimensional and use no annulus.
 CHECKS = {
     "subrepresentation_identity": Check(
         "Theorem 2.1", (2, 3),
@@ -1110,7 +1104,7 @@ CHECKS = {
     ),
     "poincare_bbm": Check("Equations (2.6)-(2.8)", (1, 3), _run_poincare_bbm),
     "identity_fractional": Check(
-        "Theorem 2.6", (2, 3),
+        "Theorem 2.6", (1, 3),
         lambda rc: check_identity_fractional(
             rc.function, rc.weight, rc.params["alpha"], scheme=rc.scheme
         ),

@@ -125,6 +125,7 @@ def test_criterion_02_beta_identity_six_sets():
     assert elapsed < 30.0
 
 
+@pytest.mark.slow
 def test_criterion_03_lemma_domination_explicit_constant():
     started = time.perf_counter()
     details = []
@@ -158,6 +159,7 @@ def test_criterion_04_unit_weight_operator_identity():
     assert worst5 <= 1e-3
 
 
+@pytest.mark.slow
 def test_criterion_05_theorem_21_suite_stability():
     started = time.perf_counter()
     weights = [
@@ -178,6 +180,7 @@ def test_criterion_05_theorem_21_suite_stability():
     assert elapsed < 600.0
 
 
+@pytest.mark.slow
 def test_criterion_06_rough_and_fractional_suites():
     started = time.perf_counter()
     r22 = check_rough_subrepresentation(BUMP, W1, OMEGA, scheme=SCHEME)
@@ -218,6 +221,7 @@ def test_criterion_07_annuli_absorption():
     )
 
 
+@pytest.mark.slow
 def test_criterion_08_poincare_bbm_family():
     started = time.perf_counter()
     Q = Cube((0.0, 0.0), 2.0)

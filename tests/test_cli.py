@@ -253,6 +253,15 @@ def test_run_round_trip_every_check(tmp_path, check):
     assert (out / f"{check}.csv").exists()
 
 
+def test_identity_fractional_runs_in_one_dimension(tmp_path):
+    out = tmp_path / "out"
+    ini = LIGHT_INI.format(check="identity_fractional", out=out)
+    cfg = write_config(tmp_path, ini.replace("dimension = 2", "dimension = 1"))
+    assert main(["run", cfg, "--threads", "1"]) == 0
+    report = json.loads((out / "identity_fractional.json").read_text())
+    assert [s["point"] for s in report["samples"]][-2:] == [[1.5], [-1.5]]
+
+
 def test_annuli_absorption_records_its_input(tmp_path):
     out = tmp_path / "out"
     cfg = write_config(tmp_path, LIGHT_INI.format(check="annuli_absorption", out=out))

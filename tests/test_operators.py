@@ -18,7 +18,7 @@ from subrep.operators import (
     riesz_potential,
     rough_maximal,
 )
-from subrep.quadrature import QuadratureScheme
+from subrep.quadrature import QuadratureScheme, integrate_annular
 from subrep.special import ball_volume, sphere_measure
 from subrep.weights import Weight
 
@@ -298,6 +298,49 @@ def test_maximal_mwc_monotone_in_sweep():
     coarse = maximal_Mwc(g, w, x, np.geomspace(0.01, 2.0, 20), SCHEME)
     fine = maximal_Mwc(g, w, x, np.geomspace(0.01, 2.0, 80), SCHEME)
     assert fine >= coarse * (1.0 - 1e-6)
+
+
+# One sweep against one integrate_annular call per radius, off centre, for a
+# smooth and a kinked function.
+SWEEP_POINT = np.array([0.3, -0.2])
+SWEEP_FAMILIES = ["smooth_bump", "tensor_hat"]
+
+
+@pytest.mark.parametrize("family", SWEEP_FAMILIES)
+def test_rough_maximal_matches_truncations_one_by_one(family):
+    f = TestFunction(family, (0.0, 0.0))
+    om = SphereSymbol.cosine_harmonic(1)
+    x = SWEEP_POINT
+    grid = TruncationGrid.covering(f, x, octaves=6)
+    r_max = float(np.linalg.norm(x - f.support_center)) + f.support_radius
+
+    def kernel(pts, rad):
+        return om.unit_values((x - pts) / rad[:, None]) * rad**-2.0 * f.values(pts)
+
+    ref = max(
+        abs(integrate_annular(kernel, x, r_max, SCHEME, r_inner=t).value)
+        for t in grid.radii if t < r_max
+    )
+    val = rough_maximal(f, om, x, grid, SCHEME)
+    assert val == pytest.approx(ref, rel=SCHEME.rel_tol)
+
+
+@pytest.mark.parametrize("family", SWEEP_FAMILIES)
+def test_maximal_mwc_matches_ball_averages_one_by_one(family):
+    f = TestFunction(family, (0.0, 0.0))
+    w = Weight.radial_power([0.0, 0.0], 0.5)
+    x = SWEEP_POINT
+    radii = np.geomspace(0.05, 2.0, 12)
+
+    def kernel(pts, rad):
+        return np.abs(f.values(pts)) * w.values(pts)
+
+    ref = max(
+        integrate_annular(kernel, x, float(r), SCHEME).value / w.ball_mass(x, float(r))
+        for r in radii
+    )
+    val = maximal_Mwc(f, w, x, radii, SCHEME)
+    assert val == pytest.approx(ref, rel=SCHEME.rel_tol)
 
 
 def test_mwc_default_radii_cover_support():

@@ -10,6 +10,7 @@ from subrep.quadrature import (
     halton_points,
     integrate_annular,
     integrate_box,
+    shell_edges,
 )
 from subrep.special import sphere_measure
 
@@ -114,6 +115,71 @@ def test_bad_radial_range_rejected():
         integrate_annular(kernel, np.zeros(2), 1.0, SCHEME, r_inner=2.0)
     with pytest.raises(QuadratureError):
         integrate_annular(kernel, np.zeros(2), -1.0, SCHEME)
+
+
+# -- cuts and pieces ---------------------------------------------------------------
+
+CUTS = (0.1, 0.5, 1.0)
+CUT_CENTER = np.array([0.2, -0.1])
+CUT_SETUPS = [
+    {"singular_exponent": 1.5},
+    {"r_inner": 0.05},
+    {"singular_exponent": 1.5, "extend_outer": True},
+]
+
+
+def kinked_kernel(pts, rad):
+    # A kink along x = 0.3 crosses every shell, so refinement has work to do.
+    return np.exp(-rad**2) * np.abs(pts[:, 0] - 0.3) * rad**-1.5
+
+
+def test_shell_edges_include_every_break():
+    breaks = [1e-3, 0.1, 0.15, 1.0]
+    ratio = SCHEME.shell_ratio
+    edges = shell_edges(breaks, ratio)
+    assert all(b in edges for b in breaks[1:])
+    # The lowest break keeps the step that reached it, as without cuts.
+    assert edges[-1] == pytest.approx(1e-3, rel=1e-12)
+    steps = [hi / lo for hi, lo in zip(edges, edges[1:])]
+    assert all(1.0 < q <= ratio * (1.0 + 1e-12) for q in steps)
+    # The gap (0.1, 0.15) is narrower than one step: a single shell.
+    assert edges[edges.index(0.15) + 1] == 0.1
+
+
+@pytest.mark.parametrize("setup", CUT_SETUPS)
+def test_pieces_sum_to_value(setup):
+    res = integrate_annular(kinked_kernel, CUT_CENTER, 2.0, SCHEME, cuts=CUTS, **setup)
+    assert len(res.pieces) == len(CUTS) + 1
+    assert math.fsum(res.pieces) == pytest.approx(res.value, rel=1e-14)
+
+
+@pytest.mark.parametrize("setup", CUT_SETUPS)
+def test_pieces_match_separate_integrals(setup):
+    res = integrate_annular(kinked_kernel, CUT_CENTER, 2.0, SCHEME, cuts=CUTS, **setup)
+    budget = SCHEME.rel_tol * abs(res.value) + SCHEME.abs_floor
+    breaks = [setup.get("r_inner", 0.0), *CUTS, 2.0]
+    for piece, lo, hi in zip(res.pieces, breaks, breaks[1:]):
+        alone = integrate_annular(
+            kinked_kernel, CUT_CENTER, hi, SCHEME, r_inner=lo,
+            singular_exponent=setup.get("singular_exponent") if lo == 0.0 else None,
+            extend_outer=setup.get("extend_outer", False) and hi == 2.0,
+        )
+        assert abs(piece - alone.value) <= budget, (lo, hi)
+
+
+@pytest.mark.parametrize("setup", CUT_SETUPS)
+def test_no_cuts_one_piece(setup):
+    res = integrate_annular(kinked_kernel, CUT_CENTER, 2.0, SCHEME, **setup)
+    assert res.pieces == (res.value,)
+
+
+@pytest.mark.parametrize(
+    "r_inner, cuts",
+    [(0.0, (0.0,)), (0.0, (1.0,)), (0.0, (1.5,)), (0.5, (0.5,)), (0.5, (0.3,)), (0.0, (0.4, 0.4))],
+)
+def test_cut_outside_the_range_rejected(r_inner, cuts):
+    with pytest.raises(QuadratureError):
+        integrate_annular(kinked_kernel, CUT_CENTER, 1.0, SCHEME, r_inner=r_inner, cuts=cuts)
 
 
 def test_tolerance_halving_does_not_worsen():

@@ -381,3 +381,11 @@ def test_point_builders_counts():
     assert all(np.linalg.norm(p) < f.support_radius for p in inner)
     vals = f.values(np.array(inner))
     assert np.all(vals > 0.0)
+
+
+def test_default_points_in_one_dimension():
+    f = TestFunction("smooth_bump", (0.5,), 2.0)
+    pts = default_points(f)
+    assert all(p.shape == (1,) for p in pts)
+    assert [float(p[0]) for p in pts[-2:]] == [0.5 + 1.5 * 2.0, 0.5 - 1.5 * 2.0]
+    assert all(abs(float(p[0]) - 0.5) < 2.0 for p in pts[:-2])
