@@ -18,7 +18,6 @@ from .quadrature import QuadratureScheme
 from .special import (
     ball_volume,
     bbm_constant,
-    bbm_gap,
     beta_identity_rhs,
     conjugate_exponent,
     gamma,

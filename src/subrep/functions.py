@@ -26,7 +26,6 @@ __all__ = [
     "Box",
     "Cube",
     "TestFunction",
-    "BallIndicator",
     "cube_average",
     "FAMILIES",
 ]
@@ -106,29 +105,6 @@ class Cube:
             tuple(c - h for c in self.center),
             tuple(c + h for c in self.center),
         )
-
-
-def _bump_lipschitz_factor() -> float:
-    # max over (0, 1) of 2 t exp(-1/(1-t^2)) / (1-t^2)^2, by golden section.
-    gold = (math.sqrt(5.0) - 1.0) / 2.0
-
-    def g(t: float) -> float:
-        q = 1.0 - t * t
-        return 2.0 * t * math.exp(-1.0 / q) / (q * q)
-
-    a, b = 0.3, 0.95
-    c, d = b - gold * (b - a), a + gold * (b - a)
-    for _ in range(80):
-        if g(c) > g(d):
-            b, d = d, c
-            c = b - gold * (b - a)
-        else:
-            a, c = c, d
-            d = a + gold * (b - a)
-    return g((a + b) / 2.0)
-
-
-_BUMP_LIP = _bump_lipschitz_factor()
 
 
 @dataclass(frozen=True)
@@ -233,70 +209,11 @@ class TestFunction:
     def gradient_norm(self, pts: np.ndarray) -> np.ndarray:
         return np.linalg.norm(self.gradient(pts), axis=1)
 
-    @property
-    def lipschitz_constant(self) -> float:
-        """Exact sup |grad f|, per family."""
-        A, s, n = self.amplitude, self.scale, self.dimension
-        if self.family == "smooth_bump":
-            return A / s * _BUMP_LIP
-        if self.family == "tensor_hat":
-            # Near the peak every hat factor tends to 1 and all n slopes
-            # contribute: sup |grad| = A sqrt(n) / h with h = s / sqrt(n).
-            return A * n / s
-        if self.family == "truncated_gaussian":
-            # |g'| = 4 A u exp(-2 u^2) / s, maximal at u = 1/2.
-            return 2.0 * A / s * math.exp(-0.5)
-        # radial_polynomial_bump: 4 A u (1 - u^2) / s peaks at u = 1/sqrt(3).
-        return 8.0 * A / (3.0 * math.sqrt(3.0) * s)
-
     def describe(self) -> dict:
         return {
             "family": self.family,
             "center": list(self.center),
             "scale": self.scale,
-            "amplitude": self.amplitude,
-        }
-
-
-@dataclass(frozen=True)
-class BallIndicator:
-    """Indicator of a ball, amplitude A.  Used where a bounded, compactly
-    supported integrand with an exactly known integral is wanted; it has no
-    gradient."""
-
-    center: tuple[float, ...]
-    radius: float
-    amplitude: float = 1.0
-
-    @property
-    def dimension(self) -> int:
-        return len(self.center)
-
-    @property
-    def support_center(self) -> np.ndarray:
-        return np.asarray(self.center, dtype=float)
-
-    @property
-    def support_radius(self) -> float:
-        return self.radius
-
-    @property
-    def compact_support(self) -> bool:
-        return True
-
-    def values(self, pts: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        d = np.linalg.norm(pts - self.support_center, axis=1)
-        return np.where(d <= self.radius, self.amplitude, 0.0)
-
-    def value(self, x) -> float:
-        return float(self.values(np.atleast_2d(x))[0])
-
-    def describe(self) -> dict:
-        return {
-            "family": "ball_indicator",
-            "center": list(self.center),
-            "radius": self.radius,
             "amplitude": self.amplitude,
         }
 

@@ -34,7 +34,6 @@ from .weights import Weight
 
 __all__ = [
     "NormError",
-    "DistributionFunction",
     "lp_norm",
     "lorentz_norm",
     "lorentz_from_values",
@@ -50,63 +49,19 @@ class NormError(ValueError):
     pass
 
 
-@dataclass
-class DistributionFunction:
-    """Right-continuous decreasing rearrangement data of a sample cloud:
-    values sorted descending with their normalized weights."""
-
-    values: np.ndarray
-    weights: np.ndarray
-
-    @classmethod
-    def from_samples(cls, values: np.ndarray) -> "DistributionFunction":
-        values = np.abs(np.asarray(values, dtype=float).ravel())
-        order = np.argsort(values)[::-1]
-        n = len(values)
-        return cls(values[order], np.full(n, 1.0 / n))
-
-    @classmethod
-    def from_weighted(cls, values: np.ndarray, weights: np.ndarray) -> "DistributionFunction":
-        values = np.abs(np.asarray(values, dtype=float).ravel())
-        weights = np.asarray(weights, dtype=float).ravel()
-        if values.shape != weights.shape or np.any(weights < 0.0):
-            raise NormError("weights must be nonnegative and match the values")
-        total = float(weights.sum())
-        if total <= 0.0:
-            raise NormError("weights sum to zero")
-        order = np.argsort(values)[::-1]
-        return cls(values[order], weights[order] / total)
-
-    def measure_above(self, t) -> np.ndarray:
-        """mu(|f| > t), vectorized over thresholds."""
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        cum = np.concatenate([[0.0], np.cumsum(self.weights)])
-        # Number of sorted values strictly above each threshold.
-        idx = len(self.values) - np.searchsorted(self.values[::-1], t, side="right")
-        return cum[idx]
-
-
-def _lorentz_from_distribution(dist: DistributionFunction, p: float, q: float) -> float:
-    v = dist.values
-    cum = np.cumsum(dist.weights)
+def lorentz_from_values(values: np.ndarray, p: float, q: float) -> float:
+    """Lorentz functional of a finite sample cloud under its empirical
+    normalized measure: the values sorted descending, each of mass 1/N."""
+    if p <= 0.0 or q <= 0.0:
+        raise NormError(f"exponents must be positive, got p={p}, q={q}")
+    v = np.abs(np.asarray(values, dtype=float).ravel())
+    v = v[np.argsort(v)[::-1]]
+    cum = np.cumsum(np.full(len(v), 1.0 / len(v)))
     if math.isinf(q):
-        return float(np.max(v * cum ** (1.0 / p))) if len(v) else 0.0
+        return float(np.max(v * cum ** (1.0 / p)))
     vq = v**q
     drops = vq - np.concatenate([vq[1:], [0.0]])
     return float((p / q * np.sum(cum ** (q / p) * drops)) ** (1.0 / q))
-
-
-def lorentz_from_values(values: np.ndarray, p: float, q: float,
-                        weights: Optional[np.ndarray] = None) -> float:
-    """Lorentz functional of a finite sample cloud under its empirical
-    (or supplied) normalized measure."""
-    if p <= 0.0 or q <= 0.0:
-        raise NormError(f"exponents must be positive, got p={p}, q={q}")
-    if weights is None:
-        dist = DistributionFunction.from_samples(values)
-    else:
-        dist = DistributionFunction.from_weighted(values, weights)
-    return _lorentz_from_distribution(dist, p, q)
 
 
 def lorentz_norm(field, p: float, q: float, cube: Cube, samples: int = 100_000) -> float:

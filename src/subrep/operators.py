@@ -3,11 +3,11 @@ nonlinear fractional derivative, rough maximal truncations, and the centered
 weighted maximal function.
 
 Every pointwise evaluation reduces to integrate_annular with a kernel whose
-singularity strength is declared explicitly.  The sups over radii (rough
-truncations, the maximal function) are one integrate_annular sweep cut at
-every radius, read off its per-gap pieces.  Integrands built from a weight
-w always divide by the exact ball mass w(B(x, |x - y|)), evaluated once per
-distinct node radius.
+singularity strength is declared explicitly.  Whatever is read at many radii
+(rough truncations, the maximal function, the near and far parts of T_w) is
+one integrate_annular sweep cut at every radius, read off its per-gap
+pieces.  Integrands built from a weight w always divide by the exact ball
+mass w(B(x, |x - y|)), evaluated once per distinct node radius.
 
 The fractional derivative of a test function is needed at thousands of
 quadrature nodes when it feeds an outer potential, so FracDerivativeField
@@ -40,6 +40,7 @@ __all__ = [
     "riesz_potential",
     "frac_derivative",
     "potential_Tw",
+    "potential_Tw_pieces",
     "rough_maximal",
     "maximal_Mwc",
     "mwc_default_radii",
@@ -86,9 +87,7 @@ def _truncation(field, x: np.ndarray) -> tuple[float, bool]:
     """Outer radius enclosing everything that matters, and whether shells
     must keep extending beyond it."""
     d = float(np.linalg.norm(x - field.support_center))
-    if field.compact_support:
-        return d + field.support_radius, False
-    return d + field.support_radius, True
+    return d + field.support_radius, not field.compact_support
 
 
 def riesz_potential(field, alpha: float, x, scheme: QuadratureScheme) -> float:
@@ -367,26 +366,21 @@ class FracDerivativeField:
         }
 
 
-def potential_Tw(
+def potential_Tw_pieces(
     field,
     w: Weight,
     alpha: float,
     x,
     scheme: QuadratureScheme,
-    *,
-    r_min: float = 0.0,
-    r_max: Optional[float] = None,
-) -> float:
-    """T_{w,alpha} field(x) = int |x-y|^alpha field(y) w(y) / w(B(x, |x-y|)) dy.
+    cuts: Sequence[float] = (),
+) -> tuple[float, ...]:
+    """T_{w,alpha} field(x) split at the radii cuts: the integral over each
+    gap between 0, the sorted cuts and infinity, from the inside out.
 
-    alpha = 1 is the classical weighted potential T_w; fractional orders in
-    (0, 1) pair with the fractional derivative.  For w = 1 the kernel is
-    |x - y|^{alpha - n} / omega_n, a scaled Riesz kernel.  The A1 structure
-    keeps that comparison near the singularity for general w, so the declared
-    singular exponent is n - alpha.
-
-    r_min / r_max restrict the integration to the annulus r_min < |x-y| <
-    r_max, the truncated pieces that splitting arguments optimize over.
+    One integrate_annular sweep cut at every radius gives all the pieces, so
+    a splitting argument reads its near part below R and its far part above
+    R off one sweep.  Cuts at or beyond the field's reach give pieces of 0.0.
+    A field without compact support takes no cuts.
     """
     x = np.asarray(x, dtype=float)
     n = x.size
@@ -394,15 +388,13 @@ def potential_Tw(
         raise OperatorError(f"potential_Tw needs 0 < alpha < {n}, got {alpha}")
     if w.dimension != n:
         raise OperatorError("weight dimension does not match the point")
-    if r_min < 0.0:
-        raise OperatorError(f"r_min must be nonnegative, got {r_min}")
+    cuts = sorted(float(c) for c in cuts)
     r_outer, extend = _truncation(field, x)
-    if r_max is not None:
-        # A hard cut: nothing beyond r_max contributes, compact or not.
-        r_outer = float(r_max) if extend else min(r_outer, float(r_max))
-        extend = False
-    if r_outer <= 0.0 or r_min >= r_outer:
-        return 0.0
+    if extend and cuts:
+        raise OperatorError("cut pieces of T_w need a compactly supported field")
+    if r_outer <= 0.0:
+        return (0.0,) * (len(cuts) + 1)
+    inside = [c for c in cuts if c < r_outer]
 
     def kernel(pts, rad):
         uniq, inv = np.unique(rad, return_inverse=True)
@@ -416,11 +408,24 @@ def potential_Tw(
         x,
         r_outer,
         scheme,
-        r_inner=r_min,
-        singular_exponent=n - alpha if r_min == 0.0 else None,
+        cuts=inside,
+        singular_exponent=n - alpha,
         extend_outer=extend,
     )
-    return res.value
+    return res.pieces + (0.0,) * (len(cuts) - len(inside))
+
+
+def potential_Tw(field, w: Weight, alpha: float, x, scheme: QuadratureScheme) -> float:
+    """T_{w,alpha} field(x) = int |x-y|^alpha field(y) w(y) / w(B(x, |x-y|)) dy.
+
+    alpha = 1 is the classical weighted potential T_w; fractional orders in
+    (0, 1) pair with the fractional derivative.  For w = 1 the kernel is
+    |x - y|^{alpha - n} / omega_n, a scaled Riesz kernel.  The A1 structure
+    keeps that comparison near the singularity for general w, so the declared
+    singular exponent is n - alpha.  This is potential_Tw_pieces without
+    cuts, whose one piece is the whole integral.
+    """
+    return potential_Tw_pieces(field, w, alpha, x, scheme)[0]
 
 
 @dataclass(frozen=True)
@@ -636,14 +641,15 @@ def rough_maximal(
     return float(np.max(np.abs(np.cumsum(res.pieces[::-1]))))
 
 
-def mwc_default_radii(field, x, per_decade: int = 32, decades: float = 4.0) -> np.ndarray:
-    """Geometric radius sweep reaching just past the support of the field."""
+def mwc_default_radii(field, x, per_decade: int = 32) -> np.ndarray:
+    """Geometric radius sweep over four decades, reaching just past the
+    support of the field."""
     x = np.asarray(x, dtype=float)
     top = float(np.linalg.norm(x - field.support_center)) + field.support_radius
     if top <= 0.0:
         top = 1.0
-    count = int(per_decade * decades) + 1
-    return np.geomspace(top * 10.0**-decades, top, count)
+    count = int(per_decade * 4.0) + 1
+    return np.geomspace(top * 10.0**-4.0, top, count)
 
 
 def maximal_Mwc(

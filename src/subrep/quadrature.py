@@ -41,6 +41,8 @@ Kernel = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 _MAX_SHELLS = 256
 _MAX_NODES_PER_DIM = 512
+_MAX_DEPTH = 20  # node-doubling rounds allowed during refinement
+_MAX_BOX_CELLS = 1024
 
 
 class QuadratureError(RuntimeError):
@@ -56,7 +58,6 @@ class QuadratureScheme:
     annuli_per_decade   shell grading, ratio = 10^(1/annuli_per_decade)
     points_per_dim      base nodes per dimension on each shell
     inner_cutoff_factor core radius as a fraction of the outer radius
-    max_depth           node-doubling rounds allowed during refinement
     """
 
     rel_tol: float = 1e-3
@@ -64,7 +65,6 @@ class QuadratureScheme:
     annuli_per_decade: int = 4
     points_per_dim: int = 16
     inner_cutoff_factor: float = 1e-6
-    max_depth: int = 20
 
     def __post_init__(self) -> None:
         if self.rel_tol <= 0.0 or self.abs_floor <= 0.0:
@@ -213,7 +213,7 @@ def _refine_to_tolerance(
     fixed_extra: float = 0.0,
 ) -> tuple[float, float]:
     """Double nodes on the worst shells until the discrepancy budget holds."""
-    for _ in range(scheme.max_depth):
+    for _ in range(_MAX_DEPTH):
         total = math.fsum(s.value for s in shells) + fixed_extra
         err = math.fsum(s.error for s in shells)
         budget = scheme.rel_tol * abs(total) + scheme.abs_floor
@@ -290,7 +290,6 @@ def integrate_annular(
     cuts: Sequence[float] = (),
     singular_exponent: Optional[float] = None,
     extend_outer: bool = False,
-    outer_ratio: float = 2.0,
 ) -> AnnularResult:
     """Integrate kernel(y) dy over r_inner < |y - center| < r_outer.
 
@@ -311,9 +310,9 @@ def integrate_annular(
     or r_outer without cuts), and the core ball is restored analytically
     from that strength.
 
-    extend_outer keeps appending shells beyond r_outer (ratio outer_ratio)
-    until they stop mattering; the unresolved geometric tail is charged to
-    the error, never to the value.
+    extend_outer keeps appending shells beyond r_outer, each with twice the
+    outer radius of the last, until they stop mattering; the unresolved
+    geometric tail is charged to the error, never to the value.
     """
     center = np.asarray(center, dtype=float)
     n = center.size
@@ -356,7 +355,7 @@ def integrate_annular(
         last = 0.0
         settled = False
         for _ in range(48):
-            hi = lo * outer_ratio
+            hi = lo * 2.0
             ext = _Shell(kernel, center, lo, hi, m0)
             shells.append(ext)
             last = ext.value
@@ -399,11 +398,9 @@ def integrate_box(
     lower: Sequence[float],
     upper: Sequence[float],
     scheme: QuadratureScheme,
-    *,
-    base_cells: int = 16,
-    max_cells: int = 1024,
 ) -> tuple[float, float]:
-    """Midpoint rule over an axis-aligned box, doubled until stable.
+    """Midpoint rule over an axis-aligned box, doubled from 16 cells per
+    axis until stable or at 1024 cells per axis.
 
     Returns (value, discrepancy of the last doubling).  fn takes (M, n)
     points and returns (M,) values.
@@ -421,13 +418,13 @@ def integrate_box(
         cell = float(np.prod((hi - lo) / m))
         return float(math.fsum(np.asarray(fn(pts), dtype=float)) * cell)
 
-    m = base_cells
+    m = 16
     prev = midpoint(m)
     while True:
         m *= 2
         cur = midpoint(m)
         err = abs(cur - prev)
-        if err <= scheme.rel_tol * abs(cur) + scheme.abs_floor or m >= max_cells:
+        if err <= scheme.rel_tol * abs(cur) + scheme.abs_floor or m >= _MAX_BOX_CELLS:
             return cur, err
         prev = cur
 

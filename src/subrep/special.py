@@ -2,10 +2,9 @@
 
 Everything downstream that needs a sphere measure, a beta-type product of
 gamma factors, or the explicit fractional-to-classical comparison constant
-goes through this module.  The gamma evaluation is a 15-term Lanczos
-approximation (Godfrey's coefficient set, g = 607/128) with the reflection
-formula for arguments left of 1/2; relative accuracy is a few ulps across
-the range exercised here.
+goes through this module.  gamma and ln_gamma are the standard library's
+math.gamma and math.lgamma (ln_gamma is log |Gamma|); both raise ValueError
+at the poles 0, -1, -2, ...
 """
 
 from __future__ import annotations
@@ -19,54 +18,11 @@ __all__ = [
     "ball_volume",
     "conjugate_exponent",
     "bbm_constant",
-    "bbm_gap",
     "beta_identity_rhs",
 ]
 
-# Lanczos g = 607/128, 15 coefficients (Godfrey).  Good to ~1e-15 relative
-# on the positive real axis.
-_LANCZOS_G = 607.0 / 128.0
-_LANCZOS_C = (
-    0.99999999999999709182,
-    57.156235665862923517,
-    -59.597960355475491248,
-    14.136097974741747174,
-    -0.49191381609762019978,
-    0.33994649984811888699e-4,
-    0.46523628927048575665e-4,
-    -0.98374475304879564677e-4,
-    0.15808870322491248884e-3,
-    -0.21026444172410488319e-3,
-    0.21743961811521264320e-3,
-    -0.16431810653676389022e-3,
-    0.84418223983852743293e-4,
-    -0.26190838401581408670e-4,
-    0.36899182659531622704e-5,
-)
-_SQRT_2PI = math.sqrt(2.0 * math.pi)
-
-
-def ln_gamma(x: float) -> float:
-    """Natural log of Gamma(x) for x > 0."""
-    if x <= 0.0:
-        raise ValueError(f"ln_gamma requires x > 0, got {x}")
-    ser = _LANCZOS_C[0]
-    for j, c in enumerate(_LANCZOS_C[1:], start=1):
-        ser += c / (x + j)
-    t = x + _LANCZOS_G + 0.5
-    return (x + 0.5) * math.log(t) - t + math.log(_SQRT_2PI * ser / x)
-
-
-def gamma(x: float) -> float:
-    """Gamma(x) on the real line, poles at 0, -1, -2, ... rejected."""
-    if x == math.floor(x) and x <= 0.0:
-        raise ValueError(f"gamma pole at x = {x}")
-    if x < 0.5:
-        # Reflection: Gamma(x) Gamma(1-x) = pi / sin(pi x).
-        return math.pi / (math.sin(math.pi * x) * gamma(1.0 - x))
-    if x > 170.0:
-        raise OverflowError(f"gamma({x}) overflows double precision")
-    return math.exp(ln_gamma(x))
+gamma = math.gamma
+ln_gamma = math.lgamma
 
 
 def sphere_measure(n: int) -> float:
@@ -114,11 +70,6 @@ def bbm_constant(alpha: float, n: int) -> float:
     )
     den = alpha * gamma((n + alpha - 1.0) / 2.0) * gamma((n - alpha) / 2.0)
     return num / den
-
-
-def bbm_gap(alpha: float, n: int) -> float:
-    """Distance |bbm_constant(alpha, n) - sphere_measure(n)| to the limit."""
-    return abs(bbm_constant(alpha, n) - sphere_measure(n))
 
 
 def beta_identity_rhs(n: int, a1: float, a2: float, separation: float) -> float:

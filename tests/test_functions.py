@@ -3,15 +3,15 @@ import math
 import numpy as np
 import pytest
 
+from ball_indicator import BallIndicator
 from subrep.functions import (
     FAMILIES,
-    BallIndicator,
     Box,
     Cube,
     TestFunction,
     cube_average,
 )
-from subrep.quadrature import QuadratureScheme, halton_points
+from subrep.quadrature import QuadratureScheme
 
 SCHEME = QuadratureScheme()
 RNG = np.random.default_rng(20260819)
@@ -62,16 +62,6 @@ def test_gradient_matches_finite_differences(family):
 
 
 @pytest.mark.parametrize("family", FAMILIES)
-def test_lipschitz_constant_is_sharp_sup(family):
-    f = TestFunction(family, (0.0, 0.0), scale=1.4, amplitude=2.3)
-    L = f.lipschitz_constant
-    pts = (halton_points(20000, 2) * 2.0 - 1.0) * 1.4
-    norms = f.gradient_norm(pts)
-    assert norms.max() <= L * (1.0 + 1e-12)
-    assert norms.max() >= 0.95 * L  # sup nearly attained on a dense sample
-
-
-@pytest.mark.parametrize("family", FAMILIES)
 def test_scaling_relations(family):
     # values scale with amplitude; support scales with scale.
     base = TestFunction(family, (0.0, 0.0), 1.0, 1.0)
@@ -87,7 +77,6 @@ def test_zero_amplitude_gives_zero_field():
     f = TestFunction("smooth_bump", (0.0, 0.0), 1.0, 0.0)
     pts = RNG.uniform(-2.0, 2.0, size=(64, 2))
     assert np.all(f.values(pts) == 0.0)
-    assert f.lipschitz_constant == 0.0
 
 
 def test_validation():

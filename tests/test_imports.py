@@ -1,5 +1,6 @@
 """Module boundaries: no module of the package imports a private name
-(one starting with an underscore) from a sibling module."""
+(one starting with an underscore) from a sibling module, and no public name
+is reached only from the tests."""
 
 import ast
 from pathlib import Path
@@ -8,17 +9,61 @@ import subrep
 
 PACKAGE = Path(subrep.__file__).resolve().parent
 
+# Public names that no module of the package references, kept on purpose.
+UNREFERENCED_ALLOWED = {
+    # Acceptance criterion 11 checks the Lorentz scale invariance through it.
+    "ball_lorentz_scale_invariance",
+}
+
+
+def _trees():
+    return {path.name: ast.parse(path.read_text(), filename=str(path))
+            for path in sorted(PACKAGE.glob("*.py"))}
+
 
 def test_no_private_imports_between_modules():
     offenders = []
-    for path in sorted(PACKAGE.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+    for name, tree in _trees().items():
+        for node in ast.walk(tree):
             if not isinstance(node, ast.ImportFrom):
                 continue
             if node.level == 0 and not (node.module or "").startswith("subrep"):
                 continue
             offenders += [
-                f"{path.name}:{node.lineno} imports {alias.name}"
+                f"{name}:{node.lineno} imports {alias.name}"
                 for alias in node.names if alias.name.startswith("_")
             ]
     assert offenders == []
+
+
+def _public_definitions(tree):
+    """Top-level functions and classes, and the methods and properties of
+    those classes, whose names do not start with an underscore."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            yield node.name
+        if isinstance(node, ast.ClassDef):
+            yield from (
+                item.name for item in node.body
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")
+            )
+
+
+def test_every_public_name_is_used_by_the_package():
+    trees = _trees()
+    used = set()
+    for name, tree in trees.items():
+        if name == "__init__.py":
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    unused = sorted(
+        f"{name}: {defined}"
+        for name, tree in trees.items()
+        for defined in _public_definitions(tree)
+        if defined not in used and defined not in UNREFERENCED_ALLOWED
+    )
+    assert unused == []

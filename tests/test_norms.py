@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from subrep.functions import BallIndicator, Box, Cube, TestFunction
+from ball_indicator import BallIndicator
+from subrep.functions import Box, Cube, TestFunction
 from subrep.norms import (
-    DistributionFunction,
     NormError,
     ball_lorentz_scale_invariance,
     lorentz_from_values,
@@ -29,19 +29,6 @@ COS_WEAK = {
     4.0: 1.04411045773244,
     8.0: 0.979738550574314,
 }
-
-
-def test_measure_above_hand_case():
-    dist = DistributionFunction.from_samples(np.array([3.0, 2.0, 2.0, 1.0]))
-    got = dist.measure_above(np.array([3.5, 3.0, 2.5, 2.0, 1.5, 0.5]))
-    assert np.allclose(got, [0.0, 0.0, 0.25, 0.25, 0.75, 1.0])
-
-
-def test_weighted_distribution_matches_equal_weights():
-    vals = np.array([0.3, 1.7, 0.9, 2.4, 0.1])
-    a = lorentz_from_values(vals, 1.5, 2.5)
-    b = lorentz_from_values(vals, 1.5, 2.5, weights=np.ones(5))
-    assert a == pytest.approx(b, rel=1e-14)
 
 
 def test_lorentz_diagonal_is_lp_mean():

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from subrep.functions import BallIndicator, TestFunction
+from ball_indicator import BallIndicator
+from subrep.functions import TestFunction
 from subrep.operators import (
     FracDerivativeField,
     GradientMagnitude,
@@ -15,6 +16,7 @@ from subrep.operators import (
     maximal_Mwc,
     mwc_default_radii,
     potential_Tw,
+    potential_Tw_pieces,
     riesz_potential,
     rough_maximal,
 )
@@ -193,6 +195,53 @@ def test_potential_tw_weight_invariance_under_weight_scaling():
     t1 = potential_Tw(g, Weight.constant(2, 1.0), 1.0, x, SCHEME)
     t5 = potential_Tw(g, Weight.constant(2, 5.0), 1.0, x, SCHEME)
     assert t1 == pytest.approx(t5, rel=1e-12)
+
+
+@pytest.mark.parametrize("alpha", [1.0, 0.5])
+def test_potential_tw_pieces_of_a_ball_indicator(alpha):
+    # w = 1, field = 1 on B(x, 1.5): the kernel is |x - y|^{alpha - n} / omega_n,
+    # so the piece over a < |x - y| < b is n (b^alpha - a^alpha) / alpha.
+    # The cuts 2 and 3 lie beyond the field's reach and give 0.0.
+    x = (0.2, -0.1)
+    ball = BallIndicator(x, 1.5)
+    pieces = potential_Tw_pieces(ball, Weight.constant(2), alpha, x, SCHEME, (3.0, 0.5, 2.0, 0.25, 1.0))
+    edges = [0.0, 0.25, 0.5, 1.0, 1.5]
+    exact = [2.0 * (b**alpha - a**alpha) / alpha for a, b in zip(edges, edges[1:])]
+    assert pieces[:4] == pytest.approx(exact, rel=SCHEME.rel_tol)
+    assert pieces[4:] == (0.0, 0.0)
+
+
+@pytest.mark.parametrize("field", [BUMP, GradientMagnitude(BUMP)], ids=["bump", "gradient"])
+@pytest.mark.parametrize("alpha", [1.0, 0.5])
+def test_potential_tw_pieces_match_one_sweep_per_gap(field, alpha):
+    w = Weight.power_plus_one((0.0, 0.0), 0.5)
+    x = np.array([0.3, -0.2])
+    cuts = (0.1, 0.4, 0.8)
+    pieces = potential_Tw_pieces(field, w, alpha, x, SCHEME, cuts)
+
+    def kernel(pts, rad):
+        return rad**alpha * field.values(pts) * w.values(pts) / w.ball_mass_many(x, rad)
+
+    edges = [0.0, *cuts, float(np.linalg.norm(x)) + 1.0]
+    refs = [integrate_annular(kernel, x, edges[1], SCHEME, singular_exponent=2.0 - alpha).value]
+    refs += [integrate_annular(kernel, x, b, SCHEME, r_inner=a).value
+             for a, b in zip(edges[1:], edges[2:])]
+    # Each piece carries the budget of the sweep it comes from.
+    budget = SCHEME.rel_tol * abs(math.fsum(pieces)) + SCHEME.abs_floor
+    assert len(pieces) == len(refs)
+    assert all(abs(p - r) <= budget for p, r in zip(pieces, refs))
+
+
+def test_potential_tw_is_its_uncut_piece():
+    w = Weight.power_plus_one((0.0, 0.0), 0.5)
+    x = [0.3, -0.2]
+    assert potential_Tw_pieces(BUMP, w, 1.0, x, SCHEME) == (potential_Tw(BUMP, w, 1.0, x, SCHEME),)
+
+
+def test_potential_tw_pieces_need_compact_support():
+    field = FracDerivativeField(BUMP, 0.5, SCHEME, grid_points=2)
+    with pytest.raises(OperatorError):
+        potential_Tw_pieces(field, Weight.constant(2), 0.5, [0.3, 0.0], SCHEME, (0.5,))
 
 
 def test_sphere_symbol_cosine_measures():

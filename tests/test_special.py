@@ -6,7 +6,6 @@ import pytest
 from subrep.special import (
     ball_volume,
     bbm_constant,
-    bbm_gap,
     beta_identity_rhs,
     conjugate_exponent,
     gamma,
@@ -76,6 +75,13 @@ def test_sphere_measure_low_dimensions():
     assert ball_volume(3) == pytest.approx(4.0 * math.pi / 3.0, rel=1e-13)
 
 
+def test_sphere_measure_exact_where_gamma_is():
+    # Gamma(1/2) = sqrt(pi) and Gamma(3/2) = sqrt(pi) / 2 round to the
+    # nearest double, so these closed forms come out exact.
+    assert sphere_measure(1) == 2.0
+    assert sphere_measure(3) == 4.0 * math.pi
+
+
 def test_conjugate_exponent():
     assert conjugate_exponent(2.0) == pytest.approx(2.0)
     assert conjugate_exponent(4.0 / 3.0) == pytest.approx(4.0, rel=1e-14)
@@ -107,7 +113,7 @@ def test_bbm_constant_approaches_sphere_measure():
     # from above along alpha_k = 1 - 2^{-k} and linear in (1 - alpha).
     for n in (2, 3):
         sigma = sphere_measure(n)
-        gaps = [bbm_gap(1.0 - 2.0**-k, n) for k in range(1, 13)]
+        gaps = [abs(bbm_constant(1.0 - 2.0**-k, n) - sigma) for k in range(1, 13)]
         assert all(g > 0.0 for g in gaps)
         assert all(a > b for a, b in zip(gaps, gaps[1:]))
         # Linear rate: successive gaps roughly halve once alpha is close to 1.
@@ -116,10 +122,13 @@ def test_bbm_constant_approaches_sphere_measure():
 
 
 def test_bbm_gap_frozen_values():
-    assert bbm_gap(1.0 - 2.0**-8, 2) == pytest.approx(0.0588910369243875, rel=1e-9)
-    assert bbm_gap(1.0 - 2.0**-10, 2) == pytest.approx(0.0146622013507757, rel=1e-9)
-    assert bbm_gap(1.0 - 2.0**-12, 2) == pytest.approx(0.00366178365598358, rel=1e-9)
-    assert bbm_gap(1.0 - 2.0**-10, 3) == pytest.approx(0.0245796921514771, rel=1e-9)
+    def gap(alpha, n):
+        return abs(bbm_constant(alpha, n) - sphere_measure(n))
+
+    assert gap(1.0 - 2.0**-8, 2) == pytest.approx(0.0588910369243875, rel=1e-9)
+    assert gap(1.0 - 2.0**-10, 2) == pytest.approx(0.0146622013507757, rel=1e-9)
+    assert gap(1.0 - 2.0**-12, 2) == pytest.approx(0.00366178365598358, rel=1e-9)
+    assert gap(1.0 - 2.0**-10, 3) == pytest.approx(0.0245796921514771, rel=1e-9)
 
 
 def test_bbm_constant_domain():

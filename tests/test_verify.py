@@ -299,6 +299,23 @@ def test_hedberg_rstar_matches_grid_argmin():
     assert all(math.isfinite(v) for v in r.extras["far_ratios"])
 
 
+def test_hedberg_split_is_one_sweep_per_pass(monkeypatch):
+    # Each pass makes one cut T_w sweep and one maximal-function sweep.
+    import subrep.operators as operators
+
+    calls = []
+    original = operators.integrate_annular
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(operators, "integrate_annular", counted)
+    r = check_hedberg_split(bump2(), Weight.constant(2, 1.0), 1.5, 2.0, (0.1, 0.0), scheme=LIGHT)
+    assert r.passed
+    assert len(calls) == 4
+
+
 def test_hedberg_rejects_bad_exponents():
     with pytest.raises(CheckError):
         check_hedberg_split(bump2(), Weight.constant(2, 1.0), 2.5, 2.0, (0.0, 0.0))
