@@ -162,7 +162,7 @@ class TestFunction:
         if self.family == "tensor_hat":
             h = s / math.sqrt(self.dimension)
             return A * np.prod(np.clip(1.0 - np.abs(d) / h, 0.0, None), axis=1)
-        u2 = np.sum(d * d, axis=1) / (s * s)
+        u2 = np.einsum("ij,ij->i", d, d) / (s * s)
         if self.family == "smooth_bump":
             out = np.zeros(len(pts))
             inside = u2 < 1.0
@@ -177,6 +177,18 @@ class TestFunction:
     def value(self, x) -> float:
         return float(self.values(np.atleast_2d(x))[0])
 
+    def _radial_slope(self, u2: np.ndarray) -> np.ndarray:
+        """Radial families: grad f = slope * (x - c), a function of u^2 alone."""
+        A, s = self.amplitude, self.scale
+        if self.family == "smooth_bump":
+            inside = u2 < 1.0
+            q = np.where(inside, 1.0 - u2, 1.0)
+            return np.where(inside, A * np.exp(-1.0 / q) * (-2.0 / (q * q * s * s)), 0.0)
+        if self.family == "truncated_gaussian":
+            e = np.exp(-2.0 * u2)
+            return np.where(e > math.exp(-2.0), -4.0 * A / (s * s) * e, 0.0)
+        return -4.0 * A / (s * s) * np.clip(1.0 - u2, 0.0, None)
+
     def gradient(self, pts: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         d = pts - self.support_center
@@ -190,24 +202,17 @@ class TestFunction:
                 live = hats[:, i] > 0.0
                 grad[:, i] = np.where(live, -np.sign(d[:, i]) * A / h * others, 0.0)
             return grad
-        u2 = np.sum(d * d, axis=1) / (s * s)
-        if self.family == "smooth_bump":
-            grad = np.zeros_like(d)
-            inside = u2 < 1.0
-            q = 1.0 - u2[inside]
-            pref = A * np.exp(-1.0 / q) * (-2.0 / (q * q * s * s))
-            grad[inside] = pref[:, None] * d[inside]
-            return grad
-        if self.family == "truncated_gaussian":
-            inside = np.exp(-2.0 * u2) > math.exp(-2.0)
-            pref = np.where(inside, -4.0 * A / (s * s) * np.exp(-2.0 * u2), 0.0)
-            return pref[:, None] * d
-        q = np.clip(1.0 - u2, 0.0, None)
-        pref = -4.0 * A / (s * s) * q
-        return pref[:, None] * d
+        u2 = np.einsum("ij,ij->i", d, d) / (s * s)
+        return self._radial_slope(u2)[:, None] * d
 
     def gradient_norm(self, pts: np.ndarray) -> np.ndarray:
-        return np.linalg.norm(self.gradient(pts), axis=1)
+        """|grad f|; for the radial families |slope| |x - c| from u^2 alone,
+        without the (M, n) gradient."""
+        if self.family == "tensor_hat":
+            return np.linalg.norm(self.gradient(pts), axis=1)
+        d = np.atleast_2d(np.asarray(pts, dtype=float)) - self.support_center
+        r2 = np.einsum("ij,ij->i", d, d)
+        return np.abs(self._radial_slope(r2 / (self.scale * self.scale))) * np.sqrt(r2)
 
     def describe(self) -> dict:
         return {

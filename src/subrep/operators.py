@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -397,11 +398,13 @@ def potential_Tw_pieces(
     inside = [c for c in cuts if c < r_outer]
 
     def kernel(pts, rad):
-        uniq, inv = np.unique(rad, return_inverse=True)
-        mass = w.ball_mass_many(x, uniq)
+        # annulus_nodes lists radii in ascending runs: one mass per run.
+        starts = np.flatnonzero(np.concatenate(([True], rad[1:] != rad[:-1])))
+        mass = w.ball_mass_many(x, rad[starts])
         if np.any(mass <= 0.0):
             raise OperatorError("zero ball mass under the weight")
-        return rad**alpha * field.values(pts) * w.values(pts) / mass[inv]
+        mass = np.repeat(mass, np.diff(np.append(starts, rad.size)))
+        return rad**alpha * field.values(pts) * w.values(pts) / mass
 
     res = integrate_annular(
         kernel,
@@ -523,10 +526,9 @@ class SphereSymbol:
             # |cos(k theta)| > t/a occupies 4 arccos(t/a) of angle, for any k.
             return 4.0 * math.acos(t / a)
         if self.profile == "odd_polynomial":
-            u = (np.arange(1 << 17) + 0.5) / (1 << 17) * 2.0 - 1.0
-            vals = np.abs(self.unit_values(self._dirs_from_u(u)))
-            frac = float(np.mean(vals > t))
-            return 2.0 * math.pi * 2.0 * frac  # 2 pi int_{-1}^{1} du
+            vals = _sorted_abs_samples(self)
+            above = len(vals) - int(np.searchsorted(vals, t, side="right"))
+            return 2.0 * math.pi * 2.0 * (above / len(vals))  # 2 pi int_{-1}^{1} du
         m = len(self.table)
         return 2.0 * math.pi * float(np.count_nonzero(np.abs(self.table) > t)) / m
 
@@ -572,6 +574,16 @@ class SphereSymbol:
         else:
             d.update(cells=len(self.table))
         return d
+
+
+@lru_cache(maxsize=8)
+def _sorted_abs_samples(omega: SphereSymbol) -> np.ndarray:
+    """|Omega| of an odd_polynomial symbol at 2^17 midpoints in u = cos(theta),
+    sorted once so each exceedance threshold is one searchsorted."""
+    u = (np.arange(1 << 17) + 0.5) / (1 << 17) * 2.0 - 1.0
+    vals = np.sort(np.abs(omega.unit_values(omega._dirs_from_u(u))))
+    vals.flags.writeable = False
+    return vals
 
 
 @dataclass(frozen=True)

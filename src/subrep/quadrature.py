@@ -10,8 +10,9 @@ angle, Gauss-Legendre in the polar cosine for n = 3).  Shells are refined
 independently by node doubling until the summed per-shell discrepancies meet
 the tolerance.  A kernel with a power singularity at the center is cut off at
 a tiny core radius and the core ball is restored analytically from the
-strength observed on the innermost shell.  Reductions use compensated
-summation so results are reproducible across thread schedules.
+strength observed on the innermost shell.  Node arrays are summed pairwise
+(np.sum) and the few per-shell or per-piece values with math.fsum; neither
+depends on the thread schedule, so results are reproducible.
 """
 
 from __future__ import annotations
@@ -105,10 +106,11 @@ def annulus_nodes(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Tensor rule on the annulus a < |y - center| < b.
 
-    Returns (points, weights, radii).  The rule integrates the annulus
-    measure exactly in every dimension handled here (1, 2, 3): the radial
-    part is Gauss-Legendre against r^{n-1} dr written out explicitly, the
-    angular part is midpoint (n = 2) or midpoint x Gauss-Legendre in
+    Returns (points, weights, radii), radial-major: the radii ascend, each
+    repeated once per direction in a contiguous run.  The rule integrates the
+    annulus measure exactly in every dimension handled here (1, 2, 3): the
+    radial part is Gauss-Legendre against r^{n-1} dr written out explicitly,
+    the angular part is midpoint (n = 2) or midpoint x Gauss-Legendre in
     u = cos(theta) (n = 3).
     """
     center = np.asarray(center, dtype=float)
@@ -119,9 +121,9 @@ def annulus_nodes(
     r = 0.5 * (b + a) + 0.5 * (b - a) * x
     wr = 0.5 * (b - a) * w
     if n == 1:
-        pts = np.concatenate([center[0] + r, center[0] - r])[:, None]
-        wts = np.concatenate([wr, wr])
-        rad = np.concatenate([r, r])
+        pts = (center[0] + np.outer(r, [1.0, -1.0])).reshape(-1, 1)
+        wts = np.repeat(wr, 2)
+        rad = np.repeat(r, 2)
     elif n == 2:
         phi = 2.0 * math.pi * (np.arange(m) + 0.5) / m
         wphi = 2.0 * math.pi / m
@@ -180,7 +182,7 @@ def _shell_value(kernel: Kernel, center: np.ndarray, a: float, b: float, m: int)
         raise QuadratureError(
             f"kernel returned shape {vals.shape}, expected {wts.shape}"
         )
-    return float(math.fsum(wts * vals)), len(wts)
+    return float(np.sum(wts * vals)), len(wts)
 
 
 class _Shell:
@@ -250,12 +252,9 @@ def _core_correction(
     vals = np.asarray(kernel(pts, rad), dtype=float) * rad**s_exp
     sigma = sphere_measure(n)
     scale = sigma * eps ** (n - s_exp) / (n - s_exp)
-    c0 = float(math.fsum(wts * vals) / math.fsum(wts))
+    c0 = float(np.sum(wts * vals) / np.sum(wts))
     # Group by radial node to measure how far the kernel is from pure c0 r^-s.
-    if n == 1:
-        per_ring = vals.reshape(2, m).mean(axis=0)
-    else:
-        per_ring = vals.reshape(m, -1).mean(axis=1)
+    per_ring = vals.reshape(m, -1).mean(axis=1)
     spread = float(per_ring.max() - per_ring.min())
     return c0 * scale, (0.5 * spread + 1e-3 * abs(c0)) * scale
 
@@ -416,7 +415,7 @@ def integrate_box(
         grids = np.meshgrid(*axes, indexing="ij")
         pts = np.stack([g.ravel() for g in grids], axis=1)
         cell = float(np.prod((hi - lo) / m))
-        return float(math.fsum(np.asarray(fn(pts), dtype=float)) * cell)
+        return float(np.sum(np.asarray(fn(pts), dtype=float)) * cell)
 
     m = 16
     prev = midpoint(m)
@@ -432,8 +431,11 @@ def integrate_box(
 _HALTON_PRIMES = (2, 3, 5, 7, 11, 13)
 
 
+@lru_cache(maxsize=16)
 def halton_points(count: int, dim: int, *, skip: int = 1) -> np.ndarray:
-    """Deterministic low-discrepancy points in [0, 1)^dim (Halton sequence)."""
+    """Deterministic low-discrepancy points in [0, 1)^dim (Halton sequence).
+
+    Memoized, so the array is shared and read-only."""
     if dim > len(_HALTON_PRIMES):
         raise QuadratureError(f"halton_points supports dim <= {len(_HALTON_PRIMES)}")
     out = np.empty((count, dim))
@@ -448,4 +450,5 @@ def halton_points(count: int, dim: int, *, skip: int = 1) -> np.ndarray:
             col += (work % base) / denom
             work //= base
         out[:, j] = col
+    out.flags.writeable = False
     return out

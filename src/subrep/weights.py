@@ -94,7 +94,8 @@ class Weight:
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         if self.kind == "constant":
             return np.full(len(pts), self.value_constant)
-        rho = np.linalg.norm(pts - np.asarray(self.pole), axis=1)
+        d = pts - np.asarray(self.pole)
+        rho = np.sqrt(np.einsum("ij,ij->i", d, d))
         with np.errstate(divide="ignore"):
             powed = np.where(rho > 0.0, rho ** (-self.beta), np.inf)
         if self.beta == 0.0:

@@ -253,6 +253,22 @@ def test_run_round_trip_every_check(tmp_path, check):
     assert (out / f"{check}.csv").exists()
 
 
+def test_shell_rule_reports_byte_identical_across_thread_counts(tmp_path):
+    # Node arrays are summed pairwise and shell values with fsum, each in a
+    # fixed order, so the thread count changes no byte of a report.
+    checks = "subrepresentation_identity, rough_subrepresentation, annuli_absorption"
+    outs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"t{threads}"
+        ini = LIGHT_INI.format(check=checks, out=out).replace("json, csv", "json")
+        cfg = write_config(tmp_path, ini, f"t{threads}.ini")
+        assert main(["run", cfg, "--threads", threads]) in (0, 1)
+        outs.append(out)
+    names = [f"{c.strip()}.json" for c in checks.split(",")] + ["summary.json"]
+    for name in names:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
 def test_identity_fractional_runs_in_one_dimension(tmp_path):
     out = tmp_path / "out"
     ini = LIGHT_INI.format(check="identity_fractional", out=out)

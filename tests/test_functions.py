@@ -61,6 +61,31 @@ def test_gradient_matches_finite_differences(family):
         assert np.allclose(grad[:, i], fd, atol=5e-6)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize(
+    "family", ["smooth_bump", "truncated_gaussian", "radial_polynomial_bump"]
+)
+def test_gradient_norm_closed_form_matches_gradient(family, n):
+    # The radial closed form against the norm of the full gradient: at the
+    # centre, inside, just inside the support boundary and outside it.
+    f = TestFunction(family, tuple(0.1 * (k + 1) for k in range(n)), 1.3, 2.0)
+    c = f.support_center
+    dirs = RNG.normal(size=(40, n))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    u = np.concatenate([RNG.uniform(0.05, 0.95, 20), 1.0 - RNG.uniform(1e-9, 1e-3, 10),
+                        RNG.uniform(1.001, 2.0, 10)])
+    pts = np.vstack([c, c + 1.3 * u[:, None] * dirs])
+    grad = f.gradient(pts)
+    # Rescale rows first: just inside the smooth_bump's support the squared
+    # components underflow, while the closed form does not.
+    top = np.max(np.abs(grad), axis=1, keepdims=True)
+    expected = np.linalg.norm(grad / np.where(top > 0.0, top, 1.0), axis=1) * top[:, 0]
+    got = f.gradient_norm(pts)
+    np.testing.assert_allclose(got, expected, rtol=1e-13, atol=0.0)
+    assert got[0] == 0.0 and np.all(got[-10:] == 0.0)
+    assert np.all(got[1:21] > 0.0)
+
+
 @pytest.mark.parametrize("family", FAMILIES)
 def test_scaling_relations(family):
     # values scale with amplitude; support scales with scale.

@@ -232,6 +232,23 @@ def test_potential_tw_pieces_match_one_sweep_per_gap(field, alpha):
     assert all(abs(p - r) <= budget for p, r in zip(pieces, refs))
 
 
+def test_one_dimensional_potentials_keep_their_values():
+    # Reference values from before the 1-d annulus rule listed its radii in
+    # ascending order (nodes at c + r and c - r interleaved per radius).
+    f = TestFunction("smooth_bump", (0.1,))
+    g = GradientMagnitude(f)
+    w = Weight.power_plus_one((0.2,), 0.5)
+    expected = {
+        0.0: (0.3864898026379862, 1.115270564563218, 1.072673565240609),
+        0.35: (0.4456298420702615, 1.0738719610755971, 1.2147433607079285),
+        1.5: (0.40568098156281707, 0.3883471724170073, 0.682419128042334),
+    }
+    for x, (tw, i_f, i_g) in expected.items():
+        assert potential_Tw(g, w, 0.5, [x], SCHEME) == pytest.approx(tw, rel=1e-13)
+        assert riesz_potential(f, 0.5, [x], SCHEME) == pytest.approx(i_f, rel=1e-13)
+        assert riesz_potential(g, 0.5, [x], SCHEME) == pytest.approx(i_g, rel=1e-13)
+
+
 def test_potential_tw_is_its_uncut_piece():
     w = Weight.power_plus_one((0.0, 0.0), 0.5)
     x = [0.3, -0.2]
@@ -280,6 +297,16 @@ def test_sphere_symbol_odd_polynomial():
         assert om.exceedance_measure(t) == pytest.approx(
             4.0 * math.pi * (1.0 - t), rel=1e-3
         )
+
+
+def test_sphere_symbol_exceedance_counts_match_direct_samples():
+    # The cached sorted samples give the same count as comparing every
+    # sample with t, so the measure is bit-identical to the direct form.
+    om = SphereSymbol.odd_polynomial([1.0, -0.5, 0.2], amplitude=1.3)
+    u = (np.arange(1 << 17) + 0.5) / (1 << 17) * 2.0 - 1.0
+    vals = np.abs(om.unit_values(np.stack([np.sqrt(1.0 - u**2), 0.0 * u, u], axis=1)))
+    for t in (0.0, 0.1, 0.37, float(np.median(vals)), 0.9, 2.0):
+        assert om.exceedance_measure(t) == 2.0 * math.pi * 2.0 * float(np.mean(vals > t))
 
 
 def test_truncation_grid_structure():

@@ -37,6 +37,21 @@ def test_annulus_radii_match_points():
     assert np.allclose(np.linalg.norm(pts - center, axis=1), rad, rtol=1e-12)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_annulus_radii_ascend_in_radial_runs(n):
+    # Radial-major layout: ascending radii, each repeated once per direction
+    # in one contiguous run (2 directions in 1-d, m^(n-1) otherwise).
+    m = 6
+    center = np.linspace(-0.4, 0.3, n)
+    pts, wts, rad = annulus_nodes(center, 0.3, 1.7, m)
+    assert np.all(np.diff(rad) >= 0.0)
+    per_run = 2 if n == 1 else m ** (n - 1)
+    runs = rad.reshape(m, per_run)
+    assert np.all(runs == runs[:, :1])
+    assert np.all(np.diff(runs[:, 0]) > 0.0)
+    np.testing.assert_allclose(np.linalg.norm(pts - center, axis=1), rad, rtol=1e-14)
+
+
 def test_riesz_kernel_over_unit_ball():
     # alpha = 1 in the plane: int_{B(x,1)} |y-x|^{-1} dy = 2 pi.
     x = np.array([0.7, -1.1])
@@ -237,3 +252,12 @@ def test_halton_deterministic_and_spread():
     assert np.allclose(a.mean(axis=0), 0.5, atol=0.02)
     with pytest.raises(QuadratureError):
         halton_points(10, 9)
+
+
+def test_halton_memo_is_read_only_and_fresh():
+    a = halton_points(300, 3)
+    assert a is halton_points(300, 3)
+    assert not a.flags.writeable
+    with pytest.raises(ValueError):
+        a[0, 0] = 0.5
+    assert np.array_equal(a, halton_points.__wrapped__(300, 3))
