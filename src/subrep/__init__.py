@@ -20,8 +20,6 @@ from .special import (
     bbm_constant,
     beta_identity_rhs,
     conjugate_exponent,
-    gamma,
-    ln_gamma,
     sphere_measure,
 )
 from .verify import (

@@ -159,10 +159,11 @@ class _Fields:
 
 
 def _build_scheme(src: _Fields) -> QuadratureScheme:
+    default = QuadratureScheme()
     return QuadratureScheme(
-        rel_tol=src.number("rel_tol", 1e-3),
-        annuli_per_decade=int(src.number("annuli_per_decade", 4)),
-        points_per_dim=int(src.number("points_per_dim", 16)),
+        rel_tol=src.number("rel_tol", default.rel_tol),
+        annuli_per_decade=int(src.number("annuli_per_decade", default.annuli_per_decade)),
+        points_per_dim=int(src.number("points_per_dim", default.points_per_dim)),
     )
 
 
@@ -320,16 +321,8 @@ def _run_one(rc: RunConfig, check_id: str):
 
 
 def _resolve_threads(flag: Optional[int]) -> int:
-    """--threads, else SUBREP_THREADS, else one thread per CPU."""
-    if flag is not None:
-        return max(1, flag)
-    env = os.environ.get("SUBREP_THREADS")
-    if env is not None:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ConfigError(f"SUBREP_THREADS must be an integer, got {env!r}")
-    return os.cpu_count() or 1
+    """--threads, else one thread per CPU."""
+    return max(1, flag) if flag is not None else os.cpu_count() or 1
 
 
 CSV_COLUMNS = (
@@ -405,7 +398,6 @@ def _write_outputs(rc: RunConfig, results: list) -> dict:
 def run_command(args) -> int:
     try:
         rc = load_config(args.config)
-        threads = _resolve_threads(args.threads)
     except (ValueError, QuadratureError) as exc:  # ConfigError, or a constructor's own check
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -416,7 +408,7 @@ def run_command(args) -> int:
         return 2
     results = {}
     if rc.checks:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+        with ThreadPoolExecutor(max_workers=_resolve_threads(args.threads)) as pool:
             futures = {cid: pool.submit(_run_one, rc, cid) for cid in rc.checks}
         results = {cid: fut.result() for cid, fut in futures.items()}
     ordered = [results[cid] for cid in sorted(results)]
@@ -508,30 +500,32 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--threads", type=int, default=None)
     p_run.set_defaults(func=run_command)
 
+    # Flags the _build_* helpers read default to None: the helpers hold the
+    # defaults, shared with the config file.
     p_eval = sub.add_parser("eval", help="evaluate a single operator at a point")
     p_eval.add_argument("operator", choices=EVAL_OPERATORS)
     p_eval.add_argument("--dimension", type=int, default=2)
-    p_eval.add_argument("--family", default="smooth_bump")
-    p_eval.add_argument("--center", default=None)
-    p_eval.add_argument("--scale", type=float, default=1.0)
-    p_eval.add_argument("--amplitude", type=float, default=1.0)
-    p_eval.add_argument("--x", default=None)
-    p_eval.add_argument("--alpha", type=float, default=None)
+    p_eval.add_argument("--family")
+    p_eval.add_argument("--center")
+    p_eval.add_argument("--scale", type=float)
+    p_eval.add_argument("--amplitude", type=float)
+    p_eval.add_argument("--x")
+    p_eval.add_argument("--alpha", type=float)
     p_eval.add_argument("--p", type=float, default=2.0)
-    p_eval.add_argument("--q", type=float, default=None)
-    p_eval.add_argument("--weight", default="constant")
-    p_eval.add_argument("--weight-value", type=float, default=1.0)
-    p_eval.add_argument("--beta", type=float, default=0.5)
-    p_eval.add_argument("--pole", default=None)
-    p_eval.add_argument("--profile", default="cosine_harmonic")
-    p_eval.add_argument("--k", type=int, default=1)
-    p_eval.add_argument("--omega-amplitude", type=float, default=1.0)
+    p_eval.add_argument("--q", type=float)
+    p_eval.add_argument("--weight")
+    p_eval.add_argument("--weight-value", type=float)
+    p_eval.add_argument("--beta", type=float)
+    p_eval.add_argument("--pole")
+    p_eval.add_argument("--profile")
+    p_eval.add_argument("--k", type=int)
+    p_eval.add_argument("--omega-amplitude", type=float)
     p_eval.add_argument("--octaves", type=int, default=10)
     p_eval.add_argument("--samples", type=int, default=100_000)
-    p_eval.add_argument("--cube-side", type=float, default=None)
-    p_eval.add_argument("--rel-tol", type=float, default=1e-3)
-    p_eval.add_argument("--annuli-per-decade", type=int, default=4)
-    p_eval.add_argument("--points-per-dim", type=int, default=16)
+    p_eval.add_argument("--cube-side", type=float)
+    p_eval.add_argument("--rel-tol", type=float)
+    p_eval.add_argument("--annuli-per-decade", type=int)
+    p_eval.add_argument("--points-per-dim", type=int)
     p_eval.set_defaults(func=eval_command)
 
     p_list = sub.add_parser("list-checks", help="list check ids and their anchors")

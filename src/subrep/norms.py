@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -199,15 +199,14 @@ def ball_lorentz_scale_invariance(
     omega: SphereSymbol,
     p: float,
     k_values: Sequence[int] = (-1, 0, 1, 2),
-    row_step: Optional[float] = None,
 ) -> ScaleInvarianceReport:
     """Normalized ||Omega(y/|y|)||_{L^{p,inf}(B(0, 2^k), dy/|B|)} for each k,
-    computed by direct slicing at a fixed absolute row thickness (so each
-    radius is genuinely recomputed), plus the closed form via the sphere.
+    computed by direct slicing at a fixed absolute row thickness, 1/512 of
+    the smallest radius (so each radius is genuinely recomputed), plus the
+    closed form via the sphere.
     """
     ks = tuple(int(k) for k in k_values)
-    if row_step is None:
-        row_step = 2.0 ** min(ks) / 512.0
+    row_step = 2.0 ** min(ks) / 512.0
     n = omega.dimension
     slicer = _row_measure_2d if n == 2 else _row_measure_3d
     top = omega.sup_norm

@@ -207,19 +207,19 @@ class FracDerivativeField:
     """
 
     compact_support = False
+    box_pad = 2.5  # half-side of the cached box, in support radii
 
     def __init__(self, f: TestFunction, alpha: float, scheme: QuadratureScheme,
-                 grid_points: int = 64, box_pad: float = 2.5):
+                 grid_points: int = 64):
         if not 0.0 < alpha < 1.0:
             raise OperatorError(f"needs 0 < alpha < 1, got {alpha}")
         self.f = f
         self.alpha = alpha
         self.grid_points = int(grid_points)
-        self.box_pad = float(box_pad)
         n = f.dimension
         c = f.support_center
         s = f.support_radius
-        half = box_pad * s
+        half = self.box_pad * s
         self._lo = c - half
         self._hi = c + half
         self._axes = [np.linspace(self._lo[i], self._hi[i], self.grid_points) for i in range(n)]
@@ -336,7 +336,7 @@ class FracDerivativeField:
         )
         out = fine.sum(axis=0)
         err = np.abs(fine - coarse).sum(axis=0)
-        for i in np.flatnonzero(~(err <= scheme.rel_tol * np.abs(out) + scheme.abs_floor)):
+        for i in np.flatnonzero(~(err <= scheme.budget(out))):
             out[i] = _support_layer(self.f, power, X[i], scheme)
         return out
 
@@ -356,15 +356,6 @@ class FracDerivativeField:
 
     def value(self, x) -> float:
         return float(self.values(np.atleast_2d(x))[0])
-
-    def describe(self) -> dict:
-        return {
-            "field": "frac_derivative",
-            "alpha": self.alpha,
-            "grid_points": self.grid_points,
-            "box_pad": self.box_pad,
-            "of": self.f.describe(),
-        }
 
 
 def potential_Tw_pieces(

@@ -21,7 +21,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import Callable, Optional, Sequence
+from typing import Callable, ClassVar, Optional, Sequence
 
 import numpy as np
 
@@ -58,34 +58,32 @@ class QuadratureScheme:
     abs_floor           absolute discrepancy floor, guards near-zero integrals
     annuli_per_decade   shell grading, ratio = 10^(1/annuli_per_decade)
     points_per_dim      base nodes per dimension on each shell
-    inner_cutoff_factor core radius as a fraction of the outer radius
     """
 
     rel_tol: float = 1e-3
     abs_floor: float = 1e-10
     annuli_per_decade: int = 4
     points_per_dim: int = 16
-    inner_cutoff_factor: float = 1e-6
+    # Core radius as a fraction of the innermost break.
+    inner_cutoff_factor: ClassVar[float] = 1e-6
 
     def __post_init__(self) -> None:
         if self.rel_tol <= 0.0 or self.abs_floor <= 0.0:
             raise QuadratureError("tolerances must be positive")
         if self.annuli_per_decade < 1 or self.points_per_dim < 2:
             raise QuadratureError("grading and node counts must be positive")
-        if not 0.0 < self.inner_cutoff_factor < 1e-2:
-            raise QuadratureError("inner_cutoff_factor must sit in (0, 1e-2)")
 
     @property
     def shell_ratio(self) -> float:
         return 10.0 ** (1.0 / self.annuli_per_decade)
 
-    def refined(self, factor: int = 2) -> "QuadratureScheme":
-        """Doubled resolution everywhere: more nodes, tighter tolerance."""
-        return replace(
-            self,
-            points_per_dim=self.points_per_dim * factor,
-            rel_tol=self.rel_tol / factor,
-        )
+    def budget(self, value):
+        """The discrepancy allowed around value (a float or an array)."""
+        return self.rel_tol * abs(value) + self.abs_floor
+
+    def refined(self) -> "QuadratureScheme":
+        """Doubled resolution everywhere: twice the nodes, half the tolerance."""
+        return replace(self, points_per_dim=self.points_per_dim * 2, rel_tol=self.rel_tol / 2)
 
     def describe(self) -> dict:
         return {
@@ -218,7 +216,7 @@ def _refine_to_tolerance(
     for _ in range(_MAX_DEPTH):
         total = math.fsum(s.value for s in shells) + fixed_extra
         err = math.fsum(s.error for s in shells)
-        budget = scheme.rel_tol * abs(total) + scheme.abs_floor
+        budget = scheme.budget(total)
         if err <= budget:
             break
         per_shell = budget / max(len(shells), 1)
@@ -273,7 +271,7 @@ def shell_edges(breaks: Sequence[float], ratio: float) -> list[float]:
         while edges[-1] > lo * (1.0 + 1e-12):
             edges.append(max(edges[-1] / ratio, lo))
             if len(edges) - top >= _MAX_SHELLS:
-                raise QuadratureError("shell count exceeded; widen inner_cutoff_factor")
+                raise QuadratureError(f"a gap between breaks needs more than {_MAX_SHELLS} shells")
         if k:
             edges[-1] = lo
     return edges
@@ -359,7 +357,7 @@ def integrate_annular(
             shells.append(ext)
             last = ext.value
             total, err = _refine_to_tolerance(shells, kernel, center, scheme, core_value)
-            budget = scheme.rel_tol * abs(total) + scheme.abs_floor
+            budget = scheme.budget(total)
             if abs(last) <= 0.25 * budget:
                 quiet += 1
                 if quiet >= 2:
@@ -423,7 +421,7 @@ def integrate_box(
         m *= 2
         cur = midpoint(m)
         err = abs(cur - prev)
-        if err <= scheme.rel_tol * abs(cur) + scheme.abs_floor or m >= _MAX_BOX_CELLS:
+        if err <= scheme.budget(cur) or m >= _MAX_BOX_CELLS:
             return cur, err
         prev = cur
 

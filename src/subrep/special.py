@@ -2,9 +2,7 @@
 
 Everything downstream that needs a sphere measure, a beta-type product of
 gamma factors, or the explicit fractional-to-classical comparison constant
-goes through this module.  gamma and ln_gamma are the standard library's
-math.gamma and math.lgamma (ln_gamma is log |Gamma|); both raise ValueError
-at the poles 0, -1, -2, ...
+goes through this module, with math.gamma for Gamma.
 """
 
 from __future__ import annotations
@@ -12,8 +10,6 @@ from __future__ import annotations
 import math
 
 __all__ = [
-    "gamma",
-    "ln_gamma",
     "sphere_measure",
     "ball_volume",
     "conjugate_exponent",
@@ -21,15 +17,12 @@ __all__ = [
     "beta_identity_rhs",
 ]
 
-gamma = math.gamma
-ln_gamma = math.lgamma
-
 
 def sphere_measure(n: int) -> float:
     """Surface measure of the unit sphere in R^n: 2 pi^{n/2} / Gamma(n/2)."""
     if n < 1:
         raise ValueError(f"dimension must be >= 1, got {n}")
-    return 2.0 * math.pi ** (n / 2.0) / gamma(n / 2.0)
+    return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
 
 
 def ball_volume(n: int) -> float:
@@ -63,12 +56,12 @@ def bbm_constant(alpha: float, n: int) -> float:
         raise ValueError(f"bbm_constant needs n >= 2, got {n}")
     num = (
         2.0
-        * gamma((3.0 - alpha) / 2.0)
+        * math.gamma((3.0 - alpha) / 2.0)
         * math.pi ** ((n - 1) / 2.0)
-        * gamma(alpha / 2.0)
-        * gamma((n - 1) / 2.0)
+        * math.gamma(alpha / 2.0)
+        * math.gamma((n - 1) / 2.0)
     )
-    den = alpha * gamma((n + alpha - 1.0) / 2.0) * gamma((n - alpha) / 2.0)
+    den = alpha * math.gamma((n + alpha - 1.0) / 2.0) * math.gamma((n - alpha) / 2.0)
     return num / den
 
 
@@ -93,8 +86,8 @@ def beta_identity_rhs(n: int, a1: float, a2: float, separation: float) -> float:
         raise ValueError(f"separation must be positive, got {separation}")
     factor = (
         math.pi ** (n / 2.0)
-        * (gamma((n - a1) / 2.0) / gamma(a1 / 2.0))
-        * (gamma((n - a2) / 2.0) / gamma(a2 / 2.0))
-        * (gamma((a1 + a2 - n) / 2.0) / gamma((2.0 * n - a1 - a2) / 2.0))
+        * (math.gamma((n - a1) / 2.0) / math.gamma(a1 / 2.0))
+        * (math.gamma((n - a2) / 2.0) / math.gamma(a2 / 2.0))
+        * (math.gamma((a1 + a2 - n) / 2.0) / math.gamma((2.0 * n - a1 - a2) / 2.0))
     )
     return factor * separation ** (n - a1 - a2)

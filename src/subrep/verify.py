@@ -27,7 +27,6 @@ import hashlib
 import itertools
 import json
 import math
-import time
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional, Sequence
@@ -146,11 +145,8 @@ class CheckReport:
     degenerate: bool = False
     notes: tuple = ()
     extras: dict = field(default_factory=dict)
-    wall_time: float = 0.0
 
     def to_dict(self) -> dict:
-        # wall_time stays out: serialized reports must be byte-identical for
-        # identical configs.
         return {
             "check_id": self.check_id,
             "paper_anchor": self.paper_anchor,
@@ -185,7 +181,6 @@ def _report(
     samples: Sequence[SampleRecord],
     empirical: float,
     passed: bool,
-    started: float,
     *,
     budget: float,
     theoretical: Optional[float] = None,
@@ -194,8 +189,8 @@ def _report(
     notes: tuple = (),
     extras: Optional[dict] = None,
 ) -> CheckReport:
-    """The one way a check builds its report: id, anchor, digest and wall
-    time filled in, every value JSON-native."""
+    """The one way a check builds its report: id, anchor and digest filled
+    in, every value JSON-native."""
     config = _native({"check": check_id, **config})
     return CheckReport(
         check_id=check_id,
@@ -213,7 +208,6 @@ def _report(
         degenerate=bool(degenerate),
         notes=tuple(notes),
         extras=_native(extras or {}),
-        wall_time=time.perf_counter() - started,
     )
 
 
@@ -305,7 +299,6 @@ def _truncations(f: TestFunction, x: np.ndarray, tgrid: Optional[TruncationGrid]
 
 def _two_pass(
     check_id: str,
-    started: float,
     points: list,
     scheme: QuadratureScheme,
     make_pass: Callable,
@@ -331,7 +324,7 @@ def _two_pass(
     passed, change = _stability(e1, e2)
     config = {**config, "points": _points_list(points), "scheme": scheme.describe()}
     return _report(
-        check_id, config, base, e1, passed, started,
+        check_id, config, base, e1, passed,
         budget=scheme.rel_tol,
         notes=notes,
         extras={"refined_constant": e2, "stability_change": change, **(extras or {})},
@@ -348,7 +341,6 @@ def check_subrepresentation_identity(
     dimensional constant, refinement-stability pass rule."""
     scheme = scheme or QuadratureScheme()
     points = list(points) if points is not None else default_points(f)
-    started = time.perf_counter()
     grad = GradientMagnitude(f)
 
     def make_pass(sch, factor):
@@ -356,7 +348,7 @@ def check_subrepresentation_identity(
         return lambda x: (abs(f.value(x)), a1 * potential_Tw(grad, w, 1.0, x, sch))
 
     config = {"f": f.describe(), "w": w.describe()}
-    return _two_pass("subrepresentation_identity", started, points, scheme, make_pass, config)
+    return _two_pass("subrepresentation_identity", points, scheme, make_pass, config)
 
 
 def check_rough_subrepresentation(
@@ -371,7 +363,6 @@ def check_rough_subrepresentation(
     T_w(|grad f|)."""
     scheme = scheme or QuadratureScheme()
     points = list(points) if points is not None else default_points(f, interior=4)
-    started = time.perf_counter()
     grad = GradientMagnitude(f)
     omega_norm = sphere_lorentz_weak(omega, float(f.dimension))
 
@@ -384,7 +375,7 @@ def check_rough_subrepresentation(
 
     config = {"f": f.describe(), "w": w.describe(), "omega": omega.describe()}
     return _two_pass(
-        "rough_subrepresentation", started, points, scheme, make_pass, config,
+        "rough_subrepresentation", points, scheme, make_pass, config,
         notes=(ROUGH_FACTORIZATION_NOTE,), extras={"omega_norm": omega_norm},
     )
 
@@ -403,7 +394,6 @@ def check_fractional_domination(
     _require_alpha(alpha)
     scheme = scheme or QuadratureScheme()
     points = list(points) if points is not None else default_points(f, interior=4)
-    started = time.perf_counter()
     omega_norm = sphere_lorentz_weak(omega, f.dimension / alpha)
 
     def make_pass(sch, factor):
@@ -415,7 +405,7 @@ def check_fractional_domination(
 
     config = {"f": f.describe(), "alpha": alpha, "omega": omega.describe(), "grid_points": grid_points}
     return _two_pass(
-        "fractional_domination", started, points, scheme, make_pass, config,
+        "fractional_domination", points, scheme, make_pass, config,
         notes=(ROUGH_FACTORIZATION_NOTE,), extras={"omega_norm": omega_norm},
     )
 
@@ -432,7 +422,6 @@ def check_identity_fractional(
     _require_alpha(alpha)
     scheme = scheme or QuadratureScheme()
     points = list(points) if points is not None else default_points(f)
-    started = time.perf_counter()
 
     def make_pass(sch, factor):
         a1 = _a1(w, f, factor)
@@ -443,7 +432,7 @@ def check_identity_fractional(
         )
 
     config = {"f": f.describe(), "w": w.describe(), "alpha": alpha, "grid_points": grid_points}
-    return _two_pass("identity_fractional", started, points, scheme, make_pass, config)
+    return _two_pass("identity_fractional", points, scheme, make_pass, config)
 
 
 def check_rough_fractional(
@@ -461,7 +450,6 @@ def check_rough_fractional(
     _require_alpha(alpha)
     scheme = scheme or QuadratureScheme()
     points = list(points) if points is not None else default_points(f, interior=4)
-    started = time.perf_counter()
     omega_norm = sphere_lorentz_weak(omega, f.dimension / alpha)
 
     def make_pass(sch, factor):
@@ -480,7 +468,7 @@ def check_rough_fractional(
         "grid_points": grid_points,
     }
     return _two_pass(
-        "rough_fractional", started, points, scheme, make_pass, config,
+        "rough_fractional", points, scheme, make_pass, config,
         notes=(ROUGH_FACTORIZATION_NOTE,), extras={"omega_norm": omega_norm},
     )
 
@@ -493,15 +481,15 @@ def check_lemma_domination(
     alpha: float,
     points: Optional[Sequence] = None,
     scheme: Optional[QuadratureScheme] = None,
-    tolerance: float = 5e-2,
     grid_points: int = 64,
 ) -> CheckReport:
     """(1 - alpha) I_alpha(D^alpha f) <= c_{alpha,n} I_1(|grad f|) pointwise,
-    with the explicit gamma-function constant."""
+    with the explicit gamma-function constant, up to a relative tolerance
+    of 5e-2."""
+    tolerance = 5e-2
     _require_alpha(alpha)
     scheme = scheme or QuadratureScheme()
     points = list(points) if points is not None else inscribed_grid(f, 4)
-    started = time.perf_counter()
     theoretical = bbm_constant(alpha, f.dimension)
     grad = GradientMagnitude(f)
     frac = FracDerivativeField(f, alpha, scheme, grid_points=grid_points)
@@ -521,7 +509,7 @@ def check_lemma_domination(
     }
     return _report(
         "lemma_domination", config, records, empirical,
-        empirical <= theoretical * (1.0 + tolerance), started,
+        empirical <= theoretical * (1.0 + tolerance),
         budget=scheme.rel_tol,
         theoretical=theoretical,
         extras={"margin": (theoretical - empirical) / theoretical if theoretical else 0.0},
@@ -581,7 +569,6 @@ def check_poincare_bbm(
     if outer_cells > 64:
         raise CheckError("outer grid capped at 64 cells per axis")
     scheme = scheme or QuadratureScheme()
-    started = time.perf_counter()
     p_conj = conjugate_exponent(Q.dimension / alpha)
     box = Q.to_box()
 
@@ -619,7 +606,7 @@ def check_poincare_bbm(
         "outer_cells": outer_cells,
     }
     return _report(
-        "poincare_bbm", config, [rec1], rec1.ratio, passed, started,
+        "poincare_bbm", config, [rec1], rec1.ratio, passed,
         budget=scheme.rel_tol,
         anchor=_POINCARE_ANCHORS[variant],
         extras={**extras, "refined_ratio": rec2.ratio, "stability_change": change},
@@ -635,11 +622,11 @@ def check_annuli_absorption(
     K: int,
     scheme: Optional[QuadratureScheme] = None,
     radius: Optional[float] = None,
-    tolerance: float = 1e-3,
 ) -> CheckReport:
     """Sum of scaled ball averages against the same sum over the annular
     holes B_k minus B_{k+1}; the geometric-series constant 2^{n-1}/(2^{n-1}-1)
-    absorbs the overlap."""
+    absorbs the overlap, up to a relative tolerance of 1e-3."""
+    tolerance = 1e-3
     scheme = scheme or QuadratureScheme()
     x = np.asarray(x, dtype=float)
     n = x.size
@@ -647,7 +634,6 @@ def check_annuli_absorption(
         raise CheckError("the absorption constant needs dimension >= 2")
     if K < 1:
         raise CheckError(f"need at least one annulus, got K={K}")
-    started = time.perf_counter()
     if radius is None:
         if hasattr(g, "support_radius"):
             radius = float(np.linalg.norm(x - g.support_center)) + g.support_radius
@@ -698,7 +684,7 @@ def check_annuli_absorption(
         "scheme": scheme.describe(),
     }
     return _report(
-        "annuli_absorption", config, [_record(x, s_full, s_holes)], empirical, passed, started,
+        "annuli_absorption", config, [_record(x, s_full, s_holes)], empirical, passed,
         budget=scheme.rel_tol,
         theoretical=theoretical,
         degenerate=degenerate,
@@ -752,18 +738,16 @@ def check_beta_identity(
     x1,
     x2,
     scheme: Optional[QuadratureScheme] = None,
-    tolerance: Optional[float] = None,
 ) -> CheckReport:
     """Adaptive quadrature of the two-pole kernel against the closed-form
-    gamma-function product; two-sided pass since this is an identity."""
+    gamma-function product; two-sided pass since this is an identity, within
+    a relative tolerance of 1e-3 on the line and 1e-2 above it."""
     scheme = scheme or QuadratureScheme()
     x1 = np.asarray(x1, dtype=float)
     x2 = np.asarray(x2, dtype=float)
     if x1.size != n or x2.size != n:
         raise CheckError("pole dimensions must match n")
-    if tolerance is None:
-        tolerance = 1e-3 if n == 1 else 1e-2
-    started = time.perf_counter()
+    tolerance = 1e-3 if n == 1 else 1e-2
     separation = float(np.linalg.norm(x1 - x2))
     closed = beta_identity_rhs(n, a1, a2, separation)
     quad = _beta_quadrature(n, a1, a2, x1, x2, scheme)
@@ -780,7 +764,7 @@ def check_beta_identity(
     }
     return _report(
         "beta_identity", config, [record], ratio,
-        math.isfinite(ratio) and abs(ratio - 1.0) <= tolerance, started,
+        math.isfinite(ratio) and abs(ratio - 1.0) <= tolerance,
         budget=tolerance,
         theoretical=1.0,
         extras={"relative_error": abs(ratio - 1.0)},
@@ -796,11 +780,11 @@ def check_hedberg_split(
     p: float,
     d: float,
     x,
-    R_values: Optional[Sequence[float]] = None,
     scheme: Optional[QuadratureScheme] = None,
 ) -> CheckReport:
-    """T_w f <= C [R^{1-d/p} ||f||_{L^p(w)} + R M^c_w f(x)] at every R, and the
-    closed-form optimal R* lands within 5% of the dense-grid minimizer.
+    """T_w f <= C [R^{1-d/p} ||f||_{L^p(w)} + R M^c_w f(x)] at seven R from
+    0.05 to 5 support radii, and the closed-form optimal R* lands within 5% of
+    the dense-grid minimizer.
 
     One T_w sweep per pass, cut at every R, gives the near part (the pieces
     below R), the far part (the rest) and their sum, the whole potential."""
@@ -808,11 +792,8 @@ def check_hedberg_split(
         raise CheckError(f"need 1 < p < d, got p={p}, d={d}")
     scheme = scheme or QuadratureScheme()
     x = np.asarray(x, dtype=float)
-    started = time.perf_counter()
-    if R_values is None:
-        s = f.support_radius
-        R_values = list(np.geomspace(0.05 * s, 5.0 * s, 7))
-    R_values = [float(R) for R in R_values]
+    s = f.support_radius
+    R_values = [float(R) for R in np.geomspace(0.05 * s, 5.0 * s, 7)]
     cuts = sorted(set(R_values))
 
     def run(sch: QuadratureScheme, factor: int):
@@ -860,7 +841,7 @@ def check_hedberg_split(
     }
     if base is None:
         return _report(
-            "hedberg_split", config, [], 0.0, True, started,
+            "hedberg_split", config, [], 0.0, True,
             budget=scheme.rel_tol,
             degenerate=True,
             notes=("maximal function vanished at x; nothing to optimize",),
@@ -871,7 +852,7 @@ def check_hedberg_split(
     e2 = _empirical(refined[0])
     stable, change = _stability(e1, e2)
     return _report(
-        "hedberg_split", config, records, e1, stable and aux["r_star_gap"] <= 0.05, started,
+        "hedberg_split", config, records, e1, stable and aux["r_star_gap"] <= 0.05,
         budget=scheme.rel_tol,
         extras={**aux, "refined_constant": e2, "stability_change": change},
     )
@@ -899,11 +880,10 @@ def check_sobolev_mapping(
     d: float,
     scheme: Optional[QuadratureScheme] = None,
     cells: int = 12,
-    scales: Sequence[float] = (0.5, 2.0),
 ) -> CheckReport:
     """||T_w f||_{L^q(w)} / ||f||_{L^p(w)} and ||f||_{L^{p*}(w)} /
     ||grad f||_{L^p(w)} over a family, q = p* from 1/q = 1/p - 1/d; stability
-    under refinement and under adjoining rescaled copies.
+    under refinement and under adjoining copies rescaled by 0.5 and 2.
 
     Each member's norms live on its own padded support box, so the dilation
     structure of the inequality is preserved exactly.
@@ -914,8 +894,8 @@ def check_sobolev_mapping(
     family = list(family)
     if not family:
         raise CheckError("the family must contain at least one function")
-    started = time.perf_counter()
     q = 1.0 / (1.0 / p - 1.0 / d)
+    scales = (0.5, 2.0)
 
     def member_records(members, sch, cell_count):
         records = []
@@ -959,7 +939,7 @@ def check_sobolev_mapping(
         "scheme": scheme.describe(),
     }
     return _report(
-        "sobolev_mapping", config, base, e_base, stable_ref and stable_enl, started,
+        "sobolev_mapping", config, base, e_base, stable_ref and stable_enl,
         budget=scheme.rel_tol,
         extras={
             "refined_constant": e_ref,
@@ -973,17 +953,15 @@ def check_sobolev_mapping(
 # -- BBM constant limit ---------------------------------------------------------
 
 
-def check_bbm_limit(
-    n: int, alpha_sequence: Sequence[float], final_gap: float = 1e-3
-) -> CheckReport:
+def check_bbm_limit(n: int, alpha_sequence: Sequence[float]) -> CheckReport:
     """Absolute gap |c_{alpha,n} - sigma(S^{n-1})| along an increasing alpha
-    sequence: monotone decrease, final gap below threshold."""
+    sequence: monotone decrease, final gap at most 1e-3."""
+    final_gap = 1e-3
     alphas = [float(a) for a in alpha_sequence]
     if not alphas:
         raise CheckError("alpha sequence must be nonempty")
     if any(not 0.0 < a < 1.0 for a in alphas):
         raise CheckError("alpha sequence must sit inside (0, 1)")
-    started = time.perf_counter()
     sigma = sphere_measure(n)
     records = []
     gaps = []
@@ -1005,7 +983,7 @@ def check_bbm_limit(
         )
     config = {"n": n, "alpha_sequence": alphas, "final_gap": final_gap}
     return _report(
-        "bbm_limit", config, records, max(r.ratio for r in records), passed, started,
+        "bbm_limit", config, records, max(r.ratio for r in records), passed,
         budget=0.0,
         theoretical=sigma,
         degenerate=degenerate,
@@ -1026,7 +1004,6 @@ def check_lower_ahlfors(
     to zero along k, so no lower mass bound with any positive constant can
     hold; pass means strict decay with the last ratio under a tenth of the
     first."""
-    started = time.perf_counter()
     w = Weight.radial_power((0.0,), beta)
     records = []
     for k in k_range:
@@ -1038,7 +1015,7 @@ def check_lower_ahlfors(
     collapsed = ratios[-1] < 0.1 * ratios[0]
     config = {"beta": beta, "k_range": [int(k) for k in k_range], "r": r}
     return _report(
-        "lower_ahlfors", config, records, ratios[-1] / ratios[0], decreasing and collapsed, started,
+        "lower_ahlfors", config, records, ratios[-1] / ratios[0], decreasing and collapsed,
         budget=0.0,
         extras={"decreasing": decreasing, "final_over_first": ratios[-1] / ratios[0]},
     )

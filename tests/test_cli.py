@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from subrep import cli, verify
-from subrep.cli import _resolve_threads, main
+from subrep.cli import main
 
 # Independent fine-grid oracle for D^0.5(smooth_bump) at the center, n=2:
 # radial reduction of the defining integral, 40-digit quadrature.
@@ -173,17 +173,15 @@ def test_csv_json_roundtrip(tmp_path):
         assert [float(tok) for tok in row["point"].split("|")] == sample["point"]
 
 
-def test_thread_count_does_not_change_reports(tmp_path, monkeypatch):
+def test_thread_count_does_not_change_reports(tmp_path):
     body = (
         "[run]\ndimension = 2\nchecks = beta_identity, bbm_limit, lower_ahlfors\n"
         "output_dir = {out}\nformats = json\n[params]\nbbm_octaves = 15\n"
     )
     cfg1 = write_config(tmp_path, body.format(out=tmp_path / "t1"), "t1.ini")
     cfg2 = write_config(tmp_path, body.format(out=tmp_path / "t4"), "t4.ini")
-    monkeypatch.setenv("SUBREP_THREADS", "1")
-    assert main(["run", cfg1]) == 0
-    monkeypatch.setenv("SUBREP_THREADS", "4")
-    assert main(["run", cfg2]) == 0
+    assert main(["run", cfg1, "--threads", "1"]) == 0
+    assert main(["run", cfg2, "--threads", "4"]) == 0
     assert (tmp_path / "t1" / "summary.json").read_bytes() == (
         tmp_path / "t4" / "summary.json"
     ).read_bytes()
@@ -302,7 +300,10 @@ def test_registry_matches_checks_list_and_readme(capsys):
 
 @pytest.mark.parametrize(
     "argv",
-    [["eval", "riesz", "--dimension", "4"], ["eval", "rough_maximal", "--dimension", "3"]],
+    [
+        ["eval", "riesz", "--dimension", "4"],
+        ["eval", "rough_maximal", "--dimension", "3", "--profile", "cosine_harmonic"],
+    ],
 )
 def test_eval_library_errors_exit_two(argv, capsys):
     assert main(argv) == 2
@@ -311,7 +312,39 @@ def test_eval_library_errors_exit_two(argv, capsys):
     assert "Traceback" not in err
 
 
-def test_threads_flag_overrides_environment(monkeypatch):
-    monkeypatch.setenv("SUBREP_THREADS", "3")
-    assert _resolve_threads(1) == 1
-    assert _resolve_threads(None) == 3
+def test_eval_rough_maximal_in_3d_takes_the_3d_profile(capsys):
+    # Without --profile the symbol is the config file's 3-d default,
+    # odd_polynomial; cosine_harmonic lives on the circle only.
+    argv = ["eval", "rough_maximal", "--dimension", "3", "--points-per-dim", "8", "--rel-tol", "1e-2"]
+    assert main(argv) == 0
+    assert math.isfinite(_printed_value(capsys))
+
+
+def test_eval_flags_read_by_the_builders_default_to_none(monkeypatch):
+    # The _build_* helpers hold each default, shared with the config file;
+    # a flag default would shadow it.
+    read = set()
+    flags = cli._Fields.flags.__func__
+
+    def recording(fields_cls, args, **renames):
+        src = flags(fields_cls, args, **renames)
+
+        def get(key):
+            read.add(renames.get(key, key))
+            return src.get(key)
+
+        return fields_cls(get, src.label)
+
+    monkeypatch.setattr(cli._Fields, "flags", classmethod(recording))
+    for op in ("riesz_potential", "frac_derivative", "potential_Tw", "rough_maximal",
+               "maximal_Mwc", "lp_norm", "lorentz_norm"):
+        monkeypatch.setattr(cli, op, lambda *args, **kwargs: 0.0)
+    runs = [[op] for op in cli.EVAL_OPERATORS]
+    runs += [["tw", "--weight", kind] for kind in ("radial_power", "power_plus_one")]
+    runs += [["rough_maximal", "--profile", p] for p in ("sign_profile", "odd_polynomial")]
+    for argv in runs:
+        assert main(["eval", *argv]) == 0
+    defaults = vars(cli.build_parser().parse_args(["eval", "riesz"]))
+    flagged = read & defaults.keys()
+    assert {"family", "weight", "beta", "profile", "k", "omega_amplitude", "rel_tol"} <= flagged
+    assert {key: defaults[key] for key in flagged} == dict.fromkeys(flagged)

@@ -37,11 +37,18 @@ def test_no_private_imports_between_modules():
 
 
 def _public_definitions(tree):
-    """Top-level functions and classes, and the methods and properties of
-    those classes, whose names do not start with an underscore."""
+    """Top-level functions, classes and assigned names, and the methods and
+    properties of those classes, whose names do not start with an
+    underscore."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
             yield node.name
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            yield from (
+                target.id for target in targets
+                if isinstance(target, ast.Name) and not target.id.startswith("_")
+            )
         if isinstance(node, ast.ClassDef):
             yield from (
                 item.name for item in node.body
@@ -56,7 +63,7 @@ def test_every_public_name_is_used_by_the_package():
         if name == "__init__.py":
             continue
         for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 used.add(node.id)
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)

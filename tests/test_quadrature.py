@@ -221,8 +221,6 @@ def test_refined_scheme():
 def test_scheme_validation():
     with pytest.raises(QuadratureError):
         QuadratureScheme(rel_tol=-1.0)
-    with pytest.raises(QuadratureError):
-        QuadratureScheme(inner_cutoff_factor=0.5)
 
 
 def test_box_integrator_polynomial():

@@ -1,6 +1,5 @@
 import math
 
-import numpy as np
 import pytest
 
 from subrep.special import (
@@ -8,62 +7,8 @@ from subrep.special import (
     bbm_constant,
     beta_identity_rhs,
     conjugate_exponent,
-    gamma,
-    ln_gamma,
     sphere_measure,
 )
-
-# Reference values frozen from a 30-digit arbitrary-precision run done
-# before this module was written.
-GAMMA_TABLE = {
-    0.0001: 9999.4228832316237116,
-    0.001: 999.42377248459544534,
-    0.1: 9.5135076986687318363,
-    0.3: 2.9915689876875907446,
-    0.5: 1.7724538509055160273,
-    0.7: 1.2980553326475577854,
-    1.4616321449683622: 0.88560319441088870028,
-    2.5: 1.3293403881791370205,
-    5.0: 24.0,
-    7.5: 1871.2543057977883465,
-    12.0: 39916800.0,
-    25.0: 6.2044840173323943936e23,
-    50.0: 6.0828186403426756087e62,
-}
-
-
-def test_gamma_against_frozen_table():
-    for x, ref in GAMMA_TABLE.items():
-        assert gamma(x) == pytest.approx(ref, rel=1e-12)
-
-
-def test_gamma_small_integers_exact():
-    assert gamma(1.0) == pytest.approx(1.0, rel=1e-14)
-    assert gamma(2.0) == pytest.approx(1.0, rel=1e-14)
-    assert gamma(5.0) == pytest.approx(24.0, rel=1e-13)
-    assert gamma(0.5) == pytest.approx(math.sqrt(math.pi), rel=1e-14)
-
-
-def test_gamma_recurrence():
-    # Gamma(x+1) = x Gamma(x) across the working range.
-    for x in np.geomspace(0.05, 49.0, 40):
-        assert gamma(x + 1.0) == pytest.approx(x * gamma(x), rel=1e-12)
-
-
-def test_gamma_reflection_branch():
-    # x < 0.5 goes through the reflection formula.
-    assert gamma(0.25) * gamma(0.75) == pytest.approx(
-        math.pi / math.sin(math.pi * 0.25), rel=1e-13
-    )
-    assert gamma(-0.5) == pytest.approx(-2.0 * math.sqrt(math.pi), rel=1e-13)
-
-
-def test_gamma_poles_rejected():
-    for x in (0.0, -1.0, -7.0):
-        with pytest.raises(ValueError):
-            gamma(x)
-    with pytest.raises(ValueError):
-        ln_gamma(-3.0)
 
 
 def test_sphere_measure_low_dimensions():

@@ -356,7 +356,6 @@ def test_report_schema_and_digest():
         "notes",
         "extras",
     }
-    assert "wall_time" not in d
     blob = json.dumps(d["config"], sort_keys=True, separators=(",", ":"))
     assert d["config_digest"] == hashlib.sha256(blob.encode()).hexdigest()
     assert all(set(s) == {"point", "lhs", "rhs", "ratio"} for s in d["samples"])
