@@ -389,7 +389,8 @@ def potential_Tw_pieces(
     inside = [c for c in cuts if c < r_outer]
 
     def kernel(pts, rad):
-        # annulus_nodes lists radii in ascending runs: one mass per run.
+        # annulus_nodes lists radii in ascending runs: one mass per run.  A
+        # chunk of the shell may start or end inside a run.
         starts = np.flatnonzero(np.concatenate(([True], rad[1:] != rad[:-1])))
         mass = w.ball_mass_many(x, rad[starts])
         if np.any(mass <= 0.0):

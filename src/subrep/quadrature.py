@@ -10,9 +10,15 @@ angle, Gauss-Legendre in the polar cosine for n = 3).  Shells are refined
 independently by node doubling until the summed per-shell discrepancies meet
 the tolerance.  A kernel with a power singularity at the center is cut off at
 a tiny core radius and the core ball is restored analytically from the
-strength observed on the innermost shell.  Node arrays are summed pairwise
-(np.sum) and the few per-shell or per-piece values with math.fsum; neither
-depends on the thread schedule, so results are reproducible.
+strength observed on the innermost shell.
+
+Every kernel call, and every fn call of integrate_box, sees at most
+_CHUNK_NODES = 12,288 nodes, so memory stays bounded whatever the refinement:
+a shell is evaluated chunk by chunk (whole radial runs, or slices of one run
+when a run is larger), from a unit-sphere rule built once per (n, m).  Node
+values are summed pairwise (np.sum) within a chunk and with math.fsum across
+chunks, shells and pieces; neither depends on the thread schedule, so results
+are reproducible.
 """
 
 from __future__ import annotations
@@ -44,6 +50,10 @@ _MAX_SHELLS = 256
 _MAX_NODES_PER_DIM = 512
 _MAX_DEPTH = 20  # node-doubling rounds allowed during refinement
 _MAX_BOX_CELLS = 1024
+# Most nodes any kernel or fn call sees.  A float array of this many is 96 KB,
+# below glibc's default 128 KB mmap threshold, so chunk temporaries mostly
+# reuse heap pages instead of faulting in fresh mappings.
+_CHUNK_NODES = 12_288
 
 
 class QuadratureError(RuntimeError):
@@ -99,8 +109,43 @@ def _gauss_legendre(m: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
+@lru_cache(maxsize=64)
+def _unit_rule(n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Directions (K, n) and angular weights (K,) on the unit sphere of R^n:
+    the two signs (n = 1), midpoint in the angle (n = 2), or Gauss-Legendre
+    in u = cos(theta) x midpoint in the angle (n = 3, u-major).
+
+    Memoized, so the arrays are shared and read-only."""
+    if n == 1:
+        dirs, wang = np.array([[1.0], [-1.0]]), np.ones(2)
+    elif n in (2, 3):
+        phi = 2.0 * math.pi * (np.arange(m) + 0.5) / m
+        wphi = np.full(m, 2.0 * math.pi / m)
+        cs = np.stack([np.cos(phi), np.sin(phi)], axis=1)
+        if n == 2:
+            dirs, wang = cs, wphi
+        else:
+            xu, wu = _gauss_legendre(m)
+            st = np.sqrt(np.clip(1.0 - xu**2, 0.0, 1.0))
+            dirs = np.concatenate(
+                [st[:, None, None] * cs[None, :, :], np.broadcast_to(xu[:, None, None], (m, m, 1))],
+                axis=2,
+            ).reshape(-1, 3)
+            wang = (wu[:, None] * wphi[None, :]).ravel()
+    else:
+        raise QuadratureError(f"annulus rules cover dimensions 1-3, got {n}")
+    dirs.flags.writeable = False
+    wang.flags.writeable = False
+    return dirs, wang
+
+
 def annulus_nodes(
-    center: np.ndarray, a: float, b: float, m: int
+    center: np.ndarray,
+    a: float,
+    b: float,
+    m: int,
+    *,
+    span: Optional[tuple[int, int]] = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Tensor rule on the annulus a < |y - center| < b.
 
@@ -108,52 +153,29 @@ def annulus_nodes(
     repeated once per direction in a contiguous run.  The rule integrates the
     annulus measure exactly in every dimension handled here (1, 2, 3): the
     radial part is Gauss-Legendre against r^{n-1} dr written out explicitly,
-    the angular part is midpoint (n = 2) or midpoint x Gauss-Legendre in
-    u = cos(theta) (n = 3).
+    the angular part is the cached unit-sphere rule (_unit_rule).
+
+    span = (lo, hi) returns only the nodes lo <= i < hi of that radial-major
+    order; a span within one radial run builds only its own directions.
     """
     center = np.asarray(center, dtype=float)
     n = center.size
     if not 0.0 <= a < b:
         raise QuadratureError(f"bad annulus [{a}, {b}]")
+    dirs, wang = _unit_rule(n, m)
+    per_row = len(wang)
+    lo, hi = (0, m * per_row) if span is None else span
+    i0, i1 = lo // per_row, -(-hi // per_row)  # the radial rows spanned
+    lo, hi = lo - i0 * per_row, hi - i0 * per_row
+    if i1 - i0 == 1:
+        dirs, wang, lo, hi = dirs[lo:hi], wang[lo:hi], 0, hi - lo
     x, w = _gauss_legendre(m)
+    x, w = x[i0:i1], w[i0:i1]
     r = 0.5 * (b + a) + 0.5 * (b - a) * x
-    wr = 0.5 * (b - a) * w
-    if n == 1:
-        pts = (center[0] + np.outer(r, [1.0, -1.0])).reshape(-1, 1)
-        wts = np.repeat(wr, 2)
-        rad = np.repeat(r, 2)
-    elif n == 2:
-        phi = 2.0 * math.pi * (np.arange(m) + 0.5) / m
-        wphi = 2.0 * math.pi / m
-        cs = np.stack([np.cos(phi), np.sin(phi)], axis=1)
-        pts = center[None, None, :] + r[:, None, None] * cs[None, :, :]
-        wts = (wr * r)[:, None] * np.full(m, wphi)[None, :]
-        rad = np.broadcast_to(r[:, None], (m, m))
-        pts, wts, rad = pts.reshape(-1, 2), wts.ravel(), rad.reshape(-1).copy()
-    elif n == 3:
-        xu, wu = _gauss_legendre(m)
-        phi = 2.0 * math.pi * (np.arange(m) + 0.5) / m
-        wphi = 2.0 * math.pi / m
-        st = np.sqrt(np.clip(1.0 - xu**2, 0.0, 1.0))
-        dirs = np.stack(
-            [
-                st[:, None] * np.cos(phi)[None, :],
-                st[:, None] * np.sin(phi)[None, :],
-                np.broadcast_to(xu[:, None], (m, m)),
-            ],
-            axis=2,
-        )
-        pts = center[None, :] + (
-            r[:, None, None, None] * dirs[None, :, :, :]
-        ).reshape(-1, 3)
-        wts = (
-            (wr * r**2)[:, None, None]
-            * wu[None, :, None]
-            * np.full((1, 1, m), wphi)
-        ).reshape(-1)
-        rad = np.broadcast_to(r[:, None, None], (m, m, m)).reshape(-1).copy()
-    else:
-        raise QuadratureError(f"annulus rules cover dimensions 1-3, got {n}")
+    wr = 0.5 * (b - a) * w * r ** (n - 1)
+    pts = (center + r[:, None, None] * dirs[None, :, :]).reshape(-1, n)[lo:hi]
+    wts = (wr[:, None] * wang[None, :]).ravel()[lo:hi]
+    rad = np.repeat(r, len(wang))[lo:hi]
     return pts, wts, rad
 
 
@@ -173,14 +195,41 @@ class AnnularResult:
         return self.value
 
 
+def _spans(count: int, per_row: int) -> list[tuple[int, int]]:
+    """Node ranges of at most _CHUNK_NODES covering range(count): runs of
+    whole rows of per_row nodes, or slices of one row when a row is larger."""
+    if per_row <= _CHUNK_NODES:
+        step = _CHUNK_NODES // per_row * per_row
+        return [(lo, min(lo + step, count)) for lo in range(0, count, step)]
+    return [
+        (lo, min(lo + _CHUNK_NODES, row + per_row))
+        for row in range(0, count, per_row)
+        for lo in range(row, row + per_row, _CHUNK_NODES)
+    ]
+
+
+def _per_row(n: int, m: int) -> int:
+    """Nodes per radial run of the m-point shell rule in dimension n."""
+    return len(_unit_rule(n, m)[1])
+
+
+def _evaluate(kernel: Kernel, center: np.ndarray, a: float, b: float, m: int):
+    """Yield (first node index, weights, radii, kernel values) for each chunk
+    of the shell rule, in radial-major order."""
+    per_row = _per_row(center.size, m)
+    for span in _spans(m * per_row, per_row):
+        pts, wts, rad = annulus_nodes(center, a, b, m, span=span)
+        vals = np.asarray(kernel(pts, rad), dtype=float)
+        if vals.shape != wts.shape:
+            raise QuadratureError(
+                f"kernel returned shape {vals.shape}, expected {wts.shape}"
+            )
+        yield span[0], wts, rad, vals
+
+
 def _shell_value(kernel: Kernel, center: np.ndarray, a: float, b: float, m: int) -> tuple[float, int]:
-    pts, wts, rad = annulus_nodes(center, a, b, m)
-    vals = np.asarray(kernel(pts, rad), dtype=float)
-    if vals.shape != wts.shape:
-        raise QuadratureError(
-            f"kernel returned shape {vals.shape}, expected {wts.shape}"
-        )
-    return float(np.sum(wts * vals)), len(wts)
+    sums = [float(np.sum(wts * vals)) for _, wts, _, vals in _evaluate(kernel, center, a, b, m)]
+    return math.fsum(sums), m * _per_row(center.size, m)
 
 
 class _Shell:
@@ -246,13 +295,20 @@ def _core_correction(
     band [eps, 2 eps] and the ball integral is c0 sigma eps^{n-s} / (n-s).
     The spread of c0 across the band's radial nodes bounds the error.
     """
-    pts, wts, rad = annulus_nodes(center, eps, 2.0 * eps, m)
-    vals = np.asarray(kernel(pts, rad), dtype=float) * rad**s_exp
+    per_row = _per_row(n, m)
+    num, den = [], []
+    # Sum by radial node to measure how far the kernel is from pure c0 r^-s.
+    ring = np.zeros(m)
+    for lo, wts, rad, vals in _evaluate(kernel, center, eps, 2.0 * eps, m):
+        vals = vals * rad**s_exp
+        num.append(float(np.sum(wts * vals)))
+        den.append(float(np.sum(wts)))
+        rows = max(len(vals) // per_row, 1)
+        ring[lo // per_row : lo // per_row + rows] += vals.reshape(rows, -1).sum(axis=1)
     sigma = sphere_measure(n)
     scale = sigma * eps ** (n - s_exp) / (n - s_exp)
-    c0 = float(np.sum(wts * vals) / np.sum(wts))
-    # Group by radial node to measure how far the kernel is from pure c0 r^-s.
-    per_ring = vals.reshape(m, -1).mean(axis=1)
+    c0 = math.fsum(num) / math.fsum(den)
+    per_ring = ring / per_row
     spread = float(per_ring.max() - per_ring.min())
     return c0 * scale, (0.5 * spread + 1e-3 * abs(c0)) * scale
 
@@ -400,7 +456,8 @@ def integrate_box(
     axis until stable or at 1024 cells per axis.
 
     Returns (value, discrepancy of the last doubling).  fn takes (M, n)
-    points and returns (M,) values.
+    points and returns (M,) values; it is called on runs of at most
+    _CHUNK_NODES cells in C order.
     """
     lo = np.asarray(lower, dtype=float)
     hi = np.asarray(upper, dtype=float)
@@ -410,10 +467,13 @@ def integrate_box(
 
     def midpoint(m: int) -> float:
         axes = [lo[i] + (hi[i] - lo[i]) * (np.arange(m) + 0.5) / m for i in range(n)]
-        grids = np.meshgrid(*axes, indexing="ij")
-        pts = np.stack([g.ravel() for g in grids], axis=1)
         cell = float(np.prod((hi - lo) / m))
-        return float(np.sum(np.asarray(fn(pts), dtype=float)) * cell)
+        cells, sums = m**n, []
+        for start in range(0, cells, _CHUNK_NODES):
+            idx = np.unravel_index(np.arange(start, min(start + _CHUNK_NODES, cells)), (m,) * n)
+            pts = np.stack([ax[i] for ax, i in zip(axes, idx)], axis=1)
+            sums.append(float(np.sum(np.asarray(fn(pts), dtype=float))))
+        return math.fsum(sums) * cell
 
     m = 16
     prev = midpoint(m)

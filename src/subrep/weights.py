@@ -96,10 +96,9 @@ class Weight:
             return np.full(len(pts), self.value_constant)
         d = pts - np.asarray(self.pole)
         rho = np.sqrt(np.einsum("ij,ij->i", d, d))
+        # 0.0 ** -beta is inf for beta > 0, and x ** -0.0 is 1.0 for every x.
         with np.errstate(divide="ignore"):
-            powed = np.where(rho > 0.0, rho ** (-self.beta), np.inf)
-        if self.beta == 0.0:
-            powed = np.ones(len(pts))
+            powed = rho ** (-self.beta)
         return powed if self.kind == "radial_power" else 1.0 + powed
 
     def value(self, x) -> float:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import subrep.quadrature as quadrature
 from subrep.quadrature import (
     QuadratureError,
     QuadratureScheme,
@@ -50,6 +51,30 @@ def test_annulus_radii_ascend_in_radial_runs(n):
     assert np.all(runs == runs[:, :1])
     assert np.all(np.diff(runs[:, 0]) > 0.0)
     np.testing.assert_allclose(np.linalg.norm(pts - center, axis=1), rad, rtol=1e-14)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_annulus_spans_are_slices_of_the_whole_rule(n):
+    m = 8
+    center = np.linspace(-0.4, 0.3, n)
+    whole = annulus_nodes(center, 0.3, 1.7, m)
+    per_row = 2 if n == 1 else m ** (n - 1)
+    for lo, hi in ((0, 1), (3, per_row - 1), (per_row - 1, 3 * per_row + 2), (per_row, 2 * per_row)):
+        part = annulus_nodes(center, 0.3, 1.7, m, span=(lo, hi))
+        for got, ref in zip(part, whole):
+            assert np.array_equal(got, ref[lo:hi])
+
+
+def test_unit_rule_memo_is_read_only():
+    dirs, wang = quadrature._unit_rule(3, 8)
+    assert dirs is quadrature._unit_rule(3, 8)[0]
+    for arr in (dirs, wang):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0.5
+    assert np.array_equal(dirs, quadrature._unit_rule.__wrapped__(3, 8)[0])
+    np.testing.assert_allclose(np.linalg.norm(dirs, axis=1), 1.0, rtol=1e-15)
+    assert math.fsum(wang) == pytest.approx(4.0 * math.pi, rel=1e-14)
 
 
 def test_riesz_kernel_over_unit_ball():
@@ -259,3 +284,69 @@ def test_halton_memo_is_read_only_and_fresh():
     with pytest.raises(ValueError):
         a[0, 0] = 0.5
     assert np.array_equal(a, halton_points.__wrapped__(300, 3))
+
+
+# -- node budget: no kernel or fn call sees more than _CHUNK_NODES nodes ----
+
+
+def _recording(fn, sizes):
+    def wrapped(*args):
+        sizes.append(len(args[0]))
+        return fn(*args)
+
+    return wrapped
+
+
+def _single_call(monkeypatch):
+    """Lift the node budget, so every shell or box level is one call."""
+    monkeypatch.setattr(quadrature, "_CHUNK_NODES", 1 << 40)
+
+
+def _kinked(pts, rad):
+    return np.abs(pts[:, 0] - 0.3) * (1.0 + pts[:, 1] ** 2)
+
+
+def test_annular_3d_refinement_stays_under_budget(monkeypatch):
+    # The kink along x = 0.3 drives shells to 64 nodes per dimension: 64^3
+    # nodes per shell, evaluated in runs of three radial rows.
+    x = np.array([0.05, -0.1, 0.02])
+    sizes = []
+    res = integrate_annular(_recording(_kinked, sizes), x, 1.0, SCHEME)
+    assert max(sizes) <= quadrature._CHUNK_NODES
+    ref_sizes = []
+    _single_call(monkeypatch)
+    ref = integrate_annular(_recording(_kinked, ref_sizes), x, 1.0, SCHEME)
+    assert max(ref_sizes) >= 64**3
+    assert sum(sizes) == sum(ref_sizes)
+    assert (res.evaluations, res.shells) == (ref.evaluations, ref.shells)
+    assert res.value == pytest.approx(ref.value, rel=1e-14)
+
+
+@pytest.mark.parametrize("n, m", [(3, 128), (2, 256)])
+def test_shell_value_chunks_match_one_call(n, m):
+    # (3, 128): one radial row holds 128^2 = 16,384 nodes, so it is sliced;
+    # (2, 256): runs of 48 whole rows of 256 nodes.
+    center = np.linspace(0.1, -0.2, n)
+    sizes = []
+    val, evals = quadrature._shell_value(_recording(_kinked, sizes), center, 0.2, 0.9, m)
+    assert max(sizes) <= quadrature._CHUNK_NODES
+    assert evals == sum(sizes) == m**n
+    pts, wts, rad = annulus_nodes(center, 0.2, 0.9, m)
+    ref = float(np.sum(wts * _kinked(pts, rad)))
+    assert val == pytest.approx(ref, rel=1e-14)
+
+
+def test_box_3d_stays_under_budget(monkeypatch):
+    def fn(pts):
+        return np.abs(pts[:, 0] - 0.3) + pts[:, 1] * pts[:, 2]
+
+    sizes = []
+    val, err = integrate_box(_recording(fn, sizes), [-1.0, -1.0, -1.0], [1.0, 1.0, 1.0], SCHEME)
+    assert max(sizes) <= quadrature._CHUNK_NODES
+    ref_sizes = []
+    _single_call(monkeypatch)
+    ref, ref_err = integrate_box(_recording(fn, ref_sizes), [-1.0, -1.0, -1.0], [1.0, 1.0, 1.0], SCHEME)
+    assert max(ref_sizes) >= 64**3
+    assert sum(sizes) == sum(ref_sizes)
+    assert val == pytest.approx(ref, rel=1e-14)
+    assert err == pytest.approx(ref_err, rel=1e-9, abs=1e-14)

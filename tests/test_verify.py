@@ -5,6 +5,9 @@ acceptance suite; everything here runs on light schemes."""
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -32,6 +35,7 @@ from subrep.verify import (
     default_points,
     inscribed_grid,
 )
+import subrep
 from subrep.weights import Weight
 
 LIGHT = QuadratureScheme(rel_tol=5e-3, annuli_per_decade=3, points_per_dim=8)
@@ -405,3 +409,34 @@ def test_default_points_in_one_dimension():
     assert all(p.shape == (1,) for p in pts)
     assert [float(p[0]) for p in pts[-2:]] == [0.5 + 1.5 * 2.0, 0.5 - 1.5 * 2.0]
     assert all(abs(float(p[0]) - 0.5) < 2.0 for p in pts[:-2])
+
+
+# The 3-d exterior point once evaluated 512^3-node shells in one kernel call
+# and peaked at 2.1 GB.  The child reports its own peak resident set from
+# VmHWM: ru_maxrss would also count the parent's peak, which the child
+# inherits at exec on Linux.
+EXTERIOR_3D = """
+import json
+from subrep.functions import TestFunction
+from subrep.verify import check_subrepresentation_identity
+from subrep.weights import Weight
+
+f = TestFunction("smooth_bump", (0.0, 0.0, 0.0), 1.0)
+w = Weight.power_plus_one((0.0, 0.0, 0.0), 0.5)
+r = check_subrepresentation_identity(f, w, points=[(1.5, 0.0, 0.0)])
+with open("/proc/self/status") as fh:
+    hwm_kb = next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+print(json.dumps({"passed": bool(r.passed), "rhs": r.samples[0].rhs, "peak_mb": hwm_kb / 1024}))
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM from procfs")
+def test_exterior_point_3d_memory_stays_bounded():
+    src = os.path.dirname(os.path.dirname(subrep.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run(
+        [sys.executable, "-c", EXTERIOR_3D], env=env, capture_output=True, text=True, check=True
+    )
+    res = json.loads(out.stdout.splitlines()[-1])
+    assert res["passed"] and res["rhs"] > 0.0
+    assert res["peak_mb"] < 256.0

@@ -87,6 +87,17 @@ def test_power_plus_one_additivity():
     assert np.allclose(w.values(pts), 1.0 + wp.values(pts), rtol=1e-13)
 
 
+def test_power_values_match_the_formula():
+    # w(y) = |y - pole|^-beta (plus 1): inf at the pole for beta > 0, and
+    # the constant 1 (or 2) for beta = 0, the pole included.
+    pts = np.array([[0.0, 0.0, 0.0], [0.3, -0.4, 1.2], [2.0, 0.0, -1.0]])
+    rho = [math.sqrt(sum(c * c for c in p)) for p in pts]
+    w = Weight.radial_power([0.0, 0.0, 0.0], 0.5)
+    assert list(w.values(pts)) == [math.inf] + [r**-0.5 for r in rho[1:]]
+    assert list(Weight.radial_power([0.0, 0.0, 0.0], 0.0).values(pts)) == [1.0] * 3
+    assert list(Weight.power_plus_one([0.0, 0.0, 0.0], 0.0).values(pts)) == [2.0] * 3
+
+
 def test_ball_mass_many_vectorization():
     w = Weight.radial_power([0.0, 0.0], 0.7)
     center = np.array([1.3, 0.2])
