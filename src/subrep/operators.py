@@ -28,7 +28,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .functions import TestFunction
-from .quadrature import QuadratureScheme, annulus_nodes, integrate_annular, shell_edges
+from .quadrature import QuadratureScheme, annulus_nodes, core_ratio, integrate_annular, shell_edges
 from .special import sphere_measure
 from .weights import Weight
 
@@ -98,8 +98,6 @@ def riesz_potential(field, alpha: float, x, scheme: QuadratureScheme) -> float:
     if not 0.0 < alpha < n:
         raise OperatorError(f"riesz potential needs 0 < alpha < {n}, got {alpha}")
     r_outer, extend = _truncation(field, x)
-    if r_outer <= 0.0:
-        return 0.0
 
     def kernel(pts, rad):
         return field.values(pts) * rad ** (alpha - n)
@@ -164,7 +162,8 @@ def _support_layer(f: TestFunction, power: float, x: np.ndarray, scheme: Quadrat
     return res.value
 
 
-# Elements per (points x nodes) block of a single-layer sum: 16 MB of float64.
+# Elements per (points x nodes) block of a single-layer sum or of the interior
+# shells of FracDerivativeField: 16 MB of float64.
 _LAYER_BLOCK = 1 << 21
 
 
@@ -197,8 +196,10 @@ class FracDerivativeField:
     integral.
 
     Inside a padded support box the values come from a precomputed grid
-    (multilinear interpolation).  Outside the support f vanishes and the
-    defining integral reduces to the single layer
+    (multilinear interpolation).  Grid nodes inside the support share one
+    shell geometry, and their core balls come from their innermost shells by
+    the rule integrate_annular uses (core_ratio).  Outside the support f
+    vanishes and the defining integral reduces to the single layer
     int_supp f(z) |y - z|^{-n-alpha} dz, which _single_layer sums against a
     fixed rule on the support.  That serves points outside the box and grid
     nodes beyond 1.5 s.  Grid nodes in the near band 1 <= |x - c|/s < 1.5
@@ -277,7 +278,9 @@ class FracDerivativeField:
 
         Every point sees the support within the shared reach, so the
         truncation is exact for all of them; the remainder integrates in
-        closed form because f vanishes there.
+        closed form because f vanishes there.  The core ball comes from each
+        point's innermost shell by core_ratio, the rule integrate_annular
+        uses.  Point blocks keep (points x nodes) within _LAYER_BLOCK.
         """
         n = self.dimension
         f, alpha = self.f, self.alpha
@@ -287,29 +290,20 @@ class FracDerivativeField:
         eps = scheme.inner_cutoff_factor * reach
         edges = shell_edges([eps, reach], scheme.shell_ratio)
         m = scheme.points_per_dim
-        s_exp = n + alpha - 1.0
-        sigma = sphere_measure(n)
         total = np.zeros(len(X))
-        core_c0_num = np.zeros(len(X))
-        core_c0_den = 0.0
-        innermost = len(edges) - 2
+        shell = np.empty(len(X))
         for k in range(len(edges) - 1):
             offs, wts, rad = annulus_nodes(np.zeros(n), edges[k + 1], edges[k], m)
             kern_w = wts * rad ** (-(n + alpha))
-            for lo in range(0, len(X), 512):
-                hi = min(lo + 512, len(X))
-                pts = X[lo:hi, None, :] + offs[None, :, :]
-                fy = f.values(pts.reshape(-1, n)).reshape(hi - lo, -1)
-                diff = np.abs(fx[lo:hi, None] - fy)
-                total[lo:hi] += diff @ kern_w
-                if k == innermost:
-                    core_c0_num[lo:hi] += (diff * rad[None, :] ** s_exp) @ wts
-            if k == innermost:
-                core_c0_den = float(np.sum(wts))
-        # Analytic inner core and outer tail (f = 0 beyond the reach).
-        c0 = core_c0_num / core_c0_den
-        total += c0 * sigma * eps ** (n - s_exp) / (n - s_exp)
-        total += np.abs(fx) * sigma * reach ** (-alpha) / alpha
+            step = max(1, _LAYER_BLOCK // len(offs))
+            for lo in range(0, len(X), step):
+                pts = X[lo:lo + step, None, :] + offs[None, :, :]
+                fy = f.values(pts.reshape(-1, n)).reshape(len(pts), -1)
+                shell[lo:lo + step] = np.abs(fx[lo:lo + step, None] - fy) @ kern_w
+            total += shell
+        # Inner core from the innermost shell, outer tail (f = 0 beyond the reach).
+        total += core_ratio(edges[-1], edges[-2], n, n + alpha - 1.0) * shell
+        total += np.abs(fx) * sphere_measure(n) * reach ** (-alpha) / alpha
         return total
 
     def _support_rule(self, m: int) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -384,8 +378,6 @@ def potential_Tw_pieces(
     r_outer, extend = _truncation(field, x)
     if extend and cuts:
         raise OperatorError("cut pieces of T_w need a compactly supported field")
-    if r_outer <= 0.0:
-        return (0.0,) * (len(cuts) + 1)
     inside = [c for c in cuts if c < r_outer]
 
     def kernel(pts, rad):
@@ -650,8 +642,6 @@ def mwc_default_radii(field, x, per_decade: int = 32) -> np.ndarray:
     support of the field."""
     x = np.asarray(x, dtype=float)
     top = float(np.linalg.norm(x - field.support_center)) + field.support_radius
-    if top <= 0.0:
-        top = 1.0
     count = int(per_decade * 4.0) + 1
     return np.geomspace(top * 10.0**-4.0, top, count)
 

@@ -9,16 +9,18 @@ exact for the shell measure (Gauss-Legendre in the radius, midpoint in the
 angle, Gauss-Legendre in the polar cosine for n = 3).  Shells are refined
 independently by node doubling until the summed per-shell discrepancies meet
 the tolerance.  A kernel with a power singularity at the center is cut off at
-a tiny core radius and the core ball is restored analytically from the
-strength observed on the innermost shell.
+a tiny core radius a, and the core ball is restored from the innermost shell
+[a, b]: for a kernel c0(theta) r^-s the ball carries that shell's value times
+core_ratio(a, b, n, s) = a^(n-s) / (b^(n-s) - a^(n-s)).  The rule is exact
+for pure powers, costs no evaluation, and refines with the shell.
 
-Every kernel call, and every fn call of integrate_box, sees at most
-_CHUNK_NODES = 12,288 nodes, so memory stays bounded whatever the refinement:
-a shell is evaluated chunk by chunk (whole radial runs, or slices of one run
-when a run is larger), from a unit-sphere rule built once per (n, m).  Node
-values are summed pairwise (np.sum) within a chunk and with math.fsum across
-chunks, shells and pieces; neither depends on the thread schedule, so results
-are reproducible.
+One chunk rule bounds memory whatever the refinement: the shell rule and the
+box rule both walk flat node ranges of at most _CHUNK_NODES = 12,288 nodes
+(radial-major for a shell, C order for a box), so no kernel or fn call sees
+more.  A shell range is fetched through annulus_nodes(span=), from a
+unit-sphere rule built once per (n, m).  Node values are summed pairwise
+(np.sum) within a chunk and with math.fsum across chunks, shells and pieces;
+neither depends on the thread schedule, so results are reproducible.
 """
 
 from __future__ import annotations
@@ -31,13 +33,13 @@ from typing import Callable, ClassVar, Optional, Sequence
 
 import numpy as np
 
-from .special import sphere_measure
 
 __all__ = [
     "QuadratureScheme",
     "QuadratureError",
     "AnnularResult",
     "annulus_nodes",
+    "core_ratio",
     "integrate_annular",
     "integrate_box",
     "shell_edges",
@@ -195,41 +197,21 @@ class AnnularResult:
         return self.value
 
 
-def _spans(count: int, per_row: int) -> list[tuple[int, int]]:
-    """Node ranges of at most _CHUNK_NODES covering range(count): runs of
-    whole rows of per_row nodes, or slices of one row when a row is larger."""
-    if per_row <= _CHUNK_NODES:
-        step = _CHUNK_NODES // per_row * per_row
-        return [(lo, min(lo + step, count)) for lo in range(0, count, step)]
-    return [
-        (lo, min(lo + _CHUNK_NODES, row + per_row))
-        for row in range(0, count, per_row)
-        for lo in range(row, row + per_row, _CHUNK_NODES)
-    ]
-
-
-def _per_row(n: int, m: int) -> int:
-    """Nodes per radial run of the m-point shell rule in dimension n."""
-    return len(_unit_rule(n, m)[1])
-
-
-def _evaluate(kernel: Kernel, center: np.ndarray, a: float, b: float, m: int):
-    """Yield (first node index, weights, radii, kernel values) for each chunk
-    of the shell rule, in radial-major order."""
-    per_row = _per_row(center.size, m)
-    for span in _spans(m * per_row, per_row):
-        pts, wts, rad = annulus_nodes(center, a, b, m, span=span)
-        vals = np.asarray(kernel(pts, rad), dtype=float)
-        if vals.shape != wts.shape:
-            raise QuadratureError(
-                f"kernel returned shape {vals.shape}, expected {wts.shape}"
-            )
-        yield span[0], wts, rad, vals
+def _chunks(count: int):
+    """Flat index ranges of at most _CHUNK_NODES covering range(count)."""
+    return ((lo, min(lo + _CHUNK_NODES, count)) for lo in range(0, count, _CHUNK_NODES))
 
 
 def _shell_value(kernel: Kernel, center: np.ndarray, a: float, b: float, m: int) -> tuple[float, int]:
-    sums = [float(np.sum(wts * vals)) for _, wts, _, vals in _evaluate(kernel, center, a, b, m)]
-    return math.fsum(sums), m * _per_row(center.size, m)
+    count = m * len(_unit_rule(center.size, m)[1])
+    sums = []
+    for span in _chunks(count):
+        pts, wts, rad = annulus_nodes(center, a, b, m, span=span)
+        vals = np.asarray(kernel(pts, rad), dtype=float)
+        if vals.shape != wts.shape:
+            raise QuadratureError(f"kernel returned shape {vals.shape}, expected {wts.shape}")
+        sums.append(float(np.sum(wts * vals)))
+    return math.fsum(sums), count
 
 
 class _Shell:
@@ -259,11 +241,15 @@ def _refine_to_tolerance(
     kernel: Kernel,
     center: np.ndarray,
     scheme: QuadratureScheme,
-    fixed_extra: float = 0.0,
+    inner: _Shell,
+    ratio: float,
 ) -> tuple[float, float]:
-    """Double nodes on the worst shells until the discrepancy budget holds."""
+    """Double nodes on the worst shells until the discrepancy budget holds.
+
+    The total includes the core, ratio times the innermost shell's current
+    value; the discrepancy is the shells' own."""
     for _ in range(_MAX_DEPTH):
-        total = math.fsum(s.value for s in shells) + fixed_extra
+        total = math.fsum(s.value for s in shells) + ratio * inner.value
         err = math.fsum(s.error for s in shells)
         budget = scheme.budget(total)
         if err <= budget:
@@ -276,41 +262,18 @@ def _refine_to_tolerance(
             break
         for s in refinable:
             s.refine(kernel, center)
-    total = math.fsum(s.value for s in shells) + fixed_extra
+    total = math.fsum(s.value for s in shells) + ratio * inner.value
     err = math.fsum(s.error for s in shells)
     return total, err
 
 
-def _core_correction(
-    kernel: Kernel,
-    center: np.ndarray,
-    eps: float,
-    s_exp: float,
-    n: int,
-    m: int,
-) -> tuple[float, float]:
-    """Analytic contribution of the ball |y - center| < eps.
+def core_ratio(a: float, b: float, n: int, s: float) -> float:
+    """The ball |y| < a over the shell a < |y| < b, for a kernel c0(theta) r^-s:
+    a^(n-s) / (b^(n-s) - a^(n-s)), whatever c0.
 
-    Near the center the kernel behaves like c0 r^{-s}; c0 is read off the
-    band [eps, 2 eps] and the ball integral is c0 sigma eps^{n-s} / (n-s).
-    The spread of c0 across the band's radial nodes bounds the error.
-    """
-    per_row = _per_row(n, m)
-    num, den = [], []
-    # Sum by radial node to measure how far the kernel is from pure c0 r^-s.
-    ring = np.zeros(m)
-    for lo, wts, rad, vals in _evaluate(kernel, center, eps, 2.0 * eps, m):
-        vals = vals * rad**s_exp
-        num.append(float(np.sum(wts * vals)))
-        den.append(float(np.sum(wts)))
-        rows = max(len(vals) // per_row, 1)
-        ring[lo // per_row : lo // per_row + rows] += vals.reshape(rows, -1).sum(axis=1)
-    sigma = sphere_measure(n)
-    scale = sigma * eps ** (n - s_exp) / (n - s_exp)
-    c0 = math.fsum(num) / math.fsum(den)
-    per_ring = ring / per_row
-    spread = float(per_ring.max() - per_ring.min())
-    return c0 * scale, (0.5 * spread + 1e-3 * abs(c0)) * scale
+    The core ball's integral is this ratio times the shell's, exactly for
+    pure powers, so the core costs no kernel evaluation."""
+    return 1.0 / math.expm1((n - s) * math.log(b / a))
 
 
 def shell_edges(breaks: Sequence[float], ratio: float) -> list[float]:
@@ -359,9 +322,12 @@ def integrate_annular(
     singular_exponent declares the power s with kernel = O(r^-s) at the
     center after any cancellation the caller is entitled to; it must satisfy
     s < n for integrability.  With r_inner = 0 the shells stop at a core
-    radius, inner_cutoff_factor times the innermost break (the smallest cut,
-    or r_outer without cuts), and the core ball is restored analytically
-    from that strength.
+    radius a, inner_cutoff_factor times the innermost break (the smallest cut,
+    or r_outer without cuts).  The core ball is the innermost shell [a, b]
+    times core_ratio(a, b, n, s), taken at that shell's current value, so
+    refining the shell refines the core; the core's error is the same ratio
+    times the shell's discrepancy, plus 1e-3 of the core.  evaluations counts
+    every kernel node, since the core costs none.
 
     extend_outer keeps appending shells beyond r_outer, each with twice the
     outer radius of the last, until they stop mattering; the unresolved
@@ -382,23 +348,18 @@ def integrate_annular(
             "declare the cancellation that reduces it"
         )
 
-    core_value = 0.0
-    core_err = 0.0
-    inner = r_inner
-    if r_inner == 0.0:
-        eps = scheme.inner_cutoff_factor * (cuts[0] if cuts else r_outer)
-        core_value, core_err = _core_correction(
-            kernel, center, eps, s_exp, n, scheme.points_per_dim
-        )
-        inner = eps
-
-    edges = shell_edges([inner, *cuts, r_outer], scheme.shell_ratio)
+    lowest = r_inner or scheme.inner_cutoff_factor * (cuts[0] if cuts else r_outer)
+    edges = shell_edges([lowest, *cuts, r_outer], scheme.shell_ratio)
     m0 = scheme.points_per_dim
     shells = [
         _Shell(kernel, center, edges[k + 1], edges[k], m0)
         for k in range(len(edges) - 1)
     ]
-    total, err = _refine_to_tolerance(shells, kernel, center, scheme, core_value)
+    # The core ball below the innermost shell, read off that shell's current
+    # value (core_ratio); none when the range starts at r_inner > 0.
+    inner = shells[-1]
+    ratio = core_ratio(inner.a, inner.b, n, s_exp) if r_inner == 0.0 else 0.0
+    total, err = _refine_to_tolerance(shells, kernel, center, scheme, inner, ratio)
 
     tail_err = 0.0
     if extend_outer:
@@ -412,7 +373,7 @@ def integrate_annular(
             ext = _Shell(kernel, center, lo, hi, m0)
             shells.append(ext)
             last = ext.value
-            total, err = _refine_to_tolerance(shells, kernel, center, scheme, core_value)
+            total, err = _refine_to_tolerance(shells, kernel, center, scheme, inner, ratio)
             budget = scheme.budget(total)
             if abs(last) <= 0.25 * budget:
                 quiet += 1
@@ -429,6 +390,8 @@ def integrate_annular(
             decay = min(abs(last) / prev_mag, 0.75)
             tail_err = abs(last) * decay / (1.0 - decay)
 
+    core_value = ratio * inner.value if ratio else 0.0
+    core_err = ratio * inner.error + 1e-3 * abs(core_value)
     gaps = [[] for _ in range(len(cuts) + 1)]
     for s in shells:
         gaps[bisect_right(cuts, s.a)].append(s.value)
@@ -456,8 +419,8 @@ def integrate_box(
     axis until stable or at 1024 cells per axis.
 
     Returns (value, discrepancy of the last doubling).  fn takes (M, n)
-    points and returns (M,) values; it is called on runs of at most
-    _CHUNK_NODES cells in C order.
+    points and returns (M,) values; it is called on the flat C-order ranges
+    of at most _CHUNK_NODES cells that the shell rule also walks (_chunks).
     """
     lo = np.asarray(lower, dtype=float)
     hi = np.asarray(upper, dtype=float)
@@ -468,9 +431,9 @@ def integrate_box(
     def midpoint(m: int) -> float:
         axes = [lo[i] + (hi[i] - lo[i]) * (np.arange(m) + 0.5) / m for i in range(n)]
         cell = float(np.prod((hi - lo) / m))
-        cells, sums = m**n, []
-        for start in range(0, cells, _CHUNK_NODES):
-            idx = np.unravel_index(np.arange(start, min(start + _CHUNK_NODES, cells)), (m,) * n)
+        sums = []
+        for span in _chunks(m**n):
+            idx = np.unravel_index(np.arange(*span), (m,) * n)
             pts = np.stack([ax[i] for ax, i in zip(axes, idx)], axis=1)
             sums.append(float(np.sum(np.asarray(fn(pts), dtype=float))))
         return math.fsum(sums) * cell
@@ -490,8 +453,9 @@ _HALTON_PRIMES = (2, 3, 5, 7, 11, 13)
 
 
 @lru_cache(maxsize=16)
-def halton_points(count: int, dim: int, *, skip: int = 1) -> np.ndarray:
-    """Deterministic low-discrepancy points in [0, 1)^dim (Halton sequence).
+def halton_points(count: int, dim: int) -> np.ndarray:
+    """Deterministic low-discrepancy points in [0, 1)^dim: the Halton
+    sequence from index 1 (index 0 is the origin).
 
     Memoized, so the array is shared and read-only."""
     if dim > len(_HALTON_PRIMES):
@@ -499,7 +463,7 @@ def halton_points(count: int, dim: int, *, skip: int = 1) -> np.ndarray:
     out = np.empty((count, dim))
     for j in range(dim):
         base = _HALTON_PRIMES[j]
-        idx = np.arange(skip, skip + count, dtype=np.int64)
+        idx = np.arange(1, count + 1, dtype=np.int64)
         col = np.zeros(count)
         denom = 1.0
         work = idx.copy()

@@ -289,9 +289,9 @@ def _a1(w: Weight, f: TestFunction, factor: int) -> float:
     return estimate_a1(w, default_a1_balls(f), samples_per_ball=1000 * factor).value
 
 
-def _truncations(f: TestFunction, x: np.ndarray, tgrid: Optional[TruncationGrid], factor: int):
-    grid = tgrid if tgrid is not None else TruncationGrid.covering(f, x, octaves=10)
-    return grid.refined() if factor > 1 else grid
+def _truncations(f: TestFunction, x: np.ndarray, factor: int) -> TruncationGrid:
+    """Ten octaves below the covering radius, one more in the refined pass."""
+    return TruncationGrid.covering(f, x, octaves=9 + factor)
 
 
 # -- the pointwise stability checks ----------------------------------------------
@@ -356,7 +356,6 @@ def check_rough_subrepresentation(
     w: Weight,
     omega: SphereSymbol,
     points: Optional[Sequence] = None,
-    tgrid: Optional[TruncationGrid] = None,
     scheme: Optional[QuadratureScheme] = None,
 ) -> CheckReport:
     """Theorem 2.2: T*_Omega f against ||Omega||_{L^{n,inf}} [w]_A1
@@ -369,7 +368,7 @@ def check_rough_subrepresentation(
     def make_pass(sch, factor):
         a1 = _a1(w, f, factor)
         return lambda x: (
-            rough_maximal(f, omega, x, _truncations(f, x, tgrid, factor), sch),
+            rough_maximal(f, omega, x, _truncations(f, x, factor), sch),
             omega_norm * a1 * potential_Tw(grad, w, 1.0, x, sch),
         )
 
@@ -385,7 +384,6 @@ def check_fractional_domination(
     alpha: float,
     omega: SphereSymbol,
     points: Optional[Sequence] = None,
-    tgrid: Optional[TruncationGrid] = None,
     scheme: Optional[QuadratureScheme] = None,
     grid_points: int = 64,
 ) -> CheckReport:
@@ -399,7 +397,7 @@ def check_fractional_domination(
     def make_pass(sch, factor):
         frac = FracDerivativeField(f, alpha, sch, grid_points=grid_points * factor)
         return lambda x: (
-            rough_maximal(f, omega, x, _truncations(f, x, tgrid, factor), sch),
+            rough_maximal(f, omega, x, _truncations(f, x, factor), sch),
             (1.0 - alpha) * omega_norm * riesz_potential(frac, alpha, x, sch),
         )
 
@@ -441,7 +439,6 @@ def check_rough_fractional(
     alpha: float,
     omega: SphereSymbol,
     points: Optional[Sequence] = None,
-    tgrid: Optional[TruncationGrid] = None,
     scheme: Optional[QuadratureScheme] = None,
     grid_points: int = 64,
 ) -> CheckReport:
@@ -456,7 +453,7 @@ def check_rough_fractional(
         a1 = _a1(w, f, factor)
         frac = FracDerivativeField(f, alpha, sch, grid_points=grid_points * factor)
         return lambda x: (
-            rough_maximal(f, omega, x, _truncations(f, x, tgrid, factor), sch),
+            rough_maximal(f, omega, x, _truncations(f, x, factor), sch),
             (1.0 - alpha) * omega_norm * a1 * potential_Tw(frac, w, alpha, x, sch),
         )
 
@@ -920,8 +917,8 @@ def check_sobolev_mapping(
         return records
 
     base = member_records(family, scheme, cells)
-    enlarged_members = list(family) + [g.rescaled(lam) for g in family for lam in scales]
-    enlarged = member_records(enlarged_members, scheme, cells)
+    rescaled = [g.rescaled(lam) for g in family for lam in scales]
+    enlarged = base + member_records(rescaled, scheme, cells)
     refined = member_records(family, scheme.refined(), cells * 2)
     e_base = _empirical(base)
     e_enl = _empirical(enlarged)

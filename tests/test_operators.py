@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import subrep.operators as operators
 from ball_indicator import BallIndicator
 from subrep.functions import TestFunction
 from subrep.operators import (
@@ -108,6 +109,48 @@ def test_frac_field_matches_pointwise_outside_box():
         assert field.value(x) == pytest.approx(direct, rel=5e-3)
 
 
+def _band(field, lo, hi):
+    """Grid nodes with lo <= |x - c|/s < hi, and the field's values there."""
+    mesh = np.meshgrid(*field._axes, indexing="ij")
+    X = np.stack([g.ravel() for g in mesh], axis=1)
+    dist = np.linalg.norm(X - field.support_center, axis=1) / field.f.support_radius
+    band = (dist >= lo) & (dist < hi)
+    return X[band], field._grid_values.ravel()[band]
+
+
+@pytest.mark.parametrize("alpha", [0.7, 0.9])
+def test_frac_field_interior_core_matches_pointwise(alpha):
+    # The core ball below the innermost shell carries a share of order
+    # eps^(1 - alpha), about a quarter of D^alpha f at alpha = 0.9; the grid
+    # restores it by the rule the pointwise operator uses.
+    field = FracDerivativeField(BUMP, alpha, SCHEME, grid_points=16)
+    X, got = _band(field, 0.0, 1.0)
+    assert len(X) == 32
+    for x, value in zip(X[::4], got[::4]):
+        assert value == pytest.approx(frac_derivative(BUMP, alpha, x, SCHEME), rel=2e-2)
+
+
+def test_frac_field_inside_build_stays_under_layer_block(monkeypatch):
+    # (points x nodes) of every block of interior shells stays within
+    # _LAYER_BLOCK; the values do not depend on the blocking.
+    scheme = QuadratureScheme(points_per_dim=8, rel_tol=1e-2)
+    ref = FracDerivativeField(BUMP, 0.5, scheme, grid_points=32)
+    block = 4096
+    monkeypatch.setattr(operators, "_LAYER_BLOCK", block)
+    rows = []
+    values = TestFunction.values
+
+    def recording(self, pts):
+        rows.append(len(pts))
+        return values(self, pts)
+
+    monkeypatch.setattr(TestFunction, "values", recording)
+    field = FracDerivativeField(BUMP, 0.5, scheme, grid_points=32)
+    assert len(_band(field, 0.0, 1.0)[0]) * 8**2 > block
+    assert max(rows) <= block
+    np.testing.assert_allclose(field._grid_values, ref._grid_values, rtol=1e-14, atol=0.0)
+
+
 def test_frac_field_batches_agree_with_scalars():
     field = FracDerivativeField(BUMP, 0.3, SCHEME, grid_points=32)
     pts = np.array([[0.1, 0.2], [2.9, 0.0], [-0.7, 1.1], [5.0, 5.0]])
@@ -134,21 +177,12 @@ def test_frac_field_far_values_match_direct_sum(family, center):
     np.testing.assert_allclose(field._far_values(pts), direct, rtol=1e-13)
 
 
-def _near_band(field):
-    """Grid nodes with 1 <= |x - c|/s < 1.5, and the field's values there."""
-    mesh = np.meshgrid(*field._axes, indexing="ij")
-    X = np.stack([g.ravel() for g in mesh], axis=1)
-    dist = np.linalg.norm(X - field.support_center, axis=1) / field.f.support_radius
-    near = (dist >= 1.0) & (dist < 1.5)
-    return X[near], field._grid_values.ravel()[near]
-
-
 def test_frac_field_near_band_within_budget_of_adaptive():
     # The refined pass of a light scheme: grid 32, 16 nodes, rel_tol 5e-3.
     scheme = QuadratureScheme(points_per_dim=8, rel_tol=1e-2).refined()
     alpha = 0.5
     field = FracDerivativeField(BUMP, alpha, scheme, grid_points=32)
-    X, got = _near_band(field)
+    X, got = _band(field, 1.0, 1.5)
     adaptive = np.array([_support_layer(BUMP, 2.0 + alpha, x, scheme) for x in X])
     assert np.all(np.abs(got - adaptive) <= scheme.rel_tol * np.abs(adaptive) + scheme.abs_floor)
     # Most of the band took the two-resolution rule, not the adaptive path.
@@ -161,7 +195,7 @@ def test_frac_field_near_band_fallback_is_adaptive():
     f = TestFunction("tensor_hat", (0.0, 0.0))
     alpha = 0.5
     field = FracDerivativeField(f, alpha, SCHEME, grid_points=11)
-    X, got = _near_band(field)
+    X, got = _band(field, 1.0, 1.5)
     assert len(X) == 16
     adaptive = [_support_layer(f, 2.0 + alpha, x, SCHEME) for x in X]
     assert got.tolist() == adaptive
@@ -323,6 +357,13 @@ def test_truncation_grid_covering_bound():
     g = TruncationGrid.covering(BUMP, [3.0, 0.0])
     d = 3.0
     assert g.radii[-1] >= 2.0 * (2.0 * BUMP.support_radius + d) - 1e-12
+
+
+@pytest.mark.parametrize("x", [[0.0, 0.0], [0.3, -0.7], [3.0, 0.0], [-1.1, 2.3], [0.01, 0.02]])
+def test_truncation_grid_refined_is_one_more_octave(x):
+    # The refined pass of the rough checks covers with one more octave.
+    f = TestFunction("smooth_bump", (0.2, -0.1), 0.7)
+    assert TruncationGrid.covering(f, x, 10).refined() == TruncationGrid.covering(f, x, 11)
 
 
 def test_rough_maximal_radial_cancellation():

@@ -117,6 +117,35 @@ def test_smooth_kernel_times_singularity():
     assert res.value == pytest.approx(ref, rel=2e-3)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_evaluations_count_every_kernel_node(n):
+    # The core ball is read off the innermost shell, so every node the
+    # kernel sees is one of the shells' and is counted.
+    sizes = []
+
+    def kernel(pts, rad):
+        sizes.append(len(rad))
+        return np.exp(-pts[:, 0]) * rad ** (0.5 - n)
+
+    res = integrate_annular(kernel, np.full(n, 0.1), 1.5, SCHEME, singular_exponent=n - 0.5)
+    assert res.core_value > 0.0
+    assert sum(sizes) == res.evaluations
+
+
+@pytest.mark.parametrize("n, s", [(n, s) for n in (1, 2, 3) for s in sorted({0.0, 0.5, n - 0.5})])
+def test_core_rule_exact_for_pure_powers(n, s):
+    # For r^-s the core ball |y| < a is sigma a^(n-s) / (n-s) in closed form.
+    r_outer = 1.7
+
+    def kernel(pts, rad):
+        return rad**-s
+
+    res = integrate_annular(kernel, np.zeros(n), r_outer, SCHEME, singular_exponent=s)
+    a = SCHEME.inner_cutoff_factor * r_outer
+    exact = sphere_measure(n) * a ** (n - s) / (n - s)
+    assert res.core_value == pytest.approx(exact, rel=1e-12)
+
+
 def test_annulus_range_with_positive_inner_radius():
     def kernel(pts, rad):
         return rad**-2.5

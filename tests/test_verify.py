@@ -331,6 +331,23 @@ def test_sobolev_dilation_invariance():
     assert r.extras["scale_change"] <= 0.05
 
 
+def test_sobolev_base_members_computed_once(monkeypatch):
+    # The enlarged pass reuses the base records and adds only the rescaled
+    # copies: 9 base + 18 rescaled + 36 refined grid points at cells = 3.
+    import subrep.verify as verify
+
+    calls = []
+    original = verify.potential_Tw
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(verify, "potential_Tw", counted)
+    check_sobolev_mapping([bump2()], Weight.constant(2, 1.0), 1.5, 2.0, scheme=LIGHT, cells=3)
+    assert len(calls) == 63
+
+
 def test_sobolev_zero_family_and_guards():
     r = check_sobolev_mapping([bump2(0.0)], Weight.constant(2, 1.0), 1.5, 2.0, scheme=LIGHT, cells=4)
     assert r.empirical_constant == 0.0
