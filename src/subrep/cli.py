@@ -288,8 +288,14 @@ def load_config(path) -> RunConfig:
         )
     if not 0.0 < params["ahlfors_beta"] < 1.0:
         raise ConfigError(f"[params] ahlfors_beta must sit in (0, 1), got {params['ahlfors_beta']}")
-    if params["K"] < 1:
-        raise ConfigError(f"[params] K must be at least 1, got {params['K']}")
+    for key in ("K", "bbm_octaves", "outer_cells", "cells"):
+        if not (params[key] >= 1 and params[key].is_integer()):
+            raise ConfigError(f"[params] {key} must be a whole number of at least 1, got {params[key]}")
+    if params["outer_cells"] > 64:
+        raise ConfigError(f"[params] outer_cells must be at most 64, got {params['outer_cells']}")
+    for key in ("cube_side", "separation"):
+        if not 0.0 < params[key] < math.inf:
+            raise ConfigError(f"[params] {key} must be positive, got {params[key]}")
 
     return RunConfig(
         dimension=n,

@@ -599,10 +599,6 @@ class TruncationGrid:
         t_max = 2.0 * (2.0 * f.support_radius + d)
         return cls.dyadic(t_max * 2.0**-octaves, octaves)
 
-    def refined(self) -> "TruncationGrid":
-        """One more octave at the bottom: the new grid contains this one."""
-        return TruncationGrid((self.radii[0] / 2.0,) + self.radii)
-
 
 def rough_maximal(
     field,

@@ -188,13 +188,9 @@ class AnnularResult:
     value: float
     error: float
     core_value: float
-    tail_error: float
     shells: int
     evaluations: int
     pieces: tuple[float, ...]  # per gap between breaks, inside out; (value,) without cuts
-
-    def __float__(self) -> float:
-        return self.value
 
 
 def _chunks(count: int):
@@ -402,7 +398,6 @@ def integrate_annular(
         value=total,
         error=err + core_err + tail_err,
         core_value=core_value,
-        tail_error=tail_err,
         shells=len(shells),
         evaluations=evals,
         pieces=tuple(pieces),

@@ -10,6 +10,12 @@ points or configurations and reports per-sample ratios.  Two pass regimes:
              (max ratio) is finite and moves <= 20% when every resolution in
              the pipeline doubles.
 
+Every stability check runs through _two_pass, given run(scheme, factor) ->
+(records, extras) at one resolution: factor 1, then scheme.refined() at
+factor 2.  A rule of the check's own is a predicate on the base extras that
+must hold too; a base pass that raises _Degenerate(note) is reported as
+degenerate with that note.
+
 Ratios always divide by the right-hand side WITHOUT the unknown constant, so
 the empirical constant is directly the smallest constant making the
 inequality hold on the sample.  A1 constants enter through the certified
@@ -227,17 +233,22 @@ def _empirical(samples: Sequence[SampleRecord]) -> float:
     return max((s.ratio for s in samples), default=0.0)
 
 
-def _stability(base: float, refined: float) -> tuple[bool, float]:
-    if not (math.isfinite(base) and math.isfinite(refined)):
-        return False, math.inf
-    scale = max(abs(base), abs(refined))
+def _change(a: float, b: float) -> float:
+    """Relative change between two constants; inf unless both are finite."""
+    if not (math.isfinite(a) and math.isfinite(b)):
+        return math.inf
+    scale = max(abs(a), abs(b))
     # Constants below the floor are quadrature noise around an exact zero
     # (radial annihilation, vanishing inputs); relative change is meaningless
     # there.
     if scale <= RATIO_FLOOR:
-        return True, 0.0
-    change = abs(refined - base) / scale
-    return change <= STABILITY_LIMIT, change
+        return 0.0
+    return abs(b - a) / scale
+
+
+def _samples(points, pair: Callable) -> list:
+    """One record per point, from pair(x) -> (lhs, rhs)."""
+    return [_record(x, *pair(x)) for x in (np.asarray(p, dtype=float) for p in points)]
 
 
 def _points_list(points) -> list:
@@ -294,41 +305,45 @@ def _truncations(f: TestFunction, x: np.ndarray, factor: int) -> TruncationGrid:
     return TruncationGrid.covering(f, x, octaves=9 + factor)
 
 
-# -- the pointwise stability checks ----------------------------------------------
+# -- the stability runner and the pointwise checks -----------------------------
+
+
+class _Degenerate(CheckError):
+    """Raised by a run whose base pass has nothing to judge; the runner
+    reports it as degenerate, with the message as its note."""
 
 
 def _two_pass(
-    check_id: str,
-    points: list,
-    scheme: QuadratureScheme,
-    make_pass: Callable,
-    config: dict,
-    *,
-    notes: tuple = (),
-    extras: Optional[dict] = None,
+    check_id: str, scheme: QuadratureScheme, run: Callable, config: dict, *,
+    accept: Optional[Callable] = None, anchor: Optional[str] = None, notes: tuple = (),
 ) -> CheckReport:
-    """Stability rule for a pointwise inequality: make_pass(scheme, factor)
-    returns x -> (lhs, rhs) at one resolution, and the empirical constant of
-    the base pass must move at most STABILITY_LIMIT in the refined pass,
-    where every resolution doubles (factor 2)."""
-    passes = []
-    for sch, factor in ((scheme, 1), (scheme.refined(), 2)):
-        pair = make_pass(sch, factor)
-        records = []
-        for x in points:
-            x = np.asarray(x, dtype=float)
-            records.append(_record(x, *pair(x)))
-        passes.append(records)
-    base, refined = passes
+    """Stability rule: run(scheme, factor) returns (records, extras) at one
+    resolution, and the empirical constant of the base pass must move at
+    most STABILITY_LIMIT in the refined pass, where every resolution doubles
+    (factor 2).  accept, when given, must also hold on the base extras."""
+    config = {**config, "scheme": scheme.describe()}
+    try:
+        base, extras = run(scheme, 1)
+    except _Degenerate as exc:
+        return _report(check_id, config, [], 0.0, True, budget=scheme.rel_tol,
+                       anchor=anchor, degenerate=True, notes=(str(exc),))
+    refined, _ = run(scheme.refined(), 2)
     e1, e2 = _empirical(base), _empirical(refined)
-    passed, change = _stability(e1, e2)
-    config = {**config, "points": _points_list(points), "scheme": scheme.describe()}
+    change = _change(e1, e2)
     return _report(
-        check_id, config, base, e1, passed,
+        check_id, config, base, e1,
+        change <= STABILITY_LIMIT and (accept is None or accept(extras)),
         budget=scheme.rel_tol,
+        anchor=anchor,
         notes=notes,
-        extras={"refined_constant": e2, "stability_change": change, **(extras or {})},
+        extras={**extras, "refined_constant": e2, "stability_change": change},
     )
+
+
+def _pointwise(points: list, make_pair: Callable, **extras) -> Callable:
+    """The _two_pass run of a pointwise inequality: make_pair(scheme, factor)
+    returns x -> (lhs, rhs) at one resolution."""
+    return lambda sch, factor: (_samples(points, make_pair(sch, factor)), extras)
 
 
 def check_subrepresentation_identity(
@@ -347,8 +362,8 @@ def check_subrepresentation_identity(
         a1 = _a1(w, f, factor)
         return lambda x: (abs(f.value(x)), a1 * potential_Tw(grad, w, 1.0, x, sch))
 
-    config = {"f": f.describe(), "w": w.describe()}
-    return _two_pass("subrepresentation_identity", points, scheme, make_pass, config)
+    config = {"f": f.describe(), "w": w.describe(), "points": _points_list(points)}
+    return _two_pass("subrepresentation_identity", scheme, _pointwise(points, make_pass), config)
 
 
 def check_rough_subrepresentation(
@@ -372,10 +387,11 @@ def check_rough_subrepresentation(
             omega_norm * a1 * potential_Tw(grad, w, 1.0, x, sch),
         )
 
-    config = {"f": f.describe(), "w": w.describe(), "omega": omega.describe()}
+    config = {"f": f.describe(), "w": w.describe(), "omega": omega.describe(),
+              "points": _points_list(points)}
     return _two_pass(
-        "rough_subrepresentation", points, scheme, make_pass, config,
-        notes=(ROUGH_FACTORIZATION_NOTE,), extras={"omega_norm": omega_norm},
+        "rough_subrepresentation", scheme, _pointwise(points, make_pass, omega_norm=omega_norm),
+        config, notes=(ROUGH_FACTORIZATION_NOTE,),
     )
 
 
@@ -401,10 +417,11 @@ def check_fractional_domination(
             (1.0 - alpha) * omega_norm * riesz_potential(frac, alpha, x, sch),
         )
 
-    config = {"f": f.describe(), "alpha": alpha, "omega": omega.describe(), "grid_points": grid_points}
+    config = {"f": f.describe(), "alpha": alpha, "omega": omega.describe(),
+              "grid_points": grid_points, "points": _points_list(points)}
     return _two_pass(
-        "fractional_domination", points, scheme, make_pass, config,
-        notes=(ROUGH_FACTORIZATION_NOTE,), extras={"omega_norm": omega_norm},
+        "fractional_domination", scheme, _pointwise(points, make_pass, omega_norm=omega_norm),
+        config, notes=(ROUGH_FACTORIZATION_NOTE,),
     )
 
 
@@ -429,8 +446,9 @@ def check_identity_fractional(
             (1.0 - alpha) * a1 * potential_Tw(frac, w, alpha, x, sch),
         )
 
-    config = {"f": f.describe(), "w": w.describe(), "alpha": alpha, "grid_points": grid_points}
-    return _two_pass("identity_fractional", points, scheme, make_pass, config)
+    config = {"f": f.describe(), "w": w.describe(), "alpha": alpha, "grid_points": grid_points,
+              "points": _points_list(points)}
+    return _two_pass("identity_fractional", scheme, _pointwise(points, make_pass), config)
 
 
 def check_rough_fractional(
@@ -463,10 +481,11 @@ def check_rough_fractional(
         "alpha": alpha,
         "omega": omega.describe(),
         "grid_points": grid_points,
+        "points": _points_list(points),
     }
     return _two_pass(
-        "rough_fractional", points, scheme, make_pass, config,
-        notes=(ROUGH_FACTORIZATION_NOTE,), extras={"omega_norm": omega_norm},
+        "rough_fractional", scheme, _pointwise(points, make_pass, omega_norm=omega_norm),
+        config, notes=(ROUGH_FACTORIZATION_NOTE,),
     )
 
 
@@ -490,11 +509,10 @@ def check_lemma_domination(
     theoretical = bbm_constant(alpha, f.dimension)
     grad = GradientMagnitude(f)
     frac = FracDerivativeField(f, alpha, scheme, grid_points=grid_points)
-    records = []
-    for x in points:
-        x = np.asarray(x, dtype=float)
-        lhs = (1.0 - alpha) * riesz_potential(frac, alpha, x, scheme)
-        records.append(_record(x, lhs, riesz_potential(grad, 1.0, x, scheme)))
+    records = _samples(points, lambda x: (
+        (1.0 - alpha) * riesz_potential(frac, alpha, x, scheme),
+        riesz_potential(grad, 1.0, x, scheme),
+    ))
     empirical = _empirical(records)
     config = {
         "f": f.describe(),
@@ -569,7 +587,7 @@ def check_poincare_bbm(
     p_conj = conjugate_exponent(Q.dimension / alpha)
     box = Q.to_box()
 
-    def run(sch: QuadratureScheme, factor: int) -> tuple[SampleRecord, dict]:
+    def run(sch: QuadratureScheme, factor: int) -> tuple[list, dict]:
         f_Q = cube_average(f, Q, sch)
         if variant == "lorentz":
             shifted = lambda pts: f.values(pts) - f_Q
@@ -589,25 +607,16 @@ def check_poincare_bbm(
             grad_rhs = Q.side * grad_avg_val / Q.volume
             extras["gradient_rhs"] = grad_rhs
             extras["rhs_vs_gradient_ratio"] = _ratio(rhs, grad_rhs)
-        return _record(tuple(Q.center) + (alpha,), lhs, rhs), extras
+        return [_record(tuple(Q.center) + (alpha,), lhs, rhs)], extras
 
-    rec1, extras = run(scheme, 1)
-    rec2, _ = run(scheme.refined(), 2)
-    passed, change = _stability(rec1.ratio, rec2.ratio)
     config = {
         "f": f.describe(),
         "cube": {"center": list(Q.center), "side": Q.side},
         "alpha": alpha,
         "variant": variant,
-        "scheme": scheme.describe(),
         "outer_cells": outer_cells,
     }
-    return _report(
-        "poincare_bbm", config, [rec1], rec1.ratio, passed,
-        budget=scheme.rel_tol,
-        anchor=_POINCARE_ANCHORS[variant],
-        extras={**extras, "refined_ratio": rec2.ratio, "stability_change": change},
-    )
+    return _two_pass("poincare_bbm", scheme, run, config, anchor=_POINCARE_ANCHORS[variant])
 
 
 # -- annuli absorption ---------------------------------------------------------
@@ -798,7 +807,7 @@ def check_hedberg_split(
         radii = mwc_default_radii(f, x, per_decade=32 * factor)
         mwc = maximal_Mwc(f, w, x, radii, sch)
         if mwc <= 0.0 or norm_f <= 0.0:
-            return None
+            raise _Degenerate("maximal function vanished at x; nothing to optimize")
         pieces = potential_Tw_pieces(f, w, 1.0, x, sch, cuts)
         total = math.fsum(pieces)
         records = []
@@ -826,7 +835,6 @@ def check_hedberg_split(
         }
         return records, aux
 
-    base = run(scheme, 1)
     config = {
         "f": f.describe(),
         "w": w.describe(),
@@ -834,24 +842,9 @@ def check_hedberg_split(
         "d": d,
         "x": list(x),
         "R_values": R_values,
-        "scheme": scheme.describe(),
     }
-    if base is None:
-        return _report(
-            "hedberg_split", config, [], 0.0, True,
-            budget=scheme.rel_tol,
-            degenerate=True,
-            notes=("maximal function vanished at x; nothing to optimize",),
-        )
-    records, aux = base
-    refined = run(scheme.refined(), 2)
-    e1 = _empirical(records)
-    e2 = _empirical(refined[0])
-    stable, change = _stability(e1, e2)
-    return _report(
-        "hedberg_split", config, records, e1, stable and aux["r_star_gap"] <= 0.05,
-        budget=scheme.rel_tol,
-        extras={**aux, "refined_constant": e2, "stability_change": change},
+    return _two_pass(
+        "hedberg_split", scheme, run, config, accept=lambda aux: aux["r_star_gap"] <= 0.05
     )
 
 
@@ -894,37 +887,28 @@ def check_sobolev_mapping(
     q = 1.0 / (1.0 / p - 1.0 / d)
     scales = (0.5, 2.0)
 
-    def member_records(members, sch, cell_count):
-        records = []
-        for g in members:
-            norm_p = lp_norm(g, w, p, g.support_box(pad=1.0), sch)
-            if norm_p == 0.0:
-                records.append(SampleRecord(tuple(g.center) + (g.scale,), 0.0, 0.0, 0.0))
-                continue
-            tw_q = _tw_grid_norm(g, w, q, cell_count, sch)
-            ratio_map = _ratio(tw_q, norm_p)
-            grad_p = lp_norm(GradientMagnitude(g), w, p, g.support_box(pad=1.0), sch)
-            f_qs = lp_norm(g, w, q, g.support_box(pad=1.0), sch)
-            ratio_sob = _ratio(f_qs, grad_p)
-            records.append(
-                SampleRecord(
-                    tuple(g.center) + (g.scale,),
-                    tw_q,
-                    norm_p,
-                    max(ratio_map, ratio_sob),
-                )
-            )
-        return records
+    def member_record(g: TestFunction, sch: QuadratureScheme, cell_count: int) -> SampleRecord:
+        point, box = tuple(g.center) + (g.scale,), g.support_box(pad=1.0)
+        norm_p = lp_norm(g, w, p, box, sch)
+        if norm_p == 0.0:
+            return SampleRecord(point, 0.0, 0.0, 0.0)
+        tw_q = _tw_grid_norm(g, w, q, cell_count, sch)
+        grad_p = lp_norm(GradientMagnitude(g), w, p, box, sch)
+        ratio_sob = _ratio(lp_norm(g, w, q, box, sch), grad_p)
+        return SampleRecord(point, tw_q, norm_p, max(_ratio(tw_q, norm_p), ratio_sob))
 
-    base = member_records(family, scheme, cells)
-    rescaled = [g.rescaled(lam) for g in family for lam in scales]
-    enlarged = base + member_records(rescaled, scheme, cells)
-    refined = member_records(family, scheme.refined(), cells * 2)
-    e_base = _empirical(base)
-    e_enl = _empirical(enlarged)
-    e_ref = _empirical(refined)
-    stable_ref, change_ref = _stability(e_base, e_ref)
-    stable_enl, change_enl = _stability(e_base, e_enl)
+    def run(sch: QuadratureScheme, factor: int) -> tuple[list, dict]:
+        records = [member_record(g, sch, cells * factor) for g in family]
+        if factor > 1:
+            return records, {}
+        # The scale rule adjoins the rescaled copies to the base records.
+        rescaled = [member_record(g.rescaled(lam), sch, cells) for g in family for lam in scales]
+        enlarged = _empirical(records + rescaled)
+        return records, {
+            "enlarged_constant": enlarged,
+            "scale_change": _change(_empirical(records), enlarged),
+        }
+
     config = {
         "family": [g.describe() for g in family],
         "w": w.describe(),
@@ -933,17 +917,10 @@ def check_sobolev_mapping(
         "q": q,
         "cells": cells,
         "scales": list(scales),
-        "scheme": scheme.describe(),
     }
-    return _report(
-        "sobolev_mapping", config, base, e_base, stable_ref and stable_enl,
-        budget=scheme.rel_tol,
-        extras={
-            "refined_constant": e_ref,
-            "stability_change": change_ref,
-            "enlarged_constant": e_enl,
-            "scale_change": change_enl,
-        },
+    return _two_pass(
+        "sobolev_mapping", scheme, run, config,
+        accept=lambda aux: aux["scale_change"] <= STABILITY_LIMIT,
     )
 
 

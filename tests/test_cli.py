@@ -120,6 +120,21 @@ def test_report_write_failure_exits_two(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("cannot write reports: ")
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [("outer_cells", "0"), ("outer_cells", "100"), ("cells", "0"), ("bbm_octaves", "0"),
+     ("K", "2.5"), ("cube_side", "-1"), ("separation", "0")],
+)
+def test_config_error_bad_params_value(tmp_path, capsys, key, value):
+    out = tmp_path / "out"
+    cfg = write_config(
+        tmp_path, f"[run]\nchecks = lower_ahlfors\noutput_dir = {out}\n[params]\n{key} = {value}\n"
+    )
+    assert main(["run", cfg]) == 2
+    assert f"[params] {key}" in capsys.readouterr().err
+    assert not (out / "summary.json").exists()
+
+
 def test_config_error_bad_weight_beta(tmp_path, capsys):
     cfg = write_config(
         tmp_path,
@@ -254,7 +269,8 @@ def test_run_round_trip_every_check(tmp_path, check):
 def test_shell_rule_reports_byte_identical_across_thread_counts(tmp_path):
     # Node arrays are summed pairwise and shell values with fsum, each in a
     # fixed order, so the thread count changes no byte of a report.
-    checks = "subrepresentation_identity, rough_subrepresentation, annuli_absorption"
+    checks = ("subrepresentation_identity, rough_subrepresentation, annuli_absorption, "
+              "poincare_bbm, hedberg_split, sobolev_mapping")
     outs = []
     for threads in ("1", "2"):
         out = tmp_path / f"t{threads}"

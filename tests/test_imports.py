@@ -1,6 +1,7 @@
 """Module boundaries: no module of the package imports a private name
-(one starting with an underscore) from a sibling module, and no public name
-is reached only from the tests."""
+(one starting with an underscore) from a sibling module, no public name is
+reached only from the tests, and only the stability runner refines a
+scheme."""
 
 import ast
 from pathlib import Path
@@ -74,3 +75,16 @@ def test_every_public_name_is_used_by_the_package():
         if defined not in used and defined not in UNREFERENCED_ALLOWED
     )
     assert unused == []
+
+
+def test_only_the_stability_runner_refines_a_scheme():
+    # Every two-pass check gets its refined pass from verify._two_pass.
+    owners = [
+        node.name
+        for node in _trees()["verify.py"].body
+        for call in ast.walk(node)
+        if isinstance(call, ast.Call)
+        and isinstance(call.func, ast.Attribute)
+        and call.func.attr == "refined"
+    ]
+    assert owners == ["_two_pass"]

@@ -16,6 +16,7 @@ from subrep.functions import Cube, TestFunction
 from subrep.operators import GradientMagnitude, SphereSymbol
 from subrep.quadrature import QuadratureScheme
 from subrep.special import bbm_constant, sphere_measure
+from subrep import verify
 from subrep.verify import (
     CheckError,
     ConstantField,
@@ -193,6 +194,9 @@ def test_lemma_domination_alpha_near_one():
         bump2(), alpha, points=[(0.0, 0.0), (0.25, 0.1)], scheme=LIGHT, grid_points=32
     )
     assert r.passed
+    # As alpha -> 1 the ratio tends to K_2 = int_{S^1} |theta_1| = 4 (Bourgain,
+    # Brezis & Mironescu), so a field that loses part of D^alpha f shows here.
+    assert min(s.ratio for s in r.samples) >= 0.9 * 4
 
 
 def test_lemma_domination_midrange_alpha():
@@ -355,6 +359,63 @@ def test_sobolev_zero_family_and_guards():
         check_sobolev_mapping([], Weight.constant(2, 1.0), 1.5, 2.0)
     with pytest.raises(CheckError):
         check_sobolev_mapping([bump2()], Weight.constant(2, 1.0), 2.0, 2.0)
+
+
+# -- the stability runner -------------------------------------------------------------
+
+
+def _constant_run(base, refined, extras=None):
+    """A run with one sample, of ratio base in the base pass and refined in
+    the refined pass."""
+    def run(scheme, factor):
+        return [verify._record((0.0,), base if factor == 1 else refined, 1.0)], dict(extras or {})
+
+    return run
+
+
+def test_two_pass_turns_red_when_the_constant_moves_over_the_limit():
+    green = verify._two_pass("poincare_bbm", LIGHT, _constant_run(1.0, 1.2), {})
+    assert green.passed
+    assert green.extras["stability_change"] == pytest.approx(0.2 / 1.2)
+    red = verify._two_pass("poincare_bbm", LIGHT, _constant_run(1.0, 1.3), {})
+    assert not red.passed
+    assert red.empirical_constant == 1.0
+    assert red.extras["refined_constant"] == 1.3
+    assert red.extras["stability_change"] == pytest.approx(0.3 / 1.3)
+    assert red.config["scheme"] == LIGHT.describe()
+    unbounded = verify._two_pass("poincare_bbm", LIGHT, _constant_run(1.0, math.inf), {})
+    assert not unbounded.passed
+    assert unbounded.extras["stability_change"] == math.inf
+
+
+def test_two_pass_predicate_turns_a_stable_report_red():
+    run = _constant_run(1.0, 1.0, {"gap": 0.5})
+    seen = []
+
+    def reject(aux):
+        seen.append(aux)
+        return False
+
+    r = verify._two_pass("hedberg_split", LIGHT, run, {}, accept=reject)
+    assert not r.passed
+    assert r.extras["stability_change"] == 0.0
+    assert seen == [{"gap": 0.5}]
+    assert verify._two_pass("hedberg_split", LIGHT, run, {}, accept=lambda aux: True).passed
+
+
+def test_two_pass_degenerate_base_pass_skips_the_refined_pass():
+    calls = []
+
+    def run(scheme, factor):
+        calls.append(factor)
+        raise verify._Degenerate("nothing to judge")
+
+    r = verify._two_pass("hedberg_split", LIGHT, run, {"x": [0.0]})
+    assert calls == [1]
+    assert r.degenerate and r.passed
+    assert r.notes == ("nothing to judge",)
+    assert r.samples == [] and r.extras == {}
+    assert r.config["scheme"] == LIGHT.describe()
 
 
 # -- report plumbing ----------------------------------------------------------------
