@@ -109,7 +109,12 @@ class Cube:
 
 @dataclass(frozen=True)
 class TestFunction:
-    """One member of the compactly supported families above."""
+    """One member of the compactly supported families above.
+
+    Every family but tensor_hat is radial, f = g(|x - center|); radial says
+    so, for the closed forms that need it (|grad f| from the radial slope,
+    the far field of D^alpha f as a series in |x - center|^-2).
+    """
 
     __test__ = False  # not a test case, despite the name
 
@@ -141,6 +146,11 @@ class TestFunction:
     @property
     def compact_support(self) -> bool:
         return True
+
+    @property
+    def radial(self) -> bool:
+        """Whether f is g(|x - center|): every family but tensor_hat."""
+        return self.family != "tensor_hat"
 
     def support_box(self, pad: float = 1.0) -> Box:
         c = self.support_center
@@ -193,7 +203,7 @@ class TestFunction:
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         d = pts - self.support_center
         A, s = self.amplitude, self.scale
-        if self.family == "tensor_hat":
+        if not self.radial:
             h = s / math.sqrt(self.dimension)
             hats = np.clip(1.0 - np.abs(d) / h, 0.0, None)
             grad = np.zeros_like(d)
@@ -208,7 +218,7 @@ class TestFunction:
     def gradient_norm(self, pts: np.ndarray) -> np.ndarray:
         """|grad f|; for the radial families |slope| |x - c| from u^2 alone,
         without the (M, n) gradient."""
-        if self.family == "tensor_hat":
+        if not self.radial:
             return np.linalg.norm(self.gradient(pts), axis=1)
         d = np.atleast_2d(np.asarray(pts, dtype=float)) - self.support_center
         r2 = np.einsum("ij,ij->i", d, d)

@@ -12,10 +12,12 @@ mass w(B(x, |x - y|)), evaluated once per distinct node radius.
 The fractional derivative of a test function is needed at thousands of
 quadrature nodes when it feeds an outer potential, so FracDerivativeField
 precomputes it on a grid spanning a padded support box (multilinear
-interpolation inside) and switches to a single-layer formula outside, where
-the defining integral collapses to an integral over the support.  The layer
-is a blocked matrix product against a fixed support rule, with squared
-distances in Gram form.
+interpolation inside) and uses a closed form beyond 1.5 support radii, where
+the defining integral collapses to an integral over the support.  For a
+radial f that integral is a power series in |x - c|^-2, whose coefficients
+are moments of the radial profile; for tensor_hat it is a single layer, a
+blocked matrix product against a fixed support rule, with squared distances
+in Gram form.
 """
 
 from __future__ import annotations
@@ -162,9 +164,18 @@ def _support_layer(f: TestFunction, power: float, x: np.ndarray, scheme: Quadrat
     return res.value
 
 
-# Elements per (points x nodes) block of a single-layer sum or of the interior
-# shells of FracDerivativeField: 16 MB of float64.
+# Elements per (points x nodes) block of a single-layer sum (the near band,
+# and the far field of a non-radial f) or of the interior shells of
+# FracDerivativeField: 16 MB of float64.
 _LAYER_BLOCK = 1 << 21
+
+# The far-field series of a radial f is used at |x - c| >= 1.5 s, where its
+# term ratio tends to (s / |x - c|)^2 <= 1 / 2.25 = 0.445: after 48 terms the
+# tail is below 1e-16 of the sum.  Its moments int_0^s g(r) r^(n-1+2k) dr,
+# k < 48, are smooth on [0, s] (polynomial for radial_polynomial_bump, of
+# degree at most 100), so 96 Gauss-Legendre nodes give them to rounding.
+_SERIES_TERMS = 48
+_SERIES_NODES = 96
 
 
 def _single_layer(pts: np.ndarray, c: np.ndarray, nodes: np.ndarray, weights: np.ndarray,
@@ -200,11 +211,13 @@ class FracDerivativeField:
     shell geometry, and their core balls come from their innermost shells by
     the rule integrate_annular uses (core_ratio).  Outside the support f
     vanishes and the defining integral reduces to the single layer
-    int_supp f(z) |y - z|^{-n-alpha} dz, which _single_layer sums against a
-    fixed rule on the support.  That serves points outside the box and grid
-    nodes beyond 1.5 s.  Grid nodes in the near band 1 <= |x - c|/s < 1.5
-    take the rule at two resolutions, and fall back to adaptive integration
-    where the two disagree beyond the scheme's budget.
+    int_supp f(z) |y - z|^{-n-alpha} dz.  Beyond 1.5 s (points outside the
+    box and the far grid nodes) a radial f sums it as a power series in
+    (s / |y - c|)^2 (_far_series), and tensor_hat by _single_layer against a
+    fixed rule on the support.  Grid nodes in the near band
+    1 <= |x - c|/s < 1.5 take _single_layer against the support rule at two
+    resolutions, and fall back to adaptive integration where the two
+    disagree beyond the scheme's budget.
     """
 
     compact_support = False
@@ -224,8 +237,12 @@ class FracDerivativeField:
         self._lo = c - half
         self._hi = c + half
         self._axes = [np.linspace(self._lo[i], self._hi[i], self.grid_points) for i in range(n)]
-        nodes, weights = zip(*self._support_rule(12))
-        self._far_nodes, self._far_weights = np.concatenate(nodes), np.concatenate(weights)
+        if f.radial:
+            self._far_coefs = self._far_series()
+        else:
+            self._far_coefs = None
+            nodes, weights = zip(*self._support_rule(12))
+            self._far_nodes, self._far_weights = np.concatenate(nodes), np.concatenate(weights)
         self._grid_values = self._build_grid(scheme)
         from scipy.interpolate import RegularGridInterpolator
 
@@ -334,9 +351,38 @@ class FracDerivativeField:
             out[i] = _support_layer(self.f, power, X[i], scheme)
         return out
 
+    def _far_series(self) -> np.ndarray:
+        """Coefficients C_k of the far field of a radial f = g(|. - c|):
+        D^alpha f(y) = q^(p/2) sum_k C_k q^k at q = (s / |y - c|)^2 < 1,
+        p = n + alpha.
+
+        The mean of |y - z|^-p over the sphere |z - c| = r < |y - c| = rho
+        is rho^-p 2F1(p/2, alpha/2 + 1; n/2; (r/rho)^2), from the generating
+        function of the Gegenbauer polynomials (for n = 1, the mean of the
+        two points).  Its coefficients A_k follow from A_0 = 1 and the
+        ratio (p/2 + k)(alpha/2 + 1 + k) / ((n/2 + k)(k + 1)), so
+        C_k = sigma_{n-1} s^-alpha A_k int_0^1 g(s u) u^(n-1+2k) du.
+        Powers of u = r/s keep the coefficients in range at any scale.
+        """
+        f, n, alpha = self.f, self.dimension, self.alpha
+        k = np.arange(_SERIES_TERMS - 1)
+        ratios = (0.5 * (n + alpha) + k) * (0.5 * alpha + 1.0 + k) / ((0.5 * n + k) * (k + 1.0))
+        coef = np.cumprod(np.concatenate(([1.0], ratios)))
+        t, w = np.polynomial.legendre.leggauss(_SERIES_NODES)
+        u = 0.5 * (t + 1.0)
+        g = f.values(f.support_center + np.outer(f.support_radius * u, np.eye(n)[0]))
+        moments = np.power.outer(u * u, np.arange(_SERIES_TERMS)).T @ (0.5 * w * g * u ** (n - 1))
+        return sphere_measure(n) * f.support_radius ** (-alpha) * coef * moments
+
     def _far_values(self, pts: np.ndarray) -> np.ndarray:
-        return _single_layer(pts, self.f.support_center, self._far_nodes, self._far_weights,
-                             self.dimension + self.alpha)
+        """D^alpha f at |y - c| >= 1.5 s: the series for a radial f, the
+        single layer against the fixed support rule otherwise."""
+        c, p = self.f.support_center, self.dimension + self.alpha
+        if self._far_coefs is None:
+            return _single_layer(pts, c, self._far_nodes, self._far_weights, p)
+        d = pts - c
+        q = self.f.support_radius**2 / np.einsum("ij,ij->i", d, d)
+        return q ** (0.5 * p) * np.polyval(self._far_coefs[::-1], q)
 
     def values(self, pts: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(pts, dtype=float))

@@ -125,7 +125,6 @@ def test_criterion_02_beta_identity_six_sets():
     assert elapsed < 30.0
 
 
-@pytest.mark.slow
 def test_criterion_03_lemma_domination_explicit_constant():
     started = time.perf_counter()
     details = []

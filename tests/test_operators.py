@@ -5,7 +5,8 @@ import pytest
 
 import subrep.operators as operators
 from ball_indicator import BallIndicator
-from subrep.functions import TestFunction
+from radial_reference import PROFILES, far_frac_derivative
+from subrep.functions import FAMILIES, TestFunction
 from subrep.operators import (
     FracDerivativeField,
     GradientMagnitude,
@@ -106,7 +107,7 @@ def test_frac_field_matches_pointwise_outside_box():
     field = FracDerivativeField(BUMP, alpha, SCHEME)
     for x in ([3.0, 0.0], [4.0, 3.0], [0.0, -6.0]):
         direct = frac_derivative(BUMP, alpha, x, SCHEME)
-        assert field.value(x) == pytest.approx(direct, rel=5e-3)
+        assert field.value(x) == pytest.approx(direct, rel=SCHEME.rel_tol)
 
 
 def _band(field, lo, hi):
@@ -159,12 +160,13 @@ def test_frac_field_batches_agree_with_scalars():
     assert np.allclose(batch, singles, rtol=1e-12)
 
 
-@pytest.mark.parametrize("family", ["smooth_bump", "tensor_hat"])
+@pytest.mark.parametrize("family", [fam for fam in FAMILIES if not TestFunction(fam, (0.0,)).radial])
 @pytest.mark.parametrize("center", [(0.7, -0.4), (0.7, -0.4, 0.2)])
 def test_frac_field_far_values_match_direct_sum(family, center):
-    # Gram-form distances against the plain difference-array sum, from the
-    # box face out to 1e3 s.  grid_points = 2 puts the whole grid in the far
-    # band, so the build is cheap.
+    # A non-radial far field is a single layer against the fixed support
+    # rule: Gram-form distances against the plain difference-array sum, from
+    # the box face out to 1e3 s.  grid_points = 2 puts the whole grid in the
+    # far band, so the build is cheap.
     alpha, s = 0.5, 0.6
     f = TestFunction(family, center, s)
     field = FracDerivativeField(f, alpha, SCHEME, grid_points=2)
@@ -175,6 +177,40 @@ def test_frac_field_far_values_match_direct_sum(family, center):
     dist = np.linalg.norm(pts[:, None, :] - field._far_nodes[None, :, :], axis=2)
     direct = dist ** -(n + alpha) @ field._far_weights
     np.testing.assert_allclose(field._far_values(pts), direct, rtol=1e-13)
+
+
+@pytest.mark.parametrize("family", sorted(PROFILES))
+@pytest.mark.parametrize("center", [(0.7, -0.4), (0.7, -0.4, 0.2)])
+@pytest.mark.parametrize("alpha", [0.1, 0.5, 0.9])
+def test_frac_field_far_series_matches_reference(family, center, alpha):
+    # The far field of a radial f is a series in (s/rho)^2; the reference
+    # integrates the sphere mean 2F1 over the radius with scipy quad.
+    s, amplitude = 0.6, 1.3
+    f = TestFunction(family, center, s, amplitude)
+    field = FracDerivativeField(f, alpha, SCHEME, grid_points=2)
+    n = f.dimension
+    ratios = [1.5, 2.5, 10.0, 1e3]
+    dirs = np.random.default_rng(5).normal(size=(len(ratios), n))
+    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+    pts = np.asarray(center) + s * np.asarray(ratios)[:, None] * dirs
+    ref = [far_frac_derivative(family, n, alpha, s, amplitude, s * q) for q in ratios]
+    np.testing.assert_allclose(field._far_values(pts), ref, rtol=1e-12, atol=0.0)
+
+
+def test_radial_frac_field_sums_single_layers_only_in_near_band(monkeypatch):
+    calls = []
+    single_layer = operators._single_layer
+
+    def counting(pts, c, nodes, weights, power):
+        calls.append(np.linalg.norm(pts - c, axis=1))
+        return single_layer(pts, c, nodes, weights, power)
+
+    monkeypatch.setattr(operators, "_single_layer", counting)
+    field = FracDerivativeField(BUMP, 0.5, SCHEME, grid_points=11)
+    field.values(np.array([[3.0, 0.0], [4.0, 3.0], [0.3, 0.2], [0.0, -60.0]]))
+    dist = np.concatenate(calls) / BUMP.support_radius
+    assert len(calls) > 0
+    assert np.all((dist >= 1.0) & (dist < 1.5))
 
 
 def test_frac_field_near_band_within_budget_of_adaptive():
