@@ -6,8 +6,9 @@ Every pointwise evaluation reduces to integrate_annular with a kernel whose
 singularity strength is declared explicitly.  Whatever is read at many radii
 (rough truncations, the maximal function, the near and far parts of T_w) is
 one integrate_annular sweep cut at every radius, read off its per-gap
-pieces.  Integrands built from a weight w always divide by the exact ball
-mass w(B(x, |x - y|)), evaluated once per distinct node radius.
+pieces.  Factors of |x - y| alone, powers and the exact ball mass
+w(B(x, |x - y|)) that integrands built from a weight w divide by, are
+integrate_annular's radial factor, taken once per radius, not per node.
 
 The fractional derivative of a test function is needed at thousands of
 quadrature nodes when it feeds an outer potential, so FracDerivativeField
@@ -102,7 +103,7 @@ def riesz_potential(field, alpha: float, x, scheme: QuadratureScheme) -> float:
     r_outer, extend = _truncation(field, x)
 
     def kernel(pts, rad):
-        return field.values(pts) * rad ** (alpha - n)
+        return field.values(pts)
 
     res = integrate_annular(
         kernel,
@@ -111,6 +112,7 @@ def riesz_potential(field, alpha: float, x, scheme: QuadratureScheme) -> float:
         scheme,
         singular_exponent=n - alpha,
         extend_outer=extend,
+        radial=lambda r: r ** (alpha - n),
     )
     return res.value
 
@@ -138,7 +140,7 @@ def frac_derivative(f: TestFunction, alpha: float, x, scheme: QuadratureScheme) 
     r_outer = dist + s
 
     def kernel(pts, rad):
-        return np.abs(fx - f.values(pts)) * rad ** (-(n + alpha))
+        return np.abs(fx - f.values(pts))
 
     res = integrate_annular(
         kernel,
@@ -146,6 +148,7 @@ def frac_derivative(f: TestFunction, alpha: float, x, scheme: QuadratureScheme) 
         r_outer,
         scheme,
         singular_exponent=n + alpha - 1.0,
+        radial=lambda r: r ** (-(n + alpha)),
     )
     tail = abs(fx) * sphere_measure(n) * r_outer ** (-alpha) / alpha
     return res.value + tail
@@ -427,14 +430,13 @@ def potential_Tw_pieces(
     inside = [c for c in cuts if c < r_outer]
 
     def kernel(pts, rad):
-        # annulus_nodes lists radii in ascending runs: one mass per run.  A
-        # chunk of the shell may start or end inside a run.
-        starts = np.flatnonzero(np.concatenate(([True], rad[1:] != rad[:-1])))
-        mass = w.ball_mass_many(x, rad[starts])
+        return field.values(pts) * w.values(pts)
+
+    def radial(r):
+        mass = w.ball_mass_many(x, r)
         if np.any(mass <= 0.0):
             raise OperatorError("zero ball mass under the weight")
-        mass = np.repeat(mass, np.diff(np.append(starts, rad.size)))
-        return rad**alpha * field.values(pts) * w.values(pts) / mass
+        return r**alpha / mass
 
     res = integrate_annular(
         kernel,
@@ -444,6 +446,7 @@ def potential_Tw_pieces(
         cuts=inside,
         singular_exponent=n - alpha,
         extend_outer=extend,
+        radial=radial,
     )
     return res.pieces + (0.0,) * (len(cuts) - len(inside))
 
@@ -670,12 +673,13 @@ def rough_maximal(
 
     def kernel(pts, rad):
         dirs = (x[None, :] - pts) / rad[:, None]
-        return omega.unit_values(dirs) * rad ** (-n) * field.values(pts)
+        return omega.unit_values(dirs) * field.values(pts)
 
     ts = [t for t in grid.radii if t < r_max]
     if not ts:
         return 0.0
-    res = integrate_annular(kernel, x, r_max, scheme, r_inner=ts[0], cuts=ts[1:])
+    res = integrate_annular(kernel, x, r_max, scheme, r_inner=ts[0], cuts=ts[1:],
+                            radial=lambda r: r ** (-n))
     return float(np.max(np.abs(np.cumsum(res.pieces[::-1]))))
 
 

@@ -18,9 +18,11 @@ One chunk rule bounds memory whatever the refinement: the shell rule and the
 box rule both walk flat node ranges of at most _CHUNK_NODES = 12,288 nodes
 (radial-major for a shell, C order for a box), so no kernel or fn call sees
 more.  A shell range is fetched through annulus_nodes(span=), from a
-unit-sphere rule built once per (n, m).  Node values are summed pairwise
-(np.sum) within a chunk and with math.fsum across chunks, shells and pieces;
-neither depends on the thread schedule, so results are reproducible.
+unit-sphere rule built once per (n, m).  The shells refined in one round
+share kernel calls, and a radial factor (radial=) is taken once per radius
+of a round, not per node.  Node values are summed pairwise (np.sum) within a
+chunk and with math.fsum across chunks, shells and pieces; neither depends
+on the packing or the thread schedule, so results are reproducible.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, ClassVar, Optional, Sequence
 
 import numpy as np
@@ -47,6 +49,7 @@ __all__ = [
 ]
 
 Kernel = Callable[[np.ndarray, np.ndarray], np.ndarray]
+Radial = Callable[[np.ndarray], np.ndarray]
 
 _MAX_SHELLS = 256
 _MAX_NODES_PER_DIM = 512
@@ -59,7 +62,9 @@ _CHUNK_NODES = 12_288
 
 
 class QuadratureError(RuntimeError):
-    """Raised when a rule cannot reach its tolerance or the setup is invalid."""
+    """Raised on an invalid setup: range, cuts, tolerance, dimension, exponent,
+    shell count or kernel shape.  A rule short of its tolerance does not raise;
+    the integrators return their last value and its discrepancy."""
 
 
 @dataclass(frozen=True)
@@ -148,6 +153,7 @@ def annulus_nodes(
     m: int,
     *,
     span: Optional[tuple[int, int]] = None,
+    scale: Optional[np.ndarray] = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Tensor rule on the annulus a < |y - center| < b.
 
@@ -159,6 +165,7 @@ def annulus_nodes(
 
     span = (lo, hi) returns only the nodes lo <= i < hi of that radial-major
     order; a span within one radial run builds only its own directions.
+    scale, m factors in the order of the radii, multiplies the radial weights.
     """
     center = np.asarray(center, dtype=float)
     n = center.size
@@ -171,10 +178,8 @@ def annulus_nodes(
     lo, hi = lo - i0 * per_row, hi - i0 * per_row
     if i1 - i0 == 1:
         dirs, wang, lo, hi = dirs[lo:hi], wang[lo:hi], 0, hi - lo
-    x, w = _gauss_legendre(m)
-    x, w = x[i0:i1], w[i0:i1]
-    r = 0.5 * (b + a) + 0.5 * (b - a) * x
-    wr = 0.5 * (b - a) * w * r ** (n - 1)
+    r, w = _gl_radii(a, b, m)[i0:i1], _gauss_legendre(m)[1][i0:i1]
+    wr = 0.5 * (b - a) * w * r ** (n - 1) * (1.0 if scale is None else scale[i0:i1])
     pts = (center + r[:, None, None] * dirs[None, :, :]).reshape(-1, n)[lo:hi]
     wts = (wr[:, None] * wang[None, :]).ravel()[lo:hi]
     rad = np.repeat(r, len(wang))[lo:hi]
@@ -198,44 +203,70 @@ def _chunks(count: int):
     return ((lo, min(lo + _CHUNK_NODES, count)) for lo in range(0, count, _CHUNK_NODES))
 
 
-def _shell_value(kernel: Kernel, center: np.ndarray, a: float, b: float, m: int) -> tuple[float, int]:
-    count = m * len(_unit_rule(center.size, m)[1])
-    sums = []
-    for span in _chunks(count):
-        pts, wts, rad = annulus_nodes(center, a, b, m, span=span)
+def _gl_radii(a: float, b: float, m: int) -> np.ndarray:
+    """The m Gauss-Legendre radii of a shell rule on [a, b], ascending."""
+    return 0.5 * (b + a) + 0.5 * (b - a) * _gauss_legendre(m)[0]
+
+
+def _shell_values(kernel: Kernel, center: np.ndarray, rules: Sequence[tuple[float, float, int]],
+                  radial: Optional[Radial]) -> list[tuple[float, int]]:
+    """(value, evaluations) of each shell rule (a, b, m) of one round.
+
+    Consecutive _chunks pieces, of one rule or of several, share kernel calls
+    of at most _CHUNK_NODES nodes.  Each piece is summed on its own and each
+    rule by math.fsum, so no value depends on the packing.  radial is called
+    on the rules' radii and folded into their radial weights.
+    """
+    counts = [m * len(_unit_rule(center.size, m)[1]) for _, _, m in rules]
+    scales = [None] * len(rules)
+    if radial is not None:
+        radii = np.concatenate([_gl_radii(a, b, m) for a, b, m in rules])
+        # 256 radii per call keep _cap_integral's radii x _CAP_NODES (48)
+        # arrays of a ball-mass radial within 12,288 elements, the chunk budget.
+        fac = np.concatenate([radial(radii[lo:lo + 256]) for lo in range(0, radii.size, 256)])
+        scales = np.split(fac, np.cumsum([m for _, _, m in rules])[:-1])
+    calls = [[]]  # greedy: (rule, lo, hi) pieces of at most _CHUNK_NODES in all
+    for i, count in enumerate(counts):
+        for lo, hi in _chunks(count):
+            if sum(h - l for _, l, h in calls[-1]) + hi - lo > _CHUNK_NODES:
+                calls.append([])
+            calls[-1].append((i, lo, hi))
+    sums = [[] for _ in rules]
+    for call in calls:
+        nodes = [annulus_nodes(center, *rules[i], span=(lo, hi), scale=scales[i])
+                 for i, lo, hi in call]
+        pts, wts, rad = nodes[0] if len(call) == 1 else map(np.concatenate, zip(*nodes))
         vals = np.asarray(kernel(pts, rad), dtype=float)
         if vals.shape != wts.shape:
             raise QuadratureError(f"kernel returned shape {vals.shape}, expected {wts.shape}")
-        sums.append(float(np.sum(wts * vals)))
-    return math.fsum(sums), count
+        ends = np.cumsum([hi - lo for _, lo, hi in call])[:-1]
+        for (i, _, _), piece in zip(call, np.split(wts * vals, ends)):
+            sums[i].append(float(np.sum(piece)))
+    return [(math.fsum(s), c) for s, c in zip(sums, counts)]
 
 
 class _Shell:
     __slots__ = ("a", "b", "m", "value", "prev", "evals")
 
-    def __init__(self, kernel: Kernel, center: np.ndarray, a: float, b: float, m: int):
-        self.a, self.b = a, b
-        self.m = m
-        self.prev, e1 = _shell_value(kernel, center, a, b, m)
-        self.value, e2 = _shell_value(kernel, center, a, b, 2 * m)
-        self.m = 2 * m
-        self.evals = e1 + e2
+    def __init__(self, a: float, b: float, m: int, prev: float, value: float, evals: int):
+        self.a, self.b, self.m = a, b, m
+        self.prev, self.value, self.evals = prev, value, evals
 
     @property
     def error(self) -> float:
         return abs(self.value - self.prev)
 
-    def refine(self, kernel: Kernel, center: np.ndarray) -> None:
-        self.prev = self.value
-        self.value, e = _shell_value(kernel, center, self.a, self.b, 2 * self.m)
-        self.m *= 2
-        self.evals += e
+
+def _new_shells(evaluate: Callable, bounds: Sequence[tuple[float, float]], m: int) -> list[_Shell]:
+    """Shells on the (a, b) in bounds, at m and 2m nodes per dimension, in one round."""
+    got = evaluate([(a, b, k * m) for a, b in bounds for k in (1, 2)])
+    return [_Shell(a, b, 2 * m, prev, value, e1 + e2)
+            for (a, b), (prev, e1), (value, e2) in zip(bounds, got[::2], got[1::2])]
 
 
 def _refine_to_tolerance(
     shells: list[_Shell],
-    kernel: Kernel,
-    center: np.ndarray,
+    evaluate: Callable,
     scheme: QuadratureScheme,
     inner: _Shell,
     ratio: float,
@@ -256,8 +287,9 @@ def _refine_to_tolerance(
         ]
         if not refinable:
             break
-        for s in refinable:
-            s.refine(kernel, center)
+        got = evaluate([(s.a, s.b, 2 * s.m) for s in refinable])
+        for s, (value, e) in zip(refinable, got):
+            s.prev, s.value, s.m, s.evals = s.value, value, 2 * s.m, s.evals + e
     total = math.fsum(s.value for s in shells) + ratio * inner.value
     err = math.fsum(s.error for s in shells)
     return total, err
@@ -302,11 +334,16 @@ def integrate_annular(
     cuts: Sequence[float] = (),
     singular_exponent: Optional[float] = None,
     extend_outer: bool = False,
+    radial: Optional[Radial] = None,
 ) -> AnnularResult:
-    """Integrate kernel(y) dy over r_inner < |y - center| < r_outer.
+    """Integrate kernel(y) radial(|y - center|) dy over r_inner < |y - center| < r_outer.
 
     kernel(points, radii) must be vectorized: (M, n) and (M,) arrays in, (M,)
     values out, with radii = |points - center| supplied to spare a recompute.
+    A round (the first two rules of new shells, or the next rule of refined
+    ones) shares kernel calls of up to _CHUNK_NODES nodes.  radial(r), a
+    factor of the radius alone (1 if omitted), is called once per round on
+    its Gauss-Legendre radii, 256 at most at a time, into the radial weights.
 
     cuts are radii strictly between r_inner and r_outer that every shell set
     must include as edges.  The result's pieces are the integrals over the
@@ -347,15 +384,13 @@ def integrate_annular(
     lowest = r_inner or scheme.inner_cutoff_factor * (cuts[0] if cuts else r_outer)
     edges = shell_edges([lowest, *cuts, r_outer], scheme.shell_ratio)
     m0 = scheme.points_per_dim
-    shells = [
-        _Shell(kernel, center, edges[k + 1], edges[k], m0)
-        for k in range(len(edges) - 1)
-    ]
+    evaluate = partial(_shell_values, kernel, center, radial=radial)
+    shells = _new_shells(evaluate, list(zip(edges[1:], edges)), m0)
     # The core ball below the innermost shell, read off that shell's current
     # value (core_ratio); none when the range starts at r_inner > 0.
     inner = shells[-1]
     ratio = core_ratio(inner.a, inner.b, n, s_exp) if r_inner == 0.0 else 0.0
-    total, err = _refine_to_tolerance(shells, kernel, center, scheme, inner, ratio)
+    total, err = _refine_to_tolerance(shells, evaluate, scheme, inner, ratio)
 
     tail_err = 0.0
     if extend_outer:
@@ -366,10 +401,10 @@ def integrate_annular(
         settled = False
         for _ in range(48):
             hi = lo * 2.0
-            ext = _Shell(kernel, center, lo, hi, m0)
+            [ext] = _new_shells(evaluate, [(lo, hi)], m0)
             shells.append(ext)
             last = ext.value
-            total, err = _refine_to_tolerance(shells, kernel, center, scheme, inner, ratio)
+            total, err = _refine_to_tolerance(shells, evaluate, scheme, inner, ratio)
             budget = scheme.budget(total)
             if abs(last) <= 0.25 * budget:
                 quiet += 1

@@ -559,10 +559,11 @@ def _bbm_double_integral(
 
         def kernel(pts, rad):
             inside = box.contains(pts)
-            return np.abs(fx - f.values(pts)) * inside * rad ** (-(n + alpha))
+            return np.abs(fx - f.values(pts)) * inside
 
         res = integrate_annular(
-            kernel, x, far, scheme, singular_exponent=n + alpha - 1.0
+            kernel, x, far, scheme, singular_exponent=n + alpha - 1.0,
+            radial=lambda r: r ** (-(n + alpha)),
         )
         inner_vals.append(res.value)
     return float(np.mean(inner_vals))

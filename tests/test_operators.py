@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 import subrep.operators as operators
+import subrep.quadrature as quadrature
+import subrep.verify as verify
 from ball_indicator import BallIndicator
 from radial_reference import PROFILES, far_frac_derivative
-from subrep.functions import FAMILIES, TestFunction
+from subrep.functions import FAMILIES, Cube, TestFunction
 from subrep.operators import (
     FracDerivativeField,
     GradientMagnitude,
@@ -329,6 +331,118 @@ def test_potential_tw_pieces_need_compact_support():
     field = FracDerivativeField(BUMP, 0.5, SCHEME, grid_points=2)
     with pytest.raises(OperatorError):
         potential_Tw_pieces(field, Weight.constant(2), 0.5, [0.3, 0.0], SCHEME, (0.5,))
+
+
+# -- packed rounds: shells share kernel calls, radial factors per radius ----
+
+
+def _count_rounds(monkeypatch):
+    """Record each refinement round's rules, the size of every kernel call
+    and the number of radii of every ball_mass_many call."""
+    rounds, kernel_sizes, mass_sizes, results = [], [], [], []
+    shell_values, annular = quadrature._shell_values, quadrature.integrate_annular
+    mass = Weight.ball_mass_many
+
+    def round_(kernel, center, rules, radial):
+        rounds.append(list(rules))
+        return shell_values(kernel, center, rules, radial)
+
+    def counted(kernel, *args, **kwargs):
+        def recording(pts, rad):
+            kernel_sizes.append(len(pts))
+            return kernel(pts, rad)
+
+        results.append(annular(recording, *args, **kwargs))
+        return results[-1]
+
+    def masses(self, center, radii):
+        mass_sizes.append(len(radii))
+        return mass(self, center, radii)
+
+    monkeypatch.setattr(quadrature, "_shell_values", round_)
+    monkeypatch.setattr(operators, "integrate_annular", counted)
+    monkeypatch.setattr(Weight, "ball_mass_many", masses)
+    return rounds, kernel_sizes, mass_sizes, results
+
+
+def test_potential_tw_packs_rounds_into_few_calls(monkeypatch):
+    rounds, kernel_sizes, mass_sizes, results = _count_rounds(monkeypatch)
+    w = Weight.power_plus_one((0.0, 0.0), 0.5)
+    potential_Tw(GradientMagnitude(BUMP), w, 1.0, [0.3, 0.1], SCHEME)
+    [res] = results
+    assert sum(kernel_sizes) == res.evaluations
+    assert max(kernel_sizes) <= quadrature._CHUNK_NODES
+    assert len(kernel_sizes) <= -(-res.evaluations // quadrature._CHUNK_NODES) + len(rounds)
+    assert max(mass_sizes) <= 256
+    assert sum(mass_sizes) == sum(m for rules in rounds for _, _, m in rules)
+
+
+def test_potential_tw_3d_refined_one_mass_call_per_round_and_block(monkeypatch):
+    rounds, _, mass_sizes, _ = _count_rounds(monkeypatch)
+    w = Weight.power_plus_one((0.0, 0.0, 0.0), 0.5)
+    f = GradientMagnitude(TestFunction("smooth_bump", (0.0, 0.0, 0.0)))
+    potential_Tw(f, w, 1.0, [0.3, 0.1, -0.2], SCHEME.refined())
+    blocks = sum(-(-sum(m for _, _, m in rules) // 256) for rules in rounds)
+    assert len(mass_sizes) <= blocks
+    assert max(mass_sizes) <= 256
+
+
+def _split_against_folded(monkeypatch, module):
+    """Run every integrate_annular of module that takes a radial factor
+    twice, split and with the factor folded into the kernel."""
+    pairs = []
+    annular = quadrature.integrate_annular
+
+    def both(kernel, *args, radial=None, **kwargs):
+        split = annular(kernel, *args, radial=radial, **kwargs)
+        if radial is not None:
+            folded = annular(lambda pts, rad: kernel(pts, rad) * radial(rad), *args, **kwargs)
+            pairs.append((split, folded))
+        return split
+
+    monkeypatch.setattr(module, "integrate_annular", both)
+    return pairs
+
+
+def _cut_pieces(kind):
+    w = {
+        "constant": Weight.constant(2, 1.7),
+        "radial_power": Weight.radial_power((0.1, 0.0), 0.5),
+        "power_plus_one": Weight.power_plus_one((0.0, 0.2), 0.7),
+    }[kind]
+    field = GradientMagnitude(BUMP)
+    return lambda: potential_Tw_pieces(field, w, 1.0, [0.3, 0.1], SCHEME, cuts=[0.05, 0.4, 0.8])
+
+
+def _riesz_extend_outer():
+    light = QuadratureScheme(rel_tol=1e-2, points_per_dim=8)
+    return riesz_potential(FracDerivativeField(BUMP, 0.5, light, grid_points=16), 0.5, [0.3, 0.1],
+                           light)
+
+
+RADIAL_CALLERS = {
+    "riesz_extend_outer": _riesz_extend_outer,
+    **{f"tw_pieces_{kind}": _cut_pieces(kind)
+       for kind in ("constant", "radial_power", "power_plus_one")},
+    "frac_derivative": lambda: frac_derivative(
+        TestFunction("tensor_hat", (0.0, 0.0)), 0.9, [0.1, 0.2], SCHEME),
+    "rough_maximal": lambda: rough_maximal(
+        GradientMagnitude(BUMP), SphereSymbol.cosine_harmonic(1), [0.5, -0.2],
+        TruncationGrid.covering(BUMP, np.array([0.5, -0.2]), octaves=6), SCHEME),
+    "bbm_double_integral": lambda: verify._bbm_double_integral(
+        BUMP, Cube((0.0, 0.0), 1.0), 0.5, SCHEME, 2),
+}
+
+
+@pytest.mark.parametrize("caller", sorted(RADIAL_CALLERS))
+def test_radial_split_matches_factor_in_kernel(monkeypatch, caller):
+    pairs = _split_against_folded(monkeypatch, verify if caller.startswith("bbm") else operators)
+    RADIAL_CALLERS[caller]()
+    assert pairs
+    for split, folded in pairs:
+        assert (split.evaluations, split.shells) == (folded.evaluations, folded.shells)
+        assert split.value == pytest.approx(folded.value, rel=1e-15, abs=0.0)
+        assert split.pieces == pytest.approx(folded.pieces, rel=1e-15, abs=0.0)
 
 
 def test_sphere_symbol_cosine_measures():

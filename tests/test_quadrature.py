@@ -357,12 +357,27 @@ def test_shell_value_chunks_match_one_call(n, m):
     # (2, 256): runs of 48 whole rows of 256 nodes.
     center = np.linspace(0.1, -0.2, n)
     sizes = []
-    val, evals = quadrature._shell_value(_recording(_kinked, sizes), center, 0.2, 0.9, m)
+    kernel = _recording(_kinked, sizes)
+    [(val, evals)] = quadrature._shell_values(kernel, center, [(0.2, 0.9, m)], None)
     assert max(sizes) <= quadrature._CHUNK_NODES
     assert evals == sum(sizes) == m**n
     pts, wts, rad = annulus_nodes(center, 0.2, 0.9, m)
     ref = float(np.sum(wts * _kinked(pts, rad)))
     assert val == pytest.approx(ref, rel=1e-14)
+
+
+@pytest.mark.parametrize("radial", [None, lambda r: r**-1.5], ids=["plain", "radial"])
+def test_shell_values_pack_rules_bit_for_bit(radial):
+    # 256 | 12,288 + 4,096 | 1,024 | 4,096 nodes: the second rule is cut in
+    # two pieces, and its last piece shares a call with the two rules after it.
+    center = np.array([0.1, -0.2])
+    rules = [(0.1, 0.2, 16), (0.2, 0.4, 128), (0.4, 0.8, 32), (0.8, 1.6, 64)]
+    sizes = []
+    packed = quadrature._shell_values(_recording(_kinked, sizes), center, rules, radial)
+    assert sizes == [256, 12_288, 4_096 + 1_024 + 4_096]
+    alone = [quadrature._shell_values(_kinked, center, [rule], radial)[0] for rule in rules]
+    assert packed == alone
+    assert [e for _, e in packed] == [m * m for _, _, m in rules]
 
 
 def test_box_3d_stays_under_budget(monkeypatch):
