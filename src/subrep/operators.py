@@ -9,6 +9,13 @@ one integrate_annular sweep cut at every radius, read off its per-gap
 pieces.  Factors of |x - y| alone, powers and the exact ball mass
 w(B(x, |x - y|)) that integrands built from a weight w divide by, are
 integrate_annular's radial factor, taken once per radius, not per node.
+Where the rest of the integrand is radial about a point q, the callers
+declare it as integrate_annular's axis, and each sphere takes its reduced
+rule: riesz_potential, potential_Tw_pieces (hence potential_Tw) and
+maximal_Mwc for a radial f or its |grad f| under a constant weight or one
+with its pole at f's centre (symmetry_axis), and frac_derivative and its
+support layer for a radial f.  FracDerivativeField fields, tensor_hat,
+off-centre poles and rough_maximal keep the full sphere rule.
 
 The fractional derivative of a test function is needed at thousands of
 quadrature nodes when it feeds an outer potential, so FracDerivativeField
@@ -48,6 +55,7 @@ __all__ = [
     "rough_maximal",
     "maximal_Mwc",
     "mwc_default_radii",
+    "symmetry_axis",
 ]
 
 
@@ -87,6 +95,21 @@ class GradientMagnitude:
         return {"field": "gradient_magnitude", "of": self.f.describe()}
 
 
+def symmetry_axis(field, w: Optional[Weight] = None) -> Optional[np.ndarray]:
+    """The point q such that field(y) w(y) depends on y only through |y - q|,
+    integrate_annular's axis: the centre of a radial f, for f or |grad f|
+    under no weight, a constant one or one with its pole there; None
+    otherwise.  FracDerivativeField interpolates a grid, which is not
+    exactly radial."""
+    f = field.f if isinstance(field, GradientMagnitude) else field
+    if not (isinstance(f, TestFunction) and f.radial):
+        return None
+    c = f.support_center
+    if w is None or w.kind == "constant" or np.array_equal(w.pole, c):
+        return c
+    return None
+
+
 def _truncation(field, x: np.ndarray) -> tuple[float, bool]:
     """Outer radius enclosing everything that matters, and whether shells
     must keep extending beyond it."""
@@ -113,6 +136,7 @@ def riesz_potential(field, alpha: float, x, scheme: QuadratureScheme) -> float:
         singular_exponent=n - alpha,
         extend_outer=extend,
         radial=lambda r: r ** (alpha - n),
+        axis=symmetry_axis(field),
     )
     return res.value
 
@@ -149,6 +173,7 @@ def frac_derivative(f: TestFunction, alpha: float, x, scheme: QuadratureScheme) 
         scheme,
         singular_exponent=n + alpha - 1.0,
         radial=lambda r: r ** (-(n + alpha)),
+        axis=c if f.radial else None,
     )
     tail = abs(fx) * sphere_measure(n) * r_outer ** (-alpha) / alpha
     return res.value + tail
@@ -161,9 +186,8 @@ def _support_layer(f: TestFunction, power: float, x: np.ndarray, scheme: Quadrat
         d = np.linalg.norm(pts - x[None, :], axis=1)
         return f.values(pts) * d ** (-power)
 
-    res = integrate_annular(
-        kernel, f.support_center, f.support_radius, scheme, singular_exponent=0.0
-    )
+    res = integrate_annular(kernel, f.support_center, f.support_radius, scheme,
+                            singular_exponent=0.0, axis=x if f.radial else None)
     return res.value
 
 
@@ -447,6 +471,7 @@ def potential_Tw_pieces(
         singular_exponent=n - alpha,
         extend_outer=extend,
         radial=radial,
+        axis=symmetry_axis(field, w),
     )
     return res.pieces + (0.0,) * (len(cuts) - len(inside))
 
@@ -724,9 +749,8 @@ def maximal_Mwc(
     ):
         s_exp = w.beta
 
-    res = integrate_annular(
-        kernel, x, float(radii[-1]), scheme, singular_exponent=s_exp, cuts=radii[:-1]
-    )
+    res = integrate_annular(kernel, x, float(radii[-1]), scheme, singular_exponent=s_exp,
+                            cuts=radii[:-1], axis=symmetry_axis(field, w))
     masses = w.ball_mass_many(x, radii)
     if np.any(masses <= 0.0):
         raise OperatorError("zero ball mass under the weight")

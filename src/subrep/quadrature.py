@@ -14,6 +14,13 @@ a tiny core radius a, and the core ball is restored from the innermost shell
 core_ratio(a, b, n, s) = a^(n-s) / (b^(n-s) - a^(n-s)).  The rule is exact
 for pure powers, costs no evaluation, and refines with the shell.
 
+A kernel that depends on y only through |y - center| and |y - q| for a
+declared axis q (a radial field times powers of the distance) is constant
+along circles about the line through center and q, so each sphere needs only
+its reduction (Funk-Hecke): Gauss-Legendre in the cosine of the angle to that
+line in 3-d, the mirror half of the midpoint rule in 2-d, one direction when
+q = center.  The shells and their refinement are the same either way.
+
 One chunk rule bounds memory whatever the refinement: the shell rule and the
 box rule both walk flat node ranges of at most _CHUNK_NODES = 12,288 nodes
 (radial-major for a shell, C order for a box), so no kernel or fn call sees
@@ -35,6 +42,7 @@ from typing import Callable, ClassVar, Optional, Sequence
 
 import numpy as np
 
+from .special import sphere_measure
 
 __all__ = [
     "QuadratureScheme",
@@ -146,6 +154,53 @@ def _unit_rule(n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
     return dirs, wang
 
 
+@lru_cache(maxsize=64)
+def _axis_rule(n: int, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(cos, sin, weight) of the angle to an axis, for a sphere integrand that
+    depends on the direction only through that angle: Gauss-Legendre in
+    u = cos(theta) with weights 2 pi w_u (n = 3), or the mirror half of the
+    m-point midpoint rule in the angle with doubled weights, the angle pi of
+    an odd m being its own mirror (n = 2).
+
+    Memoized, so the arrays are shared and read-only."""
+    if n == 3:
+        u, wu = _gauss_legendre(m)
+        cos, sin, w = u.copy(), np.sqrt(np.clip(1.0 - u**2, 0.0, 1.0)), 2.0 * math.pi * wu
+    else:
+        phi = 2.0 * math.pi * (np.arange((m + 1) // 2) + 0.5) / m
+        cos, sin, w = np.cos(phi), np.sin(phi), np.full(phi.size, 4.0 * math.pi / m)
+        if m % 2:
+            w[-1] = 2.0 * math.pi / m
+    for arr in (cos, sin, w):
+        arr.flags.writeable = False
+    return cos, sin, w
+
+
+def _sphere_rule(center: np.ndarray, m: int,
+                 axis: Optional[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Directions and angular weights of a shell rule about center.
+
+    Without an axis (and in 1-d) this is _unit_rule.  With one, the integrand
+    depends on the direction only through its angle to axis - center, so the
+    rule is _axis_rule in the plane of that line and a fixed perpendicular,
+    and a single direction of weight sigma_{n-1} when axis = center."""
+    n = center.size
+    if axis is None or n not in (2, 3):
+        return _unit_rule(n, m)
+    e = np.asarray(axis, dtype=float) - center
+    norm = float(np.linalg.norm(e))
+    if norm == 0.0:
+        return np.eye(n)[:1], np.array([sphere_measure(n)])
+    e /= norm
+    if n == 2:
+        perp = np.array([-e[1], e[0]])
+    else:
+        perp = np.cross(e, np.eye(3)[np.argmin(np.abs(e))])
+        perp /= np.linalg.norm(perp)
+    cos, sin, w = _axis_rule(n, m)
+    return np.outer(cos, e) + np.outer(sin, perp), w
+
+
 def annulus_nodes(
     center: np.ndarray,
     a: float,
@@ -154,6 +209,7 @@ def annulus_nodes(
     *,
     span: Optional[tuple[int, int]] = None,
     scale: Optional[np.ndarray] = None,
+    axis: Optional[np.ndarray] = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Tensor rule on the annulus a < |y - center| < b.
 
@@ -163,6 +219,14 @@ def annulus_nodes(
     radial part is Gauss-Legendre against r^{n-1} dr written out explicitly,
     the angular part is the cached unit-sphere rule (_unit_rule).
 
+    axis = q declares an integrand that depends on y only through
+    |y - center| and |y - q|.  The angular part is then its reduction, still
+    exact for the measure: m Gauss-Legendre nodes in the cosine of the angle
+    to q - center at one azimuth, weighted 2 pi w_u (n = 3, m nodes per radius
+    instead of m^2), the mirror half of the midpoint rule in the angle from
+    q - center with doubled weights (n = 2, ceil(m/2) nodes instead of m), or
+    one direction weighted sigma_{n-1} when q = center.  n = 1 ignores axis.
+
     span = (lo, hi) returns only the nodes lo <= i < hi of that radial-major
     order; a span within one radial run builds only its own directions.
     scale, m factors in the order of the radii, multiplies the radial weights.
@@ -171,7 +235,7 @@ def annulus_nodes(
     n = center.size
     if not 0.0 <= a < b:
         raise QuadratureError(f"bad annulus [{a}, {b}]")
-    dirs, wang = _unit_rule(n, m)
+    dirs, wang = _sphere_rule(center, m, axis)
     per_row = len(wang)
     lo, hi = (0, m * per_row) if span is None else span
     i0, i1 = lo // per_row, -(-hi // per_row)  # the radial rows spanned
@@ -209,15 +273,17 @@ def _gl_radii(a: float, b: float, m: int) -> np.ndarray:
 
 
 def _shell_values(kernel: Kernel, center: np.ndarray, rules: Sequence[tuple[float, float, int]],
-                  radial: Optional[Radial]) -> list[tuple[float, int]]:
+                  radial: Optional[Radial],
+                  axis: Optional[np.ndarray] = None) -> list[tuple[float, int]]:
     """(value, evaluations) of each shell rule (a, b, m) of one round.
 
     Consecutive _chunks pieces, of one rule or of several, share kernel calls
     of at most _CHUNK_NODES nodes.  Each piece is summed on its own and each
     rule by math.fsum, so no value depends on the packing.  radial is called
-    on the rules' radii and folded into their radial weights.
+    on the rules' radii and folded into their radial weights; axis selects
+    annulus_nodes' reduced sphere rule.
     """
-    counts = [m * len(_unit_rule(center.size, m)[1]) for _, _, m in rules]
+    counts = [m * len(_sphere_rule(center, m, axis)[1]) for _, _, m in rules]
     scales = [None] * len(rules)
     if radial is not None:
         radii = np.concatenate([_gl_radii(a, b, m) for a, b, m in rules])
@@ -233,7 +299,7 @@ def _shell_values(kernel: Kernel, center: np.ndarray, rules: Sequence[tuple[floa
             calls[-1].append((i, lo, hi))
     sums = [[] for _ in rules]
     for call in calls:
-        nodes = [annulus_nodes(center, *rules[i], span=(lo, hi), scale=scales[i])
+        nodes = [annulus_nodes(center, *rules[i], span=(lo, hi), scale=scales[i], axis=axis)
                  for i, lo, hi in call]
         pts, wts, rad = nodes[0] if len(call) == 1 else map(np.concatenate, zip(*nodes))
         vals = np.asarray(kernel(pts, rad), dtype=float)
@@ -335,6 +401,7 @@ def integrate_annular(
     singular_exponent: Optional[float] = None,
     extend_outer: bool = False,
     radial: Optional[Radial] = None,
+    axis: Optional[np.ndarray] = None,
 ) -> AnnularResult:
     """Integrate kernel(y) radial(|y - center|) dy over r_inner < |y - center| < r_outer.
 
@@ -344,6 +411,10 @@ def integrate_annular(
     ones) shares kernel calls of up to _CHUNK_NODES nodes.  radial(r), a
     factor of the radius alone (1 if omitted), is called once per round on
     its Gauss-Legendre radii, 256 at most at a time, into the radial weights.
+
+    axis = q declares that kernel(y) depends on y only through |y - center|
+    and |y - q|: each sphere then takes annulus_nodes' reduced rule (m nodes
+    per radius in 3-d, not m^2).  Shells, refinement and the core are unchanged.
 
     cuts are radii strictly between r_inner and r_outer that every shell set
     must include as edges.  The result's pieces are the integrals over the
@@ -384,7 +455,7 @@ def integrate_annular(
     lowest = r_inner or scheme.inner_cutoff_factor * (cuts[0] if cuts else r_outer)
     edges = shell_edges([lowest, *cuts, r_outer], scheme.shell_ratio)
     m0 = scheme.points_per_dim
-    evaluate = partial(_shell_values, kernel, center, radial=radial)
+    evaluate = partial(_shell_values, kernel, center, radial=radial, axis=axis)
     shells = _new_shells(evaluate, list(zip(edges[1:], edges)), m0)
     # The core ball below the innermost shell, read off that shell's current
     # value (core_ratio); none when the range starts at r_inner > 0.

@@ -52,6 +52,7 @@ from .operators import (
     potential_Tw_pieces,
     riesz_potential,
     rough_maximal,
+    symmetry_axis,
 )
 from .quadrature import QuadratureScheme, integrate_annular, integrate_box
 from .special import (
@@ -654,7 +655,8 @@ def check_annuli_absorption(
     # One sweep cut at r_2 .. r_{K+1}: its pieces run from the core ball
     # B_{K+1} out to the hole B_1 minus B_2, and their running sums from the
     # inside out are the integrals over the balls.
-    pieces = integrate_annular(kernel, x, radii[0], scheme, cuts=radii[1:]).pieces
+    pieces = integrate_annular(kernel, x, radii[0], scheme, cuts=radii[1:],
+                               axis=symmetry_axis(g)).pieces
     holes = pieces[:0:-1]
     ball_masses = list(itertools.accumulate(pieces))[:0:-1]
 
@@ -723,7 +725,8 @@ def _beta_quadrature(
             d = np.linalg.norm(pts - other[None, :], axis=1)
             return rad ** (-a_pole) * d ** (-a_other)
 
-        return integrate_annular(kernel, pole, h, scheme, singular_exponent=a_pole).value
+        return integrate_annular(kernel, pole, h, scheme, singular_exponent=a_pole,
+                                 axis=other).value
 
     r_far = 64.0 * delta
 
@@ -733,7 +736,9 @@ def _beta_quadrature(
         vals = np.where((d1 >= h) & (d2 >= h), full_kernel(pts), 0.0)
         return vals
 
-    rest = integrate_annular(kernel_rest, mid, r_far, scheme).value
+    # |t - x2| is fixed by |t - mid| and |t - x1| (parallelogram law), so
+    # the rest is symmetric about the line through the poles too.
+    rest = integrate_annular(kernel_rest, mid, r_far, scheme, axis=x1).value
     tail = sphere_measure(n) * r_far ** (n - a1 - a2) / (a1 + a2 - n)
     return near(x1, x2, a1, a2) + near(x2, x1, a2, a1) + rest + tail
 

@@ -17,6 +17,7 @@ estimate is reproducible.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -37,6 +38,9 @@ __all__ = [
 ]
 
 _CAP_NODES = 48
+# Most sample points one Weight.values call of estimate_a1 sees, the node
+# budget of a quadrature kernel call.
+_SAMPLE_BLOCK = 12_288
 
 
 @lru_cache(maxsize=8)
@@ -215,10 +219,11 @@ class Weight:
         return d
 
 
-def ball_sample_points(center: np.ndarray, radius: float, count: int) -> np.ndarray:
-    """Deterministic low-discrepancy points filling B(center, radius)."""
-    center = np.asarray(center, dtype=float)
-    n = center.size
+@lru_cache(maxsize=8)
+def _unit_ball_points(n: int, count: int) -> np.ndarray:
+    """The first count Halton points of [-1, 1]^n inside the unit ball.
+
+    Memoized, so the array is shared and read-only."""
     frac = ball_volume(n) / 2.0**n
     need = int(count / frac * 1.3) + 32
     cube = halton_points(need, n) * 2.0 - 1.0
@@ -226,7 +231,14 @@ def ball_sample_points(center: np.ndarray, radius: float, count: int) -> np.ndar
     pts = cube[inside][:count]
     if len(pts) < count:
         raise RuntimeError("low-discrepancy fill fell short; raise the margin")
-    return center + radius * pts
+    pts.flags.writeable = False
+    return pts
+
+
+def ball_sample_points(center: np.ndarray, radius: float, count: int) -> np.ndarray:
+    """Deterministic low-discrepancy points filling B(center, radius)."""
+    center = np.asarray(center, dtype=float)
+    return center + radius * _unit_ball_points(center.size, count)
 
 
 @dataclass
@@ -247,15 +259,25 @@ def estimate_a1(
 
     The infimum is taken over deterministic low-discrepancy points, so the
     reported value is a certified-from-below estimate: it never exceeds the
-    true A1 constant.
+    true A1 constant.  Consecutive balls with one centre share a
+    ball_mass_many call, and the samples of consecutive balls share
+    Weight.values calls of at most _SAMPLE_BLOCK points (one ball's, if more).
     """
+    balls = [(np.asarray(center, dtype=float), r) for center, r in balls]
+    n = weight.dimension
+    avgs = []
+    for _, group in itertools.groupby(balls, key=lambda ball: tuple(ball[0])):
+        group = list(group)
+        masses = weight.ball_mass_many(group[0][0], np.array([r for _, r in group]))
+        avgs += [float(mass) / (ball_volume(n) * r**n) for mass, (_, r) in zip(masses, group)]
+    infs = []
+    per_call = max(1, _SAMPLE_BLOCK // samples_per_ball)
+    for lo in range(0, len(balls), per_call):
+        pts = [ball_sample_points(c, r, samples_per_ball) for c, r in balls[lo:lo + per_call]]
+        infs += weight.values(np.concatenate(pts)).reshape(len(pts), -1).min(axis=1).tolist()
     ratios = []
     degenerate = False
-    for center, r in balls:
-        center = np.asarray(center, dtype=float)
-        avg = weight.ball_mass(center, r) / (ball_volume(weight.dimension) * r**weight.dimension)
-        pts = ball_sample_points(center, r, samples_per_ball)
-        inf_w = float(np.min(weight.values(pts)))
+    for avg, inf_w in zip(avgs, infs):
         if inf_w <= 0.0:
             degenerate = True
             ratios.append(math.inf)

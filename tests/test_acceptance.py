@@ -158,7 +158,6 @@ def test_criterion_04_unit_weight_operator_identity():
     assert worst5 <= 1e-3
 
 
-@pytest.mark.slow
 def test_criterion_05_theorem_21_suite_stability():
     started = time.perf_counter()
     weights = [

@@ -7,7 +7,7 @@ import subrep.operators as operators
 import subrep.quadrature as quadrature
 import subrep.verify as verify
 from ball_indicator import BallIndicator
-from radial_reference import PROFILES, far_frac_derivative
+from radial_reference import PROFILES, SLOPES, far_frac_derivative, riesz_of_gradient
 from subrep.functions import FAMILIES, Cube, TestFunction
 from subrep.operators import (
     FracDerivativeField,
@@ -199,6 +199,18 @@ def test_frac_field_far_series_matches_reference(family, center, alpha):
     np.testing.assert_allclose(field._far_values(pts), ref, rtol=1e-12, atol=0.0)
 
 
+@pytest.mark.parametrize("family", sorted(SLOPES))
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("t", [0.0, 0.35, 0.8, 1.5])
+def test_riesz_of_gradient_matches_radial_reference(family, n, t):
+    # I_1 |grad f| at distance t from the centre, against a 1-d integral of
+    # the profile's slope over the sphere mean M_(n-1)(t, rho).
+    center = np.array([0.2, -0.1, 0.05][:n])
+    f = TestFunction(family, tuple(center), 1.0)
+    got = riesz_potential(GradientMagnitude(f), 1.0, center + t * np.eye(n)[0], SCHEME)
+    assert got == pytest.approx(riesz_of_gradient(family, n, 1.0, 1.0, 1.0, t), rel=SCHEME.rel_tol)
+
+
 def test_radial_frac_field_sums_single_layers_only_in_near_band(monkeypatch):
     calls = []
     single_layer = operators._single_layer
@@ -343,9 +355,9 @@ def _count_rounds(monkeypatch):
     shell_values, annular = quadrature._shell_values, quadrature.integrate_annular
     mass = Weight.ball_mass_many
 
-    def round_(kernel, center, rules, radial):
+    def round_(kernel, center, rules, radial, **kwargs):
         rounds.append(list(rules))
-        return shell_values(kernel, center, rules, radial)
+        return shell_values(kernel, center, rules, radial, **kwargs)
 
     def counted(kernel, *args, **kwargs):
         def recording(pts, rad):
@@ -385,6 +397,127 @@ def test_potential_tw_3d_refined_one_mass_call_per_round_and_block(monkeypatch):
     blocks = sum(-(-sum(m for _, _, m in rules) // 256) for rules in rounds)
     assert len(mass_sizes) <= blocks
     assert max(mass_sizes) <= 256
+
+
+# -- the symmetry contract: integrate_annular(axis=q) ---------------------------
+
+LIGHT_3D = QuadratureScheme(points_per_dim=8)
+
+
+def _weights(kind, c):
+    return {
+        "constant": Weight.constant(len(c), 1.7),
+        "radial_power": Weight.radial_power(c, 0.5),
+        "power_plus_one": Weight.power_plus_one(c, 0.5),
+    }[kind]
+
+
+def _declaring_call(caller, kind, f, x, scheme):
+    """A caller that declares an axis for a radial f, and its module."""
+    grad = GradientMagnitude(f)
+    w = kind and _weights(kind, tuple(f.support_center))
+    return {
+        "riesz": (operators, lambda: riesz_potential(grad, 1.0, x, scheme)),
+        "potential_tw": (operators, lambda: potential_Tw(grad, w, 1.0, x, scheme)),
+        "tw_pieces": (operators,
+                      lambda: potential_Tw_pieces(grad, w, 1.0, x, scheme, cuts=[0.3, 1.2])),
+        "maximal_mwc": (operators,
+                        lambda: maximal_Mwc(grad, w, x, mwc_default_radii(grad, x, 4), scheme)),
+        "frac_derivative": (operators, lambda: frac_derivative(f, 0.5, x, scheme)),
+        "annuli_absorption": (verify, lambda: [
+            (s.lhs, s.rhs) for s in verify.check_annuli_absorption(grad, x, 6, scheme=scheme).samples
+        ]),
+    }[caller]
+
+
+def _undeclared(monkeypatch, module, call):
+    """call() with every integrate_annular of module run without its axis,
+    and the axes the calls declared."""
+    axes, annular = [], quadrature.integrate_annular
+
+    def full(*args, axis=None, **kwargs):
+        axes.append(axis)
+        return annular(*args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(module, "integrate_annular", full)
+        return call(), axes
+
+
+_WEIGHTED = ("potential_tw", "tw_pieces", "maximal_mwc")
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("where", ["interior", "exterior", "centre"])
+@pytest.mark.parametrize("caller, kind", [
+    *((c, k) for c in _WEIGHTED for k in ("constant", "radial_power", "power_plus_one")),
+    ("riesz", None), ("frac_derivative", None), ("annuli_absorption", None),
+])
+def test_declaring_callers_agree_with_the_full_rule(monkeypatch, caller, kind, where, n):
+    scheme = SCHEME if n == 2 else LIGHT_3D
+    center = np.array([0.2, -0.1, 0.05][:n])
+    f = TestFunction("smooth_bump", tuple(center), 1.0)
+    x = center + {"interior": np.array([0.35, 0.2, 0.1][:n]), "exterior": 1.5 * np.eye(n)[0],
+                  "centre": np.zeros(n)}[where]
+    module, call = _declaring_call(caller, kind, f, x, scheme)
+    full, axes = _undeclared(monkeypatch, module, call)
+    assert any(axis is not None for axis in axes)
+    # The budget covers a sweep's total, so pieces agree within rel_tol of it.
+    np.testing.assert_allclose(call(), full, rtol=0.0, atol=scheme.budget(np.sum(np.abs(full))))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_beta_quadrature_agrees_with_the_full_rule(monkeypatch, n):
+    x1, x2 = np.zeros(n), np.linspace(0.6, -0.3, n)
+    call = lambda: verify._beta_quadrature(n, 0.8, n - 0.5, x1, x2, LIGHT_3D)
+    full, axes = _undeclared(monkeypatch, verify, call)
+    assert len(axes) == 3 and all(axis is not None for axis in axes)
+    assert call() == pytest.approx(full, rel=LIGHT_3D.rel_tol)
+
+
+def _undeclared_calls(n):
+    c = tuple(np.linspace(0.1, -0.2, n))
+    x = np.asarray(c) + np.linspace(0.3, 0.1, n)
+    light = QuadratureScheme(rel_tol=1e-2, points_per_dim=8)
+    hat = TestFunction("tensor_hat", c, 1.0)
+    bump = TestFunction("smooth_bump", c, 1.0)
+    off = Weight.power_plus_one(tuple(np.asarray(c) + 0.3), 0.5)
+    return {
+        "tensor_hat": lambda: (
+            riesz_potential(GradientMagnitude(hat), 1.0, x, light),
+            potential_Tw(GradientMagnitude(hat), _weights("power_plus_one", c), 1.0, x, light),
+            maximal_Mwc(GradientMagnitude(hat), Weight.constant(n), x, None, light),
+            frac_derivative(hat, 0.5, x, light),
+            frac_derivative(hat, 0.5, np.asarray(c) + 1.2, light),
+        ),
+        "off_center_pole": lambda: (
+            potential_Tw(GradientMagnitude(bump), off, 1.0, x, light),
+            maximal_Mwc(GradientMagnitude(bump), off, x, None, light),
+        ),
+        "frac_field": lambda: (
+            riesz_potential(FracDerivativeField(bump, 0.5, light, grid_points=8), 0.5, x, light),
+        ),
+    }
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("case", ["tensor_hat", "off_center_pole", "frac_field"])
+def test_undeclared_callers_keep_the_full_rule(monkeypatch, case, n):
+    # Kernels outside the contract declare no axis, so their evaluations,
+    # shells and values are those of axis=None, bit for bit.
+    records, annular = [], quadrature.integrate_annular
+
+    def both(*args, **kwargs):
+        got = annular(*args, **kwargs)
+        records.append((kwargs.get("axis"), got, annular(*args, **{**kwargs, "axis": None})))
+        return got
+
+    monkeypatch.setattr(operators, "integrate_annular", both)
+    _undeclared_calls(n)[case]()
+    assert records
+    for axis, got, full in records:
+        assert axis is None
+        assert got == full
 
 
 def _split_against_folded(monkeypatch, module):

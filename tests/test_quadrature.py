@@ -57,12 +57,53 @@ def test_annulus_radii_ascend_in_radial_runs(n):
 def test_annulus_spans_are_slices_of_the_whole_rule(n):
     m = 8
     center = np.linspace(-0.4, 0.3, n)
-    whole = annulus_nodes(center, 0.3, 1.7, m)
-    per_row = 2 if n == 1 else m ** (n - 1)
-    for lo, hi in ((0, 1), (3, per_row - 1), (per_row - 1, 3 * per_row + 2), (per_row, 2 * per_row)):
-        part = annulus_nodes(center, 0.3, 1.7, m, span=(lo, hi))
-        for got, ref in zip(part, whole):
-            assert np.array_equal(got, ref[lo:hi])
+    for axis in (None, center + 0.5):  # the full and the reduced sphere rule
+        whole = annulus_nodes(center, 0.3, 1.7, m, axis=axis)
+        per_row = len(whole[1]) // m
+        for lo, hi in ((0, 1), (1, per_row - 1), (3, per_row - 1),
+                       (per_row - 1, 3 * per_row + 2), (per_row, 2 * per_row)):
+            part = annulus_nodes(center, 0.3, 1.7, m, span=(lo, hi), axis=axis)
+            for got, ref in zip(part, whole):
+                assert np.array_equal(got, ref[lo:hi])
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("m", [7, 8])
+@pytest.mark.parametrize("where", ["off_center", "at_center"])
+def test_axis_rule_integrates_the_annulus_measure(n, m, where):
+    # The reduced rule: m directions per radius in 3-d, ceil(m/2) in 2-d,
+    # one when the axis point is the center; the measure is still exact.
+    center = np.linspace(-0.4, 0.3, n)
+    q = center + np.linspace(0.7, -0.2, n) if where == "off_center" else center.copy()
+    pts, wts, rad = annulus_nodes(center, 0.3, 1.7, m, axis=q)
+    per_radius = 1 if where == "at_center" else (m if n == 3 else -(-m // 2))
+    assert len(wts) == m * per_radius
+    assert math.fsum(wts) == pytest.approx(sphere_measure(n) * (1.7**n - 0.3**n) / n, rel=1e-13)
+    np.testing.assert_allclose(np.linalg.norm(pts - center, axis=1), rad, rtol=1e-14)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_axis_rule_matches_the_full_rule_on_symmetric_kernels(n):
+    # kernel(y) = g(|y - q|, |y - center|), smooth: both rules converge fast,
+    # the reduced one with m (3-d) or m/2 (2-d) directions per radius.
+    center = np.linspace(0.1, -0.2, n)
+    q = center + np.linspace(0.6, 0.3, n)
+
+    def kernel(pts, rad):
+        d2 = np.einsum("ij,ij->i", pts - q, pts - q)
+        return np.exp(-d2) * (1.0 + rad)
+
+    [(full, _)] = quadrature._shell_values(kernel, center, [(0.2, 0.9, 48)], None)
+    [(reduced, evals)] = quadrature._shell_values(kernel, center, [(0.2, 0.9, 48)], None, axis=q)
+    assert evals == 48 * (48 if n == 3 else 24)
+    assert reduced == pytest.approx(full, rel=1e-12)
+
+
+def test_axis_is_ignored_in_one_dimension():
+    center = np.array([0.2])
+    whole = annulus_nodes(center, 0.3, 1.7, 8)
+    for got, ref in zip(annulus_nodes(center, 0.3, 1.7, 8, axis=np.array([1.0])), whole):
+        assert np.array_equal(got, ref)
 
 
 def test_unit_rule_memo_is_read_only():

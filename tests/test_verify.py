@@ -1,6 +1,7 @@
 """Check-level behavior: trivial regimes, scaling laws, explicit constants,
 and report plumbing.  Heavy full-default configurations live in the
-acceptance suite; everything here runs on light schemes."""
+acceptance suite; everything here runs on light schemes, but for one 3-d
+Theorem 2.1 run whose radial kernels take the reduced sphere rule."""
 
 import hashlib
 import json
@@ -518,3 +519,13 @@ def test_exterior_point_3d_memory_stays_bounded():
     res = json.loads(out.stdout.splitlines()[-1])
     assert res["passed"] and res["rhs"] > 0.0
     assert res["peak_mb"] < 256.0
+
+
+def test_theorem_21_in_3d_at_the_default_points():
+    # 85 points at the default scheme: T_w of a radial |grad f| under a weight
+    # with its pole at f's centre integrates each sphere by its reduction.
+    f = TestFunction("smooth_bump", (0.0, 0.0, 0.0), 1.0)
+    r = check_subrepresentation_identity(f, Weight.power_plus_one((0.0, 0.0, 0.0), 0.5))
+    assert len(r.samples) == 85
+    assert r.passed
+    assert r.empirical_constant == pytest.approx(0.317682, rel=1e-5)

@@ -3,6 +3,9 @@ import math
 import numpy as np
 import pytest
 
+import subrep.quadrature as quadrature
+import subrep.weights as weights
+from subrep.functions import TestFunction
 from subrep.quadrature import QuadratureScheme, integrate_annular
 from subrep.special import ball_volume, sphere_measure
 from subrep.weights import Weight, ball_sample_points, estimate_a1
@@ -149,6 +152,41 @@ def test_a1_estimate_grows_with_beta():
     est_a = estimate_a1(Weight.radial_power([0.0, 0.0], 0.3), balls)
     est_b = estimate_a1(Weight.radial_power([0.0, 0.0], 0.9), balls)
     assert est_b.value > est_a.value >= 1.0
+
+
+def test_ball_sample_memo_is_read_only():
+    unit = weights._unit_ball_points(3, 500)
+    assert unit is weights._unit_ball_points(3, 500)
+    assert not unit.flags.writeable
+    pts = ball_sample_points([0.5, 0.0, -0.5], 2.0, 500)
+    np.testing.assert_array_equal(pts, np.array([0.5, 0.0, -0.5]) + 2.0 * unit)
+
+
+@pytest.mark.parametrize("n, samples", [(2, 1000), (3, 1000), (3, 2000), (2, 20_000)])
+def test_a1_packs_its_calls_and_keeps_every_ratio(monkeypatch, n, samples):
+    # One ball_mass_many call per centre and Weight.values calls of at most
+    # the quadrature node budget (one ball's samples, if more), with every
+    # ratio bit-identical to one ball at a time.
+    from subrep.verify import default_a1_balls
+
+    w = Weight.power_plus_one([0.1] * n, 0.5)
+    balls = default_a1_balls(TestFunction("smooth_bump", (0.0,) * n))
+    alone = []
+    for center, r in balls:
+        avg = w.ball_mass(center, r) / (ball_volume(n) * r**n)
+        alone.append(avg / float(np.min(w.values(ball_sample_points(center, r, samples)))))
+    value_sizes, mass_sizes = [], []
+    values, mass = Weight.values, Weight.ball_mass_many
+    monkeypatch.setattr(Weight, "values",
+                        lambda self, pts: value_sizes.append(len(pts)) or values(self, pts))
+    monkeypatch.setattr(Weight, "ball_mass_many",
+                        lambda self, c, radii: mass_sizes.append(len(radii)) or mass(self, c, radii))
+    est = estimate_a1(w, balls, samples_per_ball=samples)
+    assert est.ratios == alone
+    assert mass_sizes == [3] * (len(balls) // 3)
+    assert max(value_sizes) <= max(quadrature._CHUNK_NODES, samples)
+    assert sum(value_sizes) == samples * len(balls)
+    assert len(value_sizes) == -(-len(balls) // max(1, quadrature._CHUNK_NODES // samples))
 
 
 def test_validation():
