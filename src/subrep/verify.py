@@ -291,6 +291,30 @@ def inscribed_grid(f: TestFunction, m: int) -> list:
     return list(box.grid(m))
 
 
+def _cube_symmetric(f: TestFunction, center, w: Optional[Weight] = None) -> bool:
+    """Whether f, and w if given, are invariant under the symmetries of a
+    cube about center (sign flips and permutations of the coordinates):
+    every family is, about its own centre, and so is a constant weight or
+    one with its pole there."""
+    c = f.support_center
+    return np.array_equal(center, c) and (
+        w is None or w.kind == "constant" or np.array_equal(w.pole, c)
+    )
+
+
+def _lattice(box: Box, m: int, symmetric: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The points of box.grid(m) that a lattice sum evaluates, with their
+    weights: one point per orbit of box.grid_orbits(m), weighted by the
+    orbit's size, when the summand is symmetric about the box's centre;
+    every point with weight 1 otherwise, so that the weighted sum is the
+    plain sum bit for bit."""
+    pts = box.grid(m)
+    if not symmetric:
+        return pts, np.ones(len(pts))
+    rows, counts = box.grid_orbits(m)
+    return pts[rows], counts
+
+
 def default_a1_balls(f: TestFunction) -> list:
     centers = f.support_box(pad=1.2).grid(3)
     s = f.support_radius
@@ -545,10 +569,13 @@ _POINCARE_ANCHORS = {
 def _bbm_double_integral(
     f: TestFunction, Q: Cube, alpha: float, scheme: QuadratureScheme, outer_cells: int
 ) -> float:
-    """avg over x in Q of int_Q |f(x) - f(y)| / |x - y|^{n + alpha} dy."""
+    """avg over x in Q of int_Q |f(x) - f(y)| / |x - y|^{n + alpha} dy, by
+    the midpoint rule on box.grid(outer_cells).  When Q is centred at f's
+    centre the inner integral is invariant under Q's symmetries, so only one
+    point per orbit is integrated, weighted by the orbit's size."""
     n = Q.dimension
     box = Q.to_box()
-    xs = box.grid(outer_cells)
+    xs, counts = _lattice(box, outer_cells, _cube_symmetric(f, Q.center))
     corners = np.array(
         [[box.lower[i] if bit & (1 << i) == 0 else box.upper[i] for i in range(n)]
          for bit in range(1 << n)]
@@ -567,7 +594,7 @@ def _bbm_double_integral(
             radial=lambda r: r ** (-(n + alpha)),
         )
         inner_vals.append(res.value)
-    return float(np.mean(inner_vals))
+    return float(np.sum(counts * np.array(inner_vals)) / outer_cells**n)
 
 
 def check_poincare_bbm(
@@ -860,13 +887,16 @@ def check_hedberg_split(
 def _tw_grid_norm(
     f: TestFunction, w: Weight, q: float, cells: int, scheme: QuadratureScheme
 ) -> float:
-    """Discrete L^q(w) norm of T_w f over the padded support box."""
+    """Discrete L^q(w) norm of T_w f over the padded support box, by the
+    midpoint rule on its grid(cells).  When w is constant or has its pole at
+    f's centre, T_w f is invariant under the box's symmetries, so it is
+    evaluated at one point per orbit, weighted by the orbit's size."""
     box = f.support_box(pad=3.0)
-    pts = box.grid(cells)
+    pts, counts = _lattice(box, cells, _cube_symmetric(f, f.support_center, w))
     vals = np.array([potential_Tw(f, w, 1.0, pt, scheme) for pt in pts])
     wvals = w.values(pts)
-    cell = box.volume / len(pts)
-    return float(np.sum(np.abs(vals) ** q * wvals) * cell) ** (1.0 / q)
+    cell = box.volume / cells**f.dimension
+    return float(np.sum(np.abs(vals) ** q * wvals * counts) * cell) ** (1.0 / q)
 
 
 def check_sobolev_mapping(

@@ -219,7 +219,6 @@ def test_criterion_07_annuli_absorption():
     )
 
 
-@pytest.mark.slow
 def test_criterion_08_poincare_bbm_family():
     started = time.perf_counter()
     Q = Cube((0.0, 0.0), 2.0)

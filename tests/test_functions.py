@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -11,7 +12,9 @@ from subrep.functions import (
     TestFunction,
     cube_average,
 )
+from subrep.operators import GradientMagnitude
 from subrep.quadrature import QuadratureScheme
+from subrep.weights import Weight
 
 SCHEME = QuadratureScheme()
 RNG = np.random.default_rng(20260819)
@@ -124,6 +127,57 @@ def test_box_basics():
     assert np.all(b.contains(g))
     with pytest.raises(ValueError):
         Box((0.0,), (0.0,))
+
+
+def _cube_images(n):
+    """The 2^n n! symmetries of a cube about its centre, as n x n matrices:
+    every signed permutation."""
+    for perm in itertools.permutations(range(n)):
+        for signs in itertools.product((1.0, -1.0), repeat=n):
+            g = np.zeros((n, n))
+            g[np.arange(n), perm] = signs
+            yield g
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 8])
+def test_grid_orbits_partition_the_lattice(n, m):
+    q = Cube(tuple([0.3, -0.7, 0.2][:n]), 2.0)
+    box = q.to_box()
+    pts = box.grid(m)
+    rows, counts = box.grid_orbits(m)
+    assert counts.sum() == m**n
+    assert len(rows) == len(counts) == math.comb((m + 1) // 2 + n - 1, n)
+    c = np.asarray(q.center)
+    seen = np.zeros(m**n, dtype=int)
+    for row, count in zip(rows, counts):
+        orbit = set()
+        for g in _cube_images(n):
+            image = c + g @ (pts[row] - c)
+            hit = np.flatnonzero(np.all(np.abs(pts - image) < 1e-12, axis=1))
+            assert len(hit) == 1, f"image {image} of {pts[row]} is not a lattice point"
+            orbit.add(int(hit[0]))
+        assert len(orbit) == count
+        seen[sorted(orbit)] += 1
+    assert np.all(seen == 1)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("family", FAMILIES)
+def test_families_have_the_cube_symmetry(family, n):
+    # The folded lattice sums in verify (_cube_symmetric) rest on this: f,
+    # |grad f| and a weight with its pole at f's centre take one value on
+    # every orbit of the cube's symmetries about that centre.
+    c = np.array([0.3, -0.7, 0.2][:n])
+    f = TestFunction(family, tuple(c), scale=1.3, amplitude=2.0)
+    w = Weight.power_plus_one(tuple(c), 0.5)
+    fields = (f.values, GradientMagnitude(f).values, w.values)
+    pts = c + np.random.default_rng(n).uniform(-1.3, 1.3, size=(64, n))
+    base = [field(pts) for field in fields]
+    for g in _cube_images(n):
+        images = c + (pts - c) @ g.T
+        for field, expected in zip(fields, base):
+            np.testing.assert_allclose(field(images), expected, rtol=1e-12, atol=1e-14)
 
 
 def test_cube_basics():

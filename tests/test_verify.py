@@ -1,9 +1,12 @@
 """Check-level behavior: trivial regimes, scaling laws, explicit constants,
 and report plumbing.  Heavy full-default configurations live in the
 acceptance suite; everything here runs on light schemes, but for one 3-d
-Theorem 2.1 run whose radial kernels take the reduced sphere rule."""
+Theorem 2.1 run whose radial kernels take the reduced sphere rule and the
+2-d folded lattice sums, which must match every point to round-off at the
+default scheme."""
 
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -13,9 +16,9 @@ import sys
 import numpy as np
 import pytest
 
-from subrep.functions import Cube, TestFunction
-from subrep.operators import GradientMagnitude, SphereSymbol
-from subrep.quadrature import QuadratureScheme
+from subrep.functions import FAMILIES, Cube, TestFunction
+from subrep.operators import GradientMagnitude, SphereSymbol, potential_Tw
+from subrep.quadrature import QuadratureScheme, integrate_annular
 from subrep.special import bbm_constant, sphere_measure
 from subrep import verify
 from subrep.verify import (
@@ -338,19 +341,12 @@ def test_sobolev_dilation_invariance():
 
 def test_sobolev_base_members_computed_once(monkeypatch):
     # The enlarged pass reuses the base records and adds only the rescaled
-    # copies: 9 base + 18 rescaled + 36 refined grid points at cells = 3.
-    import subrep.verify as verify
-
-    calls = []
-    original = verify.potential_Tw
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(verify, "potential_Tw", counted)
+    # copies.  Under a constant weight each lattice is folded to one point per
+    # orbit: 3 base + 2 x 3 rescaled + 6 refined (cells = 6) orbit points at
+    # cells = 3, against 9 + 18 + 36 lattice points.
+    calls = _counting(monkeypatch, "potential_Tw")
     check_sobolev_mapping([bump2()], Weight.constant(2, 1.0), 1.5, 2.0, scheme=LIGHT, cells=3)
-    assert len(calls) == 63
+    assert len(calls) == 15
 
 
 def test_sobolev_zero_family_and_guards():
@@ -360,6 +356,98 @@ def test_sobolev_zero_family_and_guards():
         check_sobolev_mapping([], Weight.constant(2, 1.0), 1.5, 2.0)
     with pytest.raises(CheckError):
         check_sobolev_mapping([bump2()], Weight.constant(2, 1.0), 2.0, 2.0)
+
+
+# -- lattice sums folded by the cube's symmetries ----------------------------------------
+
+
+def _bbm_every_point(f, Q, alpha, scheme, m):
+    """The Poincare double integral by the midpoint rule on every point of
+    Q's m^n lattice: one annular integral per point, then their mean."""
+    n = Q.dimension
+    box = Q.to_box()
+    corners = np.array(list(itertools.product(*zip(box.lower, box.upper))))
+    vals = []
+    for x in box.grid(m):
+        fx = f.value(x)
+        far = float(np.max(np.linalg.norm(corners - x, axis=1)))
+        res = integrate_annular(
+            lambda pts, rad: np.abs(fx - f.values(pts)) * box.contains(pts), x, far, scheme,
+            singular_exponent=n + alpha - 1.0, radial=lambda r: r ** (-(n + alpha)),
+        )
+        vals.append(res.value)
+    return float(np.mean(vals))
+
+
+def _tw_every_point(f, w, q, cells, scheme):
+    """The discrete L^q(w) norm of T_w f on every point of the padded
+    support box's lattice."""
+    box = f.support_box(pad=3.0)
+    pts = box.grid(cells)
+    vals = np.array([potential_Tw(f, w, 1.0, pt, scheme) for pt in pts])
+    return float(np.sum(np.abs(vals) ** q * w.values(pts)) * (box.volume / len(pts))) ** (1.0 / q)
+
+
+def _counting(monkeypatch, name):
+    calls = []
+    original = getattr(verify, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(verify, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_folded_lattices_match_every_point_2d(family):
+    # One point per orbit, weighted by the orbit's size, is the full
+    # lattice sum up to round-off in 2-d: its sphere rule keeps the symmetry.
+    f = TestFunction(family, (0.0, 0.0), 1.0)
+    Q = Cube((0.0, 0.0), 2.0)
+    w = Weight.power_plus_one((0.0, 0.0), 0.5)
+    scheme = QuadratureScheme()
+    folded = verify._bbm_double_integral(f, Q, 0.5, scheme, 4)
+    assert folded == pytest.approx(_bbm_every_point(f, Q, 0.5, scheme, 4), rel=1e-13, abs=0.0)
+    folded = verify._tw_grid_norm(f, w, 2.0, 4, scheme)
+    assert folded == pytest.approx(_tw_every_point(f, w, 2.0, 4, scheme), rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_folded_lattices_match_every_point_3d(family):
+    # The 3-d sphere rule is not invariant under permutations that move e3,
+    # so the orbit's points agree only to the scheme's tolerance.
+    f = TestFunction(family, (0.0, 0.0, 0.0), 1.0)
+    Q = Cube((0.0, 0.0, 0.0), 2.0)
+    light = QuadratureScheme(rel_tol=1e-2, points_per_dim=8)
+    folded = verify._bbm_double_integral(f, Q, 0.5, light, 3)
+    assert folded == pytest.approx(_bbm_every_point(f, Q, 0.5, light, 3), rel=light.rel_tol)
+    if f.radial:  # a tensor_hat T_w takes the full sphere rule: seconds per point
+        w = Weight.power_plus_one((0.0, 0.0, 0.0), 0.5)
+        folded = verify._tw_grid_norm(f, w, 2.0, 4, light)
+        assert folded == pytest.approx(_tw_every_point(f, w, 2.0, 4, light), rel=light.rel_tol)
+
+
+def test_folding_cuts_the_poincare_integrals(monkeypatch):
+    calls = _counting(monkeypatch, "integrate_annular")
+    verify._bbm_double_integral(bump2(), Cube((0.0, 0.0), 2.0), 0.5, LIGHT, 6)
+    assert len(calls) == 6
+
+
+def test_off_centre_lattices_keep_every_point(monkeypatch):
+    # Off f's centre the symmetry is gone: every lattice point is evaluated,
+    # and the arithmetic is that of the plain midpoint rule, bit for bit.
+    Q = Cube((0.1, 0.0), 2.0)
+    expected = _bbm_every_point(bump2(), Q, 0.5, LIGHT, 6)
+    calls = _counting(monkeypatch, "integrate_annular")
+    assert verify._bbm_double_integral(bump2(), Q, 0.5, LIGHT, 6) == expected
+    assert len(calls) == 36
+    w = Weight.power_plus_one((0.1, 0.0), 0.5)
+    expected = _tw_every_point(bump2(), w, 2.0, 4, LIGHT)
+    calls = _counting(monkeypatch, "potential_Tw")
+    assert verify._tw_grid_norm(bump2(), w, 2.0, 4, LIGHT) == expected
+    assert len(calls) == 16
 
 
 # -- the stability runner -------------------------------------------------------------
