@@ -105,9 +105,12 @@ class RunConfig:
 
 def _floats(raw: str, where: str) -> tuple:
     try:
-        return tuple(float(tok) for tok in raw.replace(",", " ").split())
+        vals = tuple(float(tok) for tok in raw.replace(",", " ").split())
     except ValueError:
-        raise ConfigError(f"{where} must be a list of numbers, got {raw!r}")
+        vals = (math.nan,)  # not numbers: rejected below, with NaN and inf
+    if not all(map(math.isfinite, vals)):
+        raise ConfigError(f"{where} must be a list of finite numbers, got {raw!r}")
+    return vals
 
 
 @dataclass(frozen=True)
@@ -141,9 +144,12 @@ class _Fields:
         if raw is None:
             return default
         try:
-            return float(raw)
+            value = float(raw)
         except ValueError:
-            raise ConfigError(f"{self.label(key)} must be a number, got {raw!r}")
+            value = math.nan  # not a number: rejected below, with NaN and inf
+        if not math.isfinite(value):
+            raise ConfigError(f"{self.label(key)} must be a finite number, got {raw!r}")
+        return value
 
     def coords(self, key: str, n: int) -> tuple:
         raw = self.get(key)
@@ -173,10 +179,10 @@ def _build_function(src: _Fields, n: int) -> TestFunction:
         raise ConfigError(f"{src.label('family')} must be one of {FAMILIES}, got {family!r}")
     center = src.coords("center", n)
     scale = src.number("scale", 1.0)
-    if scale <= 0.0:
+    if not scale > 0.0:
         raise ConfigError(f"{src.label('scale')} must be positive, got {scale}")
     amplitude = src.number("amplitude", 1.0)
-    if amplitude < 0.0:
+    if not amplitude >= 0.0:
         raise ConfigError(f"{src.label('amplitude')} must be nonnegative, got {amplitude}")
     return TestFunction(family, center, scale, amplitude)
 
@@ -185,7 +191,7 @@ def _build_weight(src: _Fields, n: int) -> Weight:
     kind = src.text("kind", "constant")
     if kind == "constant":
         value = src.number("value", 1.0)
-        if value <= 0.0:
+        if not value > 0.0:
             raise ConfigError(f"{src.label('value')} must be positive, got {value}")
         return Weight.constant(n, value)
     if kind not in ("radial_power", "power_plus_one"):
@@ -294,7 +300,7 @@ def load_config(path) -> RunConfig:
     if params["outer_cells"] > 64:
         raise ConfigError(f"[params] outer_cells must be at most 64, got {params['outer_cells']}")
     for key in ("cube_side", "separation"):
-        if not 0.0 < params[key] < math.inf:
+        if not params[key] > 0.0:
             raise ConfigError(f"[params] {key} must be positive, got {params[key]}")
 
     return RunConfig(

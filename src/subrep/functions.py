@@ -15,8 +15,8 @@ field is continuous from the support interior.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -25,8 +25,10 @@ from .quadrature import QuadratureScheme, integrate_box
 __all__ = [
     "Box",
     "Cube",
+    "Symmetry",
     "TestFunction",
     "cube_average",
+    "symmetry_of",
     "FAMILIES",
 ]
 
@@ -102,7 +104,7 @@ class Cube:
     side: float
 
     def __post_init__(self) -> None:
-        if self.side <= 0.0:
+        if not self.side > 0.0:
             raise ValueError(f"cube side must be positive, got {self.side}")
 
     @property
@@ -122,12 +124,54 @@ class Cube:
 
 
 @dataclass(frozen=True)
+class Symmetry:
+    """What a field or a weight is invariant under, and about which point:
+    kind "radial" (a function of |y - center| alone), "cube" (invariant
+    under the sign flips and permutations of the coordinates of y - center),
+    "everywhere" (a constant) or "none".  TestFunction, GradientMagnitude,
+    Weight and FracDerivativeField declare theirs as a symmetry attribute,
+    and every rule that uses a symmetry reads it through symmetry_of.
+    Centres are compared exactly, never within a tolerance."""
+
+    kind: str
+    center: Optional[tuple[float, ...]] = None
+
+    @property
+    def axis(self) -> Optional[np.ndarray]:
+        """The centre of a radial declaration, integrate_annular's axis."""
+        return np.asarray(self.center, dtype=float) if self.kind == "radial" else None
+
+    def about(self, point) -> str:
+        """The symmetry about point: "radial", "cube" or "none"."""
+        if self.kind == "everywhere":
+            return "radial"
+        return self.kind if np.array_equal(self.center, point) else "none"
+
+
+def symmetry_of(*factors) -> Symmetry:
+    """The symmetry of the product of factors, from their declarations: a
+    factor that declares nothing has none, a factor symmetric everywhere
+    drops out, and the others must share one centre; the product is radial
+    if all of them are, and cube-symmetric otherwise."""
+    declared = [factor.symmetry if hasattr(factor, "symmetry") else Symmetry("none")
+                for factor in factors]
+    declared = [sym for sym in declared if sym.kind != "everywhere"]
+    if not declared:
+        return Symmetry("everywhere")
+    first = declared[0]
+    if any(sym.about(first.center) == "none" for sym in declared):
+        return Symmetry("none")
+    return first if all(sym.kind == "radial" for sym in declared) else Symmetry("cube", first.center)
+
+
+@dataclass(frozen=True)
 class TestFunction:
     """One member of the compactly supported families above.
 
-    Every family but tensor_hat is radial, f = g(|x - center|); radial says
-    so, for the closed forms that need it (|grad f| from the radial slope,
-    the far field of D^alpha f as a series in |x - center|^-2).
+    symmetry declares every family but tensor_hat radial about center,
+    f = g(|x - center|), and tensor_hat cube-symmetric about it.  The closed
+    forms read it through symmetry_of: |grad f| from the radial slope, and
+    the far field of D^alpha f as a series in |x - center|^-2.
     """
 
     __test__ = False  # not a test case, despite the name
@@ -140,9 +184,9 @@ class TestFunction:
     def __post_init__(self) -> None:
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}, pick one of {FAMILIES}")
-        if self.scale <= 0.0:
+        if not self.scale > 0.0:
             raise ValueError(f"scale must be positive, got {self.scale}")
-        if self.amplitude < 0.0:
+        if not self.amplitude >= 0.0:
             raise ValueError(f"amplitude must be nonnegative, got {self.amplitude}")
 
     @property
@@ -162,9 +206,8 @@ class TestFunction:
         return True
 
     @property
-    def radial(self) -> bool:
-        """Whether f is g(|x - center|): every family but tensor_hat."""
-        return self.family != "tensor_hat"
+    def symmetry(self) -> Symmetry:
+        return Symmetry("cube" if self.family == "tensor_hat" else "radial", self.center)
 
     def support_box(self, pad: float = 1.0) -> Box:
         c = self.support_center
@@ -217,7 +260,7 @@ class TestFunction:
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         d = pts - self.support_center
         A, s = self.amplitude, self.scale
-        if not self.radial:
+        if symmetry_of(self).about(self.center) != "radial":
             h = s / math.sqrt(self.dimension)
             hats = np.clip(1.0 - np.abs(d) / h, 0.0, None)
             grad = np.zeros_like(d)
@@ -232,7 +275,7 @@ class TestFunction:
     def gradient_norm(self, pts: np.ndarray) -> np.ndarray:
         """|grad f|; for the radial families |slope| |x - c| from u^2 alone,
         without the (M, n) gradient."""
-        if not self.radial:
+        if symmetry_of(self).about(self.center) != "radial":
             return np.linalg.norm(self.gradient(pts), axis=1)
         d = np.atleast_2d(np.asarray(pts, dtype=float)) - self.support_center
         r2 = np.einsum("ij,ij->i", d, d)

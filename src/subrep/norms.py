@@ -52,7 +52,7 @@ class NormError(ValueError):
 def lorentz_from_values(values: np.ndarray, p: float, q: float) -> float:
     """Lorentz functional of a finite sample cloud under its empirical
     normalized measure: the values sorted descending, each of mass 1/N."""
-    if p <= 0.0 or q <= 0.0:
+    if not (p > 0.0 and q > 0.0):
         raise NormError(f"exponents must be positive, got p={p}, q={q}")
     v = np.abs(np.asarray(values, dtype=float).ravel())
     v = v[np.argsort(v)[::-1]]
@@ -77,7 +77,7 @@ def lorentz_norm(field, p: float, q: float, cube: Cube, samples: int = 100_000) 
 
 def lp_norm(field, w: Weight, p: float, box, scheme: QuadratureScheme) -> float:
     """||field||_{L^p(w dx)} over a box."""
-    if p <= 0.0:
+    if not p > 0.0:
         raise NormError(f"p must be positive, got {p}")
 
     def fn(pts):

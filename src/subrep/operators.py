@@ -9,13 +9,10 @@ one integrate_annular sweep cut at every radius, read off its per-gap
 pieces.  Factors of |x - y| alone, powers and the exact ball mass
 w(B(x, |x - y|)) that integrands built from a weight w divide by, are
 integrate_annular's radial factor, taken once per radius, not per node.
-Where the rest of the integrand is radial about a point q, the callers
-declare it as integrate_annular's axis, and each sphere takes its reduced
-rule: riesz_potential, potential_Tw_pieces (hence potential_Tw) and
-maximal_Mwc for a radial f or its |grad f| under a constant weight or one
-with its pole at f's centre (symmetry_axis), and frac_derivative and its
-support layer for a radial f.  FracDerivativeField fields, tensor_hat,
-off-centre poles and rough_maximal keep the full sphere rule.
+Where the rest of the integrand is radial about a point q, as the
+declarations of its field and weight say (functions.symmetry_of), the
+callers pass q as integrate_annular's axis, and each sphere takes its
+reduced rule; every other integrand keeps the full sphere rule.
 
 The fractional derivative of a test function is needed at thousands of
 quadrature nodes when it feeds an outer potential, so FracDerivativeField
@@ -37,7 +34,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .functions import TestFunction
+from .functions import Symmetry, TestFunction, symmetry_of
 from .quadrature import QuadratureScheme, annulus_nodes, core_ratio, integrate_annular, shell_edges
 from .special import sphere_measure
 from .weights import Weight
@@ -55,7 +52,6 @@ __all__ = [
     "rough_maximal",
     "maximal_Mwc",
     "mwc_default_radii",
-    "symmetry_axis",
 ]
 
 
@@ -85,6 +81,11 @@ class GradientMagnitude:
     def compact_support(self) -> bool:
         return True
 
+    @property
+    def symmetry(self) -> Symmetry:
+        """That of f: |grad f| is radial or cube-symmetric where f is."""
+        return symmetry_of(self.f)
+
     def values(self, pts: np.ndarray) -> np.ndarray:
         return self.f.gradient_norm(pts)
 
@@ -93,21 +94,6 @@ class GradientMagnitude:
 
     def describe(self) -> dict:
         return {"field": "gradient_magnitude", "of": self.f.describe()}
-
-
-def symmetry_axis(field, w: Optional[Weight] = None) -> Optional[np.ndarray]:
-    """The point q such that field(y) w(y) depends on y only through |y - q|,
-    integrate_annular's axis: the centre of a radial f, for f or |grad f|
-    under no weight, a constant one or one with its pole there; None
-    otherwise.  FracDerivativeField interpolates a grid, which is not
-    exactly radial."""
-    f = field.f if isinstance(field, GradientMagnitude) else field
-    if not (isinstance(f, TestFunction) and f.radial):
-        return None
-    c = f.support_center
-    if w is None or w.kind == "constant" or np.array_equal(w.pole, c):
-        return c
-    return None
 
 
 def _truncation(field, x: np.ndarray) -> tuple[float, bool]:
@@ -136,7 +122,7 @@ def riesz_potential(field, alpha: float, x, scheme: QuadratureScheme) -> float:
         singular_exponent=n - alpha,
         extend_outer=extend,
         radial=lambda r: r ** (alpha - n),
-        axis=symmetry_axis(field),
+        axis=symmetry_of(field).axis,
     )
     return res.value
 
@@ -173,7 +159,7 @@ def frac_derivative(f: TestFunction, alpha: float, x, scheme: QuadratureScheme) 
         scheme,
         singular_exponent=n + alpha - 1.0,
         radial=lambda r: r ** (-(n + alpha)),
-        axis=c if f.radial else None,
+        axis=symmetry_of(f).axis,
     )
     tail = abs(fx) * sphere_measure(n) * r_outer ** (-alpha) / alpha
     return res.value + tail
@@ -187,7 +173,8 @@ def _support_layer(f: TestFunction, power: float, x: np.ndarray, scheme: Quadrat
         return f.values(pts) * d ** (-power)
 
     res = integrate_annular(kernel, f.support_center, f.support_radius, scheme,
-                            singular_exponent=0.0, axis=x if f.radial else None)
+                            singular_exponent=0.0,
+                            axis=x if symmetry_of(f).about(f.support_center) == "radial" else None)
     return res.value
 
 
@@ -248,6 +235,7 @@ class FracDerivativeField:
     """
 
     compact_support = False
+    symmetry = Symmetry("none")  # the interpolated grid is not exactly radial
     box_pad = 2.5  # half-side of the cached box, in support radii
 
     def __init__(self, f: TestFunction, alpha: float, scheme: QuadratureScheme,
@@ -264,7 +252,7 @@ class FracDerivativeField:
         self._lo = c - half
         self._hi = c + half
         self._axes = [np.linspace(self._lo[i], self._hi[i], self.grid_points) for i in range(n)]
-        if f.radial:
+        if symmetry_of(f).about(c) == "radial":
             self._far_coefs = self._far_series()
         else:
             self._far_coefs = None
@@ -471,7 +459,7 @@ def potential_Tw_pieces(
         singular_exponent=n - alpha,
         extend_outer=extend,
         radial=radial,
-        axis=symmetry_axis(field, w),
+        axis=symmetry_of(field, w).axis,
     )
     return res.pieces + (0.0,) * (len(cuts) - len(inside))
 
@@ -750,7 +738,7 @@ def maximal_Mwc(
         s_exp = w.beta
 
     res = integrate_annular(kernel, x, float(radii[-1]), scheme, singular_exponent=s_exp,
-                            cuts=radii[:-1], axis=symmetry_axis(field, w))
+                            cuts=radii[:-1], axis=symmetry_of(field, w).axis)
     masses = w.ball_mass_many(x, radii)
     if np.any(masses <= 0.0):
         raise OperatorError("zero ball mass under the weight")

@@ -93,9 +93,9 @@ class QuadratureScheme:
     inner_cutoff_factor: ClassVar[float] = 1e-6
 
     def __post_init__(self) -> None:
-        if self.rel_tol <= 0.0 or self.abs_floor <= 0.0:
+        if not (self.rel_tol > 0.0 and self.abs_floor > 0.0):
             raise QuadratureError("tolerances must be positive")
-        if self.annuli_per_decade < 1 or self.points_per_dim < 2:
+        if not (self.annuli_per_decade >= 1 and self.points_per_dim >= 2):
             raise QuadratureError("grading and node counts must be positive")
 
     @property

@@ -39,7 +39,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .functions import Box, Cube, TestFunction, cube_average
+from .functions import Box, Cube, TestFunction, cube_average, symmetry_of
 from .norms import lorentz_norm, lp_norm, sphere_lorentz_weak
 from .operators import (
     FracDerivativeField,
@@ -52,7 +52,6 @@ from .operators import (
     potential_Tw_pieces,
     riesz_potential,
     rough_maximal,
-    symmetry_axis,
 )
 from .quadrature import QuadratureScheme, integrate_annular, integrate_box
 from .special import (
@@ -291,25 +290,15 @@ def inscribed_grid(f: TestFunction, m: int) -> list:
     return list(box.grid(m))
 
 
-def _cube_symmetric(f: TestFunction, center, w: Optional[Weight] = None) -> bool:
-    """Whether f, and w if given, are invariant under the symmetries of a
-    cube about center (sign flips and permutations of the coordinates):
-    every family is, about its own centre, and so is a constant weight or
-    one with its pole there."""
-    c = f.support_center
-    return np.array_equal(center, c) and (
-        w is None or w.kind == "constant" or np.array_equal(w.pole, c)
-    )
-
-
-def _lattice(box: Box, m: int, symmetric: bool) -> tuple[np.ndarray, np.ndarray]:
-    """The points of box.grid(m) that a lattice sum evaluates, with their
-    weights: one point per orbit of box.grid_orbits(m), weighted by the
-    orbit's size, when the summand is symmetric about the box's centre;
+def _lattice(box: Box, m: int, center, *factors) -> tuple[np.ndarray, np.ndarray]:
+    """The points of box.grid(m), a cube about center, that a lattice sum of
+    a summand built from factors evaluates, with their weights: one point
+    per orbit of box.grid_orbits(m), weighted by the orbit's size, when the
+    factors' declarations make the summand cube-symmetric about center;
     every point with weight 1 otherwise, so that the weighted sum is the
     plain sum bit for bit."""
     pts = box.grid(m)
-    if not symmetric:
+    if symmetry_of(*factors).about(center) == "none":
         return pts, np.ones(len(pts))
     rows, counts = box.grid_orbits(m)
     return pts[rows], counts
@@ -570,12 +559,13 @@ def _bbm_double_integral(
     f: TestFunction, Q: Cube, alpha: float, scheme: QuadratureScheme, outer_cells: int
 ) -> float:
     """avg over x in Q of int_Q |f(x) - f(y)| / |x - y|^{n + alpha} dy, by
-    the midpoint rule on box.grid(outer_cells).  When Q is centred at f's
-    centre the inner integral is invariant under Q's symmetries, so only one
-    point per orbit is integrated, weighted by the orbit's size."""
+    the midpoint rule on box.grid(outer_cells).  When f is declared
+    cube-symmetric about Q's centre the inner integral is invariant under
+    Q's symmetries, so only one point per orbit is integrated, weighted by
+    the orbit's size."""
     n = Q.dimension
     box = Q.to_box()
-    xs, counts = _lattice(box, outer_cells, _cube_symmetric(f, Q.center))
+    xs, counts = _lattice(box, outer_cells, Q.center, f)
     corners = np.array(
         [[box.lower[i] if bit & (1 << i) == 0 else box.upper[i] for i in range(n)]
          for bit in range(1 << n)]
@@ -683,7 +673,7 @@ def check_annuli_absorption(
     # B_{K+1} out to the hole B_1 minus B_2, and their running sums from the
     # inside out are the integrals over the balls.
     pieces = integrate_annular(kernel, x, radii[0], scheme, cuts=radii[1:],
-                               axis=symmetry_axis(g)).pieces
+                               axis=symmetry_of(g).axis).pieces
     holes = pieces[:0:-1]
     ball_masses = list(itertools.accumulate(pieces))[:0:-1]
 
@@ -888,11 +878,12 @@ def _tw_grid_norm(
     f: TestFunction, w: Weight, q: float, cells: int, scheme: QuadratureScheme
 ) -> float:
     """Discrete L^q(w) norm of T_w f over the padded support box, by the
-    midpoint rule on its grid(cells).  When w is constant or has its pole at
-    f's centre, T_w f is invariant under the box's symmetries, so it is
-    evaluated at one point per orbit, weighted by the orbit's size."""
+    midpoint rule on its grid(cells).  When f and w are declared
+    cube-symmetric about f's centre (w constant or with its pole there),
+    T_w f is invariant under the box's symmetries, so it is evaluated at one
+    point per orbit, weighted by the orbit's size."""
     box = f.support_box(pad=3.0)
-    pts, counts = _lattice(box, cells, _cube_symmetric(f, f.support_center, w))
+    pts, counts = _lattice(box, cells, f.support_center, f, w)
     vals = np.array([potential_Tw(f, w, 1.0, pt, scheme) for pt in pts])
     wvals = w.values(pts)
     cell = box.volume / cells**f.dimension

@@ -25,6 +25,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .functions import Symmetry
+
 # integrate_annular is unused here but stays bound: perfbench/tracing.py
 # wraps it on every module that imports it.
 from .quadrature import halton_points, integrate_annular  # noqa: F401
@@ -72,7 +74,7 @@ class Weight:
 
     @classmethod
     def constant(cls, dimension: int, value: float = 1.0) -> "Weight":
-        if value <= 0.0:
+        if not value > 0.0:
             raise ValueError(f"constant weight must be positive, got {value}")
         return cls("constant", dimension, value_constant=value)
 
@@ -91,6 +93,11 @@ class Weight:
         if not 0.0 <= beta < n:
             raise ValueError(f"power_plus_one needs 0 <= beta < {n}, got {beta}")
         return cls("power_plus_one", n, pole=pole, beta=beta)
+
+    @property
+    def symmetry(self) -> Symmetry:
+        """Symmetric about every point if constant, else radial about the pole."""
+        return Symmetry("everywhere") if self.kind == "constant" else Symmetry("radial", self.pole)
 
     # -- pointwise values --------------------------------------------------
 

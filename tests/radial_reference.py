@@ -70,3 +70,9 @@ def riesz_of_gradient(family: str, n: int, alpha: float, scale: float, amplitude
                       t: float) -> float:
     """I_alpha |grad f| at distance t from the centre of f."""
     return amplitude / scale * _radial_integral(SLOPES[family], n, n - alpha, scale, t)
+
+
+def riesz_of_profile(family: str, n: int, alpha: float, scale: float, amplitude: float,
+                     t: float) -> float:
+    """I_alpha f at distance t from the centre of f."""
+    return amplitude * _radial_integral(PROFILES[family], n, n - alpha, scale, t)

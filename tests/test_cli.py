@@ -123,7 +123,9 @@ def test_report_write_failure_exits_two(tmp_path, capsys):
 @pytest.mark.parametrize(
     "key, value",
     [("outer_cells", "0"), ("outer_cells", "100"), ("cells", "0"), ("bbm_octaves", "0"),
-     ("K", "2.5"), ("cube_side", "-1"), ("separation", "0")],
+     ("K", "2.5"), ("cube_side", "-1"), ("separation", "0"),
+     # read by checks that this config does not run, but still numbers
+     ("p", "nan"), ("d", "inf"), ("a1", "nan"), ("a2", "-inf")],
 )
 def test_config_error_bad_params_value(tmp_path, capsys, key, value):
     out = tmp_path / "out"
@@ -146,7 +148,10 @@ def test_config_error_bad_weight_beta(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "section, field",
-    [("function", "amplitude = -1"), ("omega", "k = 0"), ("quadrature", "rel_tol = -1")],
+    [("function", "amplitude = -1"), ("omega", "k = 0"), ("quadrature", "rel_tol = -1"),
+     ("quadrature", "points_per_dim = inf"), ("quadrature", "annuli_per_decade = inf"),
+     ("quadrature", "rel_tol = nan"), ("weight", "value = nan"), ("function", "scale = nan"),
+     ("function", "center = nan, 0")],
 )
 def test_config_rejected_by_a_constructor_exits_two(tmp_path, capsys, section, field):
     cfg = write_config(tmp_path, f"[run]\nchecks = bbm_limit\n[{section}]\n{field}\n")
@@ -319,6 +324,13 @@ def test_registry_matches_checks_list_and_readme(capsys):
     [
         ["eval", "riesz", "--dimension", "4"],
         ["eval", "rough_maximal", "--dimension", "3", "--profile", "cosine_harmonic"],
+        ["eval", "riesz", "--rel-tol", "nan"],
+        ["eval", "riesz", "--rel-tol", "inf"],
+        ["eval", "riesz", "--amplitude", "nan"],
+        ["eval", "tw", "--weight-value", "nan"],
+        ["eval", "lp_norm", "--p", "nan"],
+        ["eval", "lorentz", "--q", "nan", "--samples", "1000"],
+        ["eval", "lorentz", "--cube-side", "nan"],
     ],
 )
 def test_eval_library_errors_exit_two(argv, capsys):

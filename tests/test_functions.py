@@ -11,6 +11,7 @@ from subrep.functions import (
     Cube,
     TestFunction,
     cube_average,
+    symmetry_of,
 )
 from subrep.operators import GradientMagnitude
 from subrep.quadrature import QuadratureScheme
@@ -162,22 +163,45 @@ def test_grid_orbits_partition_the_lattice(n, m):
     assert np.all(seen == 1)
 
 
+def _off_cube_rotation(n):
+    """A rotation about the origin that is no symmetry of the cube: 0.3 rad
+    in the plane of the first two axes, then in 3-d 0.5 rad in the last two."""
+    def turn(i, j, t):
+        g = np.eye(n)
+        g[[i, i, j, j], [i, j, i, j]] = math.cos(t), -math.sin(t), math.sin(t), math.cos(t)
+        return g
+
+    return turn(0, 1, 0.3) if n == 2 else turn(1, 2, 0.5) @ turn(0, 1, 0.3)
+
+
 @pytest.mark.parametrize("n", [2, 3])
 @pytest.mark.parametrize("family", FAMILIES)
 def test_families_have_the_cube_symmetry(family, n):
-    # The folded lattice sums in verify (_cube_symmetric) rest on this: f,
-    # |grad f| and a weight with its pole at f's centre take one value on
-    # every orbit of the cube's symmetries about that centre.
+    # The folded lattice sums and the reduced sphere rules read these
+    # declarations through symmetry_of, so each must hold: an object declared
+    # symmetric takes one value on every orbit of the cube's symmetries about
+    # its declared centre (about 0.45 (1, ..., 1), off every centre, for one
+    # symmetric everywhere), and one declared radial is invariant under a
+    # rotation outside that group too.
     c = np.array([0.3, -0.7, 0.2][:n])
     f = TestFunction(family, tuple(c), scale=1.3, amplitude=2.0)
-    w = Weight.power_plus_one(tuple(c), 0.5)
-    fields = (f.values, GradientMagnitude(f).values, w.values)
+    objects = (f, GradientMagnitude(f), Weight.constant(n, 1.7),
+               Weight.radial_power(tuple(c), 0.5), Weight.power_plus_one(tuple(c), 0.5))
     pts = c + np.random.default_rng(n).uniform(-1.3, 1.3, size=(64, n))
-    base = [field(pts) for field in fields]
-    for g in _cube_images(n):
-        images = c + (pts - c) @ g.T
-        for field, expected in zip(fields, base):
-            np.testing.assert_allclose(field(images), expected, rtol=1e-12, atol=1e-14)
+    turn = _off_cube_rotation(n)
+    for obj in objects:
+        sym = symmetry_of(obj)
+        assert sym.kind != "none"
+        centre = np.full(n, 0.45) if sym.center is None else np.asarray(sym.center)
+        radial = sym.about(centre) == "radial"
+        base = obj.values(pts)
+        for g in list(_cube_images(n)) + [turn] * radial:
+            images = centre + (pts - centre) @ g.T
+            np.testing.assert_allclose(obj.values(images), base, rtol=1e-12, atol=1e-14)
+    # tensor_hat is not radial, and the rotation shows it.
+    assert (symmetry_of(f).about(c) == "radial") == (family != "tensor_hat")
+    if family == "tensor_hat":
+        assert not np.allclose(f.values(c + (pts - c) @ turn.T), f.values(pts))
 
 
 def test_cube_basics():

@@ -88,3 +88,24 @@ def test_only_the_stability_runner_refines_a_scheme():
         and call.func.attr == "refined"
     ]
     assert owners == ["_two_pass"]
+
+
+def test_only_the_declarations_read_a_symmetry():
+    # A field or weight states its symmetry once; every rule that uses it
+    # reads the declarations through functions.symmetry_of, never on its own.
+    declaring = {"TestFunction", "GradientMagnitude", "Weight", "FracDerivativeField"}
+    readers, type_tests = set(), []
+    for name, tree in _trees().items():
+        for node in tree.body:
+            for sub in ast.walk(node):
+                # .symmetry, or the name handed to getattr or hasattr
+                if (isinstance(sub, ast.Attribute) and sub.attr == "symmetry"
+                        or isinstance(sub, ast.Constant) and sub.value == "symmetry"):
+                    readers.add(getattr(node, "name", f"{name}:{node.lineno}"))
+                if (isinstance(sub, ast.Call) and isinstance(sub.func, ast.Name)
+                        and sub.func.id == "isinstance" and len(sub.args) == 2
+                        and "GradientMagnitude" in ast.unparse(sub.args[1])):
+                    type_tests.append(f"{name}:{sub.lineno}")
+    assert readers <= declaring | {"symmetry_of"}
+    assert "symmetry_of" in readers
+    assert type_tests == []
