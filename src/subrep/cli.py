@@ -446,8 +446,9 @@ def run_command(args) -> int:
 def eval_command(args) -> int:
     try:
         n = args.dimension
-        scheme = _build_scheme(_Fields.flags(args))
-        f = _build_function(_Fields.flags(args), n)
+        flags = _Fields.flags(args)
+        scheme = _build_scheme(flags)
+        f = _build_function(flags, n)
 
         def weight() -> Weight:
             return _build_weight(_Fields.flags(args, kind="weight", value="weight_value"), n)
@@ -478,12 +479,12 @@ def eval_command(args) -> int:
         elif op == "mwc":
             value = maximal_Mwc(f, weight(), x, None, scheme)
         elif op == "lp_norm":
-            value = lp_norm(f, weight(), args.p, f.support_box(pad=1.0), scheme)
+            value = lp_norm(f, weight(), flags.number("p", 2.0), f.support_box(pad=1.0), scheme)
         elif op == "lorentz":
+            # q = inf is the weak norm; p and the side must be finite.
             q = args.q if args.q is not None else 1.0
-            side = args.cube_side if args.cube_side is not None else 2.0 * f.support_radius
-            Q = Cube(tuple(f.support_center), side)
-            value = lorentz_norm(f, args.p, q, Q, samples=args.samples)
+            Q = Cube(tuple(f.support_center), flags.number("cube_side", 2.0 * f.support_radius))
+            value = lorentz_norm(f, flags.number("p", 2.0), q, Q, samples=args.samples)
         else:
             raise ConfigError(f"unknown operator {op!r}")
     except (ValueError, QuadratureError, OperatorError) as exc:
@@ -523,7 +524,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--amplitude", type=float)
     p_eval.add_argument("--x")
     p_eval.add_argument("--alpha", type=float)
-    p_eval.add_argument("--p", type=float, default=2.0)
+    p_eval.add_argument("--p", type=float)
     p_eval.add_argument("--q", type=float)
     p_eval.add_argument("--weight")
     p_eval.add_argument("--weight-value", type=float)

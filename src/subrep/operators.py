@@ -110,12 +110,8 @@ def riesz_potential(field, alpha: float, x, scheme: QuadratureScheme) -> float:
     if not 0.0 < alpha < n:
         raise OperatorError(f"riesz potential needs 0 < alpha < {n}, got {alpha}")
     r_outer, extend = _truncation(field, x)
-
-    def kernel(pts, rad):
-        return field.values(pts)
-
     res = integrate_annular(
-        kernel,
+        lambda pts, rad: field.values(pts),
         x,
         r_outer,
         scheme,
@@ -730,12 +726,9 @@ def maximal_Mwc(
         return np.abs(field.values(pts)) * w.values(pts)
 
     # Singularity of w at the center x makes the integrand unbounded there;
-    # its strength is the weight's pole exponent when the pole sits at x.
-    s_exp = 0.0
-    if w.kind in ("radial_power", "power_plus_one") and np.allclose(
-        np.asarray(w.pole), x, atol=1e-14
-    ):
-        s_exp = w.beta
+    # its strength is the weight's exponent when w is radial about x (a
+    # constant weight is, with exponent 0).
+    s_exp = w.beta if symmetry_of(w).about(x) == "radial" else 0.0
 
     res = integrate_annular(kernel, x, float(radii[-1]), scheme, singular_exponent=s_exp,
                             cuts=radii[:-1], axis=symmetry_of(field, w).axis)

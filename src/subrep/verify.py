@@ -14,7 +14,9 @@ Every stability check runs through _two_pass, given run(scheme, factor) ->
 (records, extras) at one resolution: factor 1, then scheme.refined() at
 factor 2.  A rule of the check's own is a predicate on the base extras that
 must hold too; a base pass that raises _Degenerate(note) is reported as
-degenerate with that note.
+degenerate with that note.  The pointwise Theorems 2.1, 2.2, 2.3, 2.6 and
+2.7 are one such check, _theorem, given an optional weight, symbol and
+fractional order.
 
 Ratios always divide by the right-hand side WITHOUT the unknown constant, so
 the empirical constant is directly the smallest constant making the
@@ -310,15 +312,6 @@ def default_a1_balls(f: TestFunction) -> list:
     return [(c, lam * s) for c in centers for lam in (0.3, 0.6, 1.2)]
 
 
-def _a1(w: Weight, f: TestFunction, factor: int) -> float:
-    return estimate_a1(w, default_a1_balls(f), samples_per_ball=1000 * factor).value
-
-
-def _truncations(f: TestFunction, x: np.ndarray, factor: int) -> TruncationGrid:
-    """Ten octaves below the covering radius, one more in the refined pass."""
-    return TruncationGrid.covering(f, x, octaves=9 + factor)
-
-
 # -- the stability runner and the pointwise checks -----------------------------
 
 
@@ -354,10 +347,57 @@ def _two_pass(
     )
 
 
-def _pointwise(points: list, make_pair: Callable, **extras) -> Callable:
-    """The _two_pass run of a pointwise inequality: make_pair(scheme, factor)
-    returns x -> (lhs, rhs) at one resolution."""
-    return lambda sch, factor: (_samples(points, make_pair(sch, factor)), extras)
+def _theorem(
+    check_id: str, f: TestFunction, points: Optional[Sequence], scheme: Optional[QuadratureScheme],
+    *, w: Optional[Weight] = None, omega: Optional[SphereSymbol] = None,
+    alpha: Optional[float] = None, grid_points: int = 64,
+) -> CheckReport:
+    """The pointwise theorems of Section 2 as one stability check: |f(x)|,
+    or T*_Omega f(x) given omega, against a potential of |grad f|, or of
+    D^alpha f given alpha, of order alpha (else 1): T_{w,order} given w,
+    I_order without.  Its constant is (1 - alpha), ||Omega||_{L^{n/order,inf}}
+    and [w]_A1, each present only with its ingredient, multiplied in that
+    order."""
+    if alpha is not None:
+        _require_alpha(alpha)
+    scheme = scheme or QuadratureScheme()
+    points = list(points) if points is not None else default_points(
+        f, interior=5 if omega is None else 4)
+    order = 1.0 if alpha is None else alpha
+    omega_norm = None if omega is None else sphere_lorentz_weak(omega, f.dimension / order)
+    extras = {} if omega is None else {"omega_norm": omega_norm}
+    notes = () if omega is None else (ROUGH_FACTORIZATION_NOTE,)
+
+    def run(sch: QuadratureScheme, factor: int) -> tuple[list, dict]:
+        constant = 1.0 if alpha is None else 1.0 - alpha
+        if omega is not None:
+            constant *= omega_norm
+        if w is not None:
+            constant *= estimate_a1(w, default_a1_balls(f), samples_per_ball=1000 * factor).value
+        density = (GradientMagnitude(f) if alpha is None
+                   else FracDerivativeField(f, alpha, sch, grid_points=grid_points * factor))
+
+        # T*_Omega truncates ten octaves below the covering radius, one more
+        # in the refined pass.
+        def pair(x):
+            lhs = (abs(f.value(x)) if omega is None else rough_maximal(
+                f, omega, x, TruncationGrid.covering(f, x, octaves=9 + factor), sch))
+            potential = (riesz_potential(density, order, x, sch) if w is None
+                         else potential_Tw(density, w, order, x, sch))
+            return lhs, constant * potential
+
+        return _samples(points, pair), extras
+
+    config = {
+        "f": f.describe(),
+        "w": None if w is None else w.describe(),
+        "alpha": alpha,
+        "omega": None if omega is None else omega.describe(),
+        "grid_points": None if alpha is None else grid_points,
+        "points": _points_list(points),
+    }
+    config = {key: value for key, value in config.items() if value is not None}
+    return _two_pass(check_id, scheme, run, config, notes=notes)
 
 
 def check_subrepresentation_identity(
@@ -368,16 +408,7 @@ def check_subrepresentation_identity(
 ) -> CheckReport:
     """Theorem 2.1: |f(x)| against [w]_A1 T_w(|grad f|)(x), existential
     dimensional constant, refinement-stability pass rule."""
-    scheme = scheme or QuadratureScheme()
-    points = list(points) if points is not None else default_points(f)
-    grad = GradientMagnitude(f)
-
-    def make_pass(sch, factor):
-        a1 = _a1(w, f, factor)
-        return lambda x: (abs(f.value(x)), a1 * potential_Tw(grad, w, 1.0, x, sch))
-
-    config = {"f": f.describe(), "w": w.describe(), "points": _points_list(points)}
-    return _two_pass("subrepresentation_identity", scheme, _pointwise(points, make_pass), config)
+    return _theorem("subrepresentation_identity", f, points, scheme, w=w)
 
 
 def check_rough_subrepresentation(
@@ -389,24 +420,7 @@ def check_rough_subrepresentation(
 ) -> CheckReport:
     """Theorem 2.2: T*_Omega f against ||Omega||_{L^{n,inf}} [w]_A1
     T_w(|grad f|)."""
-    scheme = scheme or QuadratureScheme()
-    points = list(points) if points is not None else default_points(f, interior=4)
-    grad = GradientMagnitude(f)
-    omega_norm = sphere_lorentz_weak(omega, float(f.dimension))
-
-    def make_pass(sch, factor):
-        a1 = _a1(w, f, factor)
-        return lambda x: (
-            rough_maximal(f, omega, x, _truncations(f, x, factor), sch),
-            omega_norm * a1 * potential_Tw(grad, w, 1.0, x, sch),
-        )
-
-    config = {"f": f.describe(), "w": w.describe(), "omega": omega.describe(),
-              "points": _points_list(points)}
-    return _two_pass(
-        "rough_subrepresentation", scheme, _pointwise(points, make_pass, omega_norm=omega_norm),
-        config, notes=(ROUGH_FACTORIZATION_NOTE,),
-    )
+    return _theorem("rough_subrepresentation", f, points, scheme, w=w, omega=omega)
 
 
 def check_fractional_domination(
@@ -419,24 +433,8 @@ def check_fractional_domination(
 ) -> CheckReport:
     """Theorem 2.3: T*_Omega f against (1 - alpha) ||Omega||_{L^{n/alpha,inf}}
     I_alpha(D^alpha f)."""
-    _require_alpha(alpha)
-    scheme = scheme or QuadratureScheme()
-    points = list(points) if points is not None else default_points(f, interior=4)
-    omega_norm = sphere_lorentz_weak(omega, f.dimension / alpha)
-
-    def make_pass(sch, factor):
-        frac = FracDerivativeField(f, alpha, sch, grid_points=grid_points * factor)
-        return lambda x: (
-            rough_maximal(f, omega, x, _truncations(f, x, factor), sch),
-            (1.0 - alpha) * omega_norm * riesz_potential(frac, alpha, x, sch),
-        )
-
-    config = {"f": f.describe(), "alpha": alpha, "omega": omega.describe(),
-              "grid_points": grid_points, "points": _points_list(points)}
-    return _two_pass(
-        "fractional_domination", scheme, _pointwise(points, make_pass, omega_norm=omega_norm),
-        config, notes=(ROUGH_FACTORIZATION_NOTE,),
-    )
+    return _theorem("fractional_domination", f, points, scheme,
+                    omega=omega, alpha=alpha, grid_points=grid_points)
 
 
 def check_identity_fractional(
@@ -448,21 +446,8 @@ def check_identity_fractional(
     grid_points: int = 64,
 ) -> CheckReport:
     """Theorem 2.6: |f(x)| against (1 - alpha) [w]_A1 T_{w,alpha}(D^alpha f)(x)."""
-    _require_alpha(alpha)
-    scheme = scheme or QuadratureScheme()
-    points = list(points) if points is not None else default_points(f)
-
-    def make_pass(sch, factor):
-        a1 = _a1(w, f, factor)
-        frac = FracDerivativeField(f, alpha, sch, grid_points=grid_points * factor)
-        return lambda x: (
-            abs(f.value(x)),
-            (1.0 - alpha) * a1 * potential_Tw(frac, w, alpha, x, sch),
-        )
-
-    config = {"f": f.describe(), "w": w.describe(), "alpha": alpha, "grid_points": grid_points,
-              "points": _points_list(points)}
-    return _two_pass("identity_fractional", scheme, _pointwise(points, make_pass), config)
+    return _theorem("identity_fractional", f, points, scheme,
+                    w=w, alpha=alpha, grid_points=grid_points)
 
 
 def check_rough_fractional(
@@ -476,31 +461,8 @@ def check_rough_fractional(
 ) -> CheckReport:
     """Theorem 2.7: T*_Omega f against (1-alpha) ||Omega||_{L^{n/alpha,inf}}
     [w]_A1 T_{w,alpha}(D^alpha f)."""
-    _require_alpha(alpha)
-    scheme = scheme or QuadratureScheme()
-    points = list(points) if points is not None else default_points(f, interior=4)
-    omega_norm = sphere_lorentz_weak(omega, f.dimension / alpha)
-
-    def make_pass(sch, factor):
-        a1 = _a1(w, f, factor)
-        frac = FracDerivativeField(f, alpha, sch, grid_points=grid_points * factor)
-        return lambda x: (
-            rough_maximal(f, omega, x, _truncations(f, x, factor), sch),
-            (1.0 - alpha) * omega_norm * a1 * potential_Tw(frac, w, alpha, x, sch),
-        )
-
-    config = {
-        "f": f.describe(),
-        "w": w.describe(),
-        "alpha": alpha,
-        "omega": omega.describe(),
-        "grid_points": grid_points,
-        "points": _points_list(points),
-    }
-    return _two_pass(
-        "rough_fractional", scheme, _pointwise(points, make_pass, omega_norm=omega_norm),
-        config, notes=(ROUGH_FACTORIZATION_NOTE,),
-    )
+    return _theorem("rough_fractional", f, points, scheme,
+                    w=w, omega=omega, alpha=alpha, grid_points=grid_points)
 
 
 # -- Lemma 2.4 (explicit constant) --------------------------------------------
@@ -666,14 +628,11 @@ def check_annuli_absorption(
             radius = 1.0
     radii = [radius * 2.0 ** (1 - k) for k in range(1, K + 2)]  # r_1 .. r_{K+1}
 
-    def kernel(pts, rad):
-        return g.values(pts)
-
     # One sweep cut at r_2 .. r_{K+1}: its pieces run from the core ball
     # B_{K+1} out to the hole B_1 minus B_2, and their running sums from the
     # inside out are the integrals over the balls.
-    pieces = integrate_annular(kernel, x, radii[0], scheme, cuts=radii[1:],
-                               axis=symmetry_of(g).axis).pieces
+    pieces = integrate_annular(lambda pts, rad: g.values(pts), x, radii[0], scheme,
+                               cuts=radii[1:], axis=symmetry_of(g).axis).pieces
     holes = pieces[:0:-1]
     ball_masses = list(itertools.accumulate(pieces))[:0:-1]
 
@@ -732,11 +691,6 @@ def _beta_quadrature(
     h = delta / 2.0
     mid = (x1 + x2) / 2.0
 
-    def full_kernel(pts):
-        d1 = np.linalg.norm(pts - x1[None, :], axis=1)
-        d2 = np.linalg.norm(pts - x2[None, :], axis=1)
-        return d1 ** (-a1) * d2 ** (-a2)
-
     def near(pole, other, a_pole, a_other):
         def kernel(pts, rad):
             d = np.linalg.norm(pts - other[None, :], axis=1)
@@ -750,8 +704,7 @@ def _beta_quadrature(
     def kernel_rest(pts, rad):
         d1 = np.linalg.norm(pts - x1[None, :], axis=1)
         d2 = np.linalg.norm(pts - x2[None, :], axis=1)
-        vals = np.where((d1 >= h) & (d2 >= h), full_kernel(pts), 0.0)
-        return vals
+        return np.where((d1 >= h) & (d2 >= h), d1 ** (-a1) * d2 ** (-a2), 0.0)
 
     # |t - x2| is fixed by |t - mid| and |t - x1| (parallelogram law), so
     # the rest is symmetric about the line through the poles too.

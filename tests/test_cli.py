@@ -331,6 +331,9 @@ def test_registry_matches_checks_list_and_readme(capsys):
         ["eval", "lp_norm", "--p", "nan"],
         ["eval", "lorentz", "--q", "nan", "--samples", "1000"],
         ["eval", "lorentz", "--cube-side", "nan"],
+        ["eval", "lp_norm", "--p", "inf"],
+        ["eval", "lorentz", "--p", "inf", "--samples", "1000"],
+        ["eval", "lorentz", "--cube-side", "inf", "--samples", "1000"],
     ],
 )
 def test_eval_library_errors_exit_two(argv, capsys):
@@ -338,6 +341,13 @@ def test_eval_library_errors_exit_two(argv, capsys):
     err = capsys.readouterr().err
     assert err.startswith("eval error: ")
     assert "Traceback" not in err
+
+
+def test_eval_lorentz_takes_the_weak_norm_at_infinite_q(capsys):
+    # q = inf is the weak norm L^{p,inf}; only p and the cube side must be finite.
+    assert main(["eval", "lorentz", "--q", "inf", "--samples", "1000"]) == 0
+    value = _printed_value(capsys)
+    assert math.isfinite(value) and value > 0.0
 
 
 def test_eval_rough_maximal_in_3d_takes_the_3d_profile(capsys):

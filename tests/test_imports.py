@@ -109,3 +109,47 @@ def test_only_the_declarations_read_a_symmetry():
     assert readers <= declaring | {"symmetry_of"}
     assert "symmetry_of" in readers
     assert type_tests == []
+
+
+THEOREMS = ("check_subrepresentation_identity", "check_rough_subrepresentation",
+            "check_fractional_domination", "check_identity_fractional", "check_rough_fractional")
+
+
+def test_each_pointwise_theorem_is_one_call_into_the_runner():
+    # Theorems 2.1, 2.2, 2.3, 2.6 and 2.7 differ only in their ingredients,
+    # so each is its docstring and one return of verify._theorem.
+    bodies = {node.name: node.body for node in _trees()["verify.py"].body
+              if isinstance(node, ast.FunctionDef) and node.name in THEOREMS}
+    assert sorted(bodies) == sorted(THEOREMS)
+    for name, body in bodies.items():
+        assert len(body) == 2, name
+        assert isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant), name
+        ret = body[1]
+        assert isinstance(ret, ast.Return) and isinstance(ret.value, ast.Call), name
+        assert isinstance(ret.value.func, ast.Name) and ret.value.func.id == "_theorem", name
+
+
+def test_only_the_theorem_runner_and_three_checks_call_two_pass():
+    callers = [
+        node.name
+        for node in _trees()["verify.py"].body
+        for call in ast.walk(node)
+        if isinstance(call, ast.Call)
+        and isinstance(call.func, ast.Name)
+        and call.func.id == "_two_pass"
+    ]
+    assert sorted(callers) == sorted(
+        ["_theorem", "check_poincare_bbm", "check_hedberg_split", "check_sobolev_mapping"]
+    )
+
+
+def test_only_the_weight_reads_its_pole():
+    # Every other module learns where a weight is singular from its
+    # symmetry declaration.
+    readers = sorted(
+        f"{name}:{node.lineno}"
+        for name, tree in _trees().items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "pole" and name != "weights.py"
+    )
+    assert readers == []

@@ -17,7 +17,16 @@ import numpy as np
 import pytest
 
 from subrep.functions import FAMILIES, Cube, TestFunction, symmetry_of
-from subrep.operators import GradientMagnitude, SphereSymbol, potential_Tw
+from subrep.norms import sphere_lorentz_weak
+from subrep.operators import (
+    FracDerivativeField,
+    GradientMagnitude,
+    SphereSymbol,
+    TruncationGrid,
+    potential_Tw,
+    riesz_potential,
+    rough_maximal,
+)
 from subrep.quadrature import QuadratureScheme, integrate_annular
 from subrep.special import bbm_constant, sphere_measure
 from subrep import verify
@@ -41,7 +50,7 @@ from subrep.verify import (
     inscribed_grid,
 )
 import subrep
-from subrep.weights import Weight
+from subrep.weights import Weight, estimate_a1
 
 LIGHT = QuadratureScheme(rel_tol=5e-3, annuli_per_decade=3, points_per_dim=8)
 
@@ -618,3 +627,59 @@ def test_theorem_21_in_3d_at_the_default_points():
     assert len(r.samples) == 85
     assert r.passed
     assert r.empirical_constant == pytest.approx(0.317682, rel=1e-5)
+
+
+# -- the pointwise theorems share one recipe ----------------------------------
+
+# Theorem: (weighted, rough, alpha).  A weight brings [w]_A1 and T_w, a
+# symbol brings T*_Omega and its weak Lorentz norm, alpha brings D^alpha f
+# and the factor 1 - alpha.
+THEOREMS = {
+    "subrepresentation_identity": (True, False, None),
+    "rough_subrepresentation": (True, True, None),
+    "fractional_domination": (False, True, 0.5),
+    "identity_fractional": (True, False, 0.5),
+    "rough_fractional": (True, True, 0.5),
+}
+
+
+@pytest.mark.parametrize("check_id", sorted(THEOREMS))
+def test_pointwise_theorems_multiply_the_stated_constant(check_id):
+    # The stability verdict is blind to a constant factor, so the base
+    # sample is recomputed from the operators: a wrong factor or Lorentz
+    # exponent (n instead of n/alpha) changes lhs or rhs here.
+    weighted, rough, alpha = THEOREMS[check_id]
+    f = bump2()
+    w = Weight.power_plus_one((0.0, 0.0), 0.5)
+    omega = SphereSymbol.cosine_harmonic(k=1)
+    x = np.array([0.3, 0.1])
+    kwargs = {"w": w} if weighted else {}
+    if rough:
+        kwargs["omega"] = omega
+    if alpha is not None:
+        kwargs.update(alpha=alpha, grid_points=16)
+    r = getattr(verify, f"check_{check_id}")(f, points=[x], scheme=LIGHT, **kwargs)
+
+    order = 1.0 if alpha is None else alpha
+    factors = [] if alpha is None else [1.0 - alpha]
+    omega_norm = sphere_lorentz_weak(omega, f.dimension / order)
+    if rough:
+        factors.append(omega_norm)
+    if weighted:
+        factors.append(estimate_a1(w, verify.default_a1_balls(f), 1000).value)
+    density = (GradientMagnitude(f) if alpha is None
+               else FracDerivativeField(f, alpha, LIGHT, grid_points=16))
+    potential = (potential_Tw(density, w, order, x, LIGHT) if weighted
+                 else riesz_potential(density, order, x, LIGHT))
+    lhs = (rough_maximal(f, omega, x, TruncationGrid.covering(f, x, octaves=10), LIGHT)
+           if rough else abs(f.value(x)))
+    assert r.samples[0].lhs == lhs
+    assert r.samples[0].rhs == math.prod(factors) * potential
+
+    keys = {"check", "f", "points", "scheme"}
+    keys |= {"w"} if weighted else set()
+    keys |= {"omega"} if rough else set()
+    keys |= {"alpha", "grid_points"} if alpha is not None else set()
+    assert set(r.config) == keys
+    assert r.extras.get("omega_norm") == (omega_norm if rough else None)
+    assert r.notes == ((verify.ROUGH_FACTORIZATION_NOTE,) if rough else ())
