@@ -151,6 +151,14 @@ class _Fields:
             raise ConfigError(f"{self.label(key)} must be a finite number, got {raw!r}")
         return value
 
+    def count(self, key: str, default: int) -> int:
+        """A whole number of at least 1; a fractional value is an error,
+        never truncated."""
+        value = self.number(key, default)
+        if not (value >= 1 and float(value).is_integer()):
+            raise ConfigError(f"{self.label(key)} must be a whole number of at least 1, got {value}")
+        return int(value)
+
     def coords(self, key: str, n: int) -> tuple:
         raw = self.get(key)
         if raw is None:
@@ -168,8 +176,8 @@ def _build_scheme(src: _Fields) -> QuadratureScheme:
     default = QuadratureScheme()
     return QuadratureScheme(
         rel_tol=src.number("rel_tol", default.rel_tol),
-        annuli_per_decade=int(src.number("annuli_per_decade", default.annuli_per_decade)),
-        points_per_dim=int(src.number("points_per_dim", default.points_per_dim)),
+        annuli_per_decade=src.count("annuli_per_decade", default.annuli_per_decade),
+        points_per_dim=src.count("points_per_dim", default.points_per_dim),
     )
 
 
@@ -209,9 +217,9 @@ def _build_omega(src: _Fields, n: int) -> SphereSymbol:
     profile = src.text("profile", "cosine_harmonic" if n == 2 else "odd_polynomial")
     amplitude = src.number("amplitude", 1.0)
     if profile == "cosine_harmonic":
-        return SphereSymbol.cosine_harmonic(k=int(src.number("k", 1)), amplitude=amplitude)
+        return SphereSymbol.cosine_harmonic(k=src.count("k", 1), amplitude=amplitude)
     if profile == "sign_profile":
-        return SphereSymbol.sign_profile(cells=int(src.number("cells", 64)), amplitude=amplitude)
+        return SphereSymbol.sign_profile(cells=src.count("cells", 64), amplitude=amplitude)
     if profile == "odd_polynomial":
         coeffs = _floats(src.text("coefficients", "1.0"), src.label("coefficients"))
         return SphereSymbol.odd_polynomial(list(coeffs), amplitude=amplitude)
@@ -222,16 +230,17 @@ DEFAULT_PARAMS = {
     "alpha": 0.5,
     "p": 1.5,
     "d": None,  # defaults to the dimension
-    "K": 10.0,
+    "K": 10,
     "cube_side": 2.0,
     "a1": None,  # defaults to 0.8 n, keeping a1 + a2 > n at every dimension
     "a2": None,
     "separation": 1.0,
-    "bbm_octaves": 10.0,
+    "bbm_octaves": 10,
     "ahlfors_beta": 0.5,
-    "outer_cells": 8.0,
-    "cells": 12.0,
+    "outer_cells": 8,
+    "cells": 12,
 }
+COUNT_PARAMS = ("K", "bbm_octaves", "outer_cells", "cells")  # whole numbers of at least 1
 
 
 def load_config(path) -> RunConfig:
@@ -277,7 +286,9 @@ def load_config(path) -> RunConfig:
 
     psec = _Fields.section(parser, "params")
     fallbacks = {"d": float(n), "a1": 0.8 * n, "a2": 0.8 * n}
-    params = {key: psec.number(key, fallbacks.get(key, default)) for key, default in DEFAULT_PARAMS.items()}
+    params = {key: psec.count(key, default) if key in COUNT_PARAMS
+              else psec.number(key, fallbacks.get(key, default))
+              for key, default in DEFAULT_PARAMS.items()}
     params["variant"] = psec.text("variant", "avg_11")
 
     alpha = params["alpha"]
@@ -294,9 +305,6 @@ def load_config(path) -> RunConfig:
         )
     if not 0.0 < params["ahlfors_beta"] < 1.0:
         raise ConfigError(f"[params] ahlfors_beta must sit in (0, 1), got {params['ahlfors_beta']}")
-    for key in ("K", "bbm_octaves", "outer_cells", "cells"):
-        if not (params[key] >= 1 and params[key].is_integer()):
-            raise ConfigError(f"[params] {key} must be a whole number of at least 1, got {params[key]}")
     if params["outer_cells"] > 64:
         raise ConfigError(f"[params] outer_cells must be at most 64, got {params['outer_cells']}")
     for key in ("cube_side", "separation"):

@@ -81,18 +81,21 @@ class Box:
         return np.stack([g.ravel() for g in mesh], axis=1)
 
     def grid_orbits(self, m: int) -> tuple[np.ndarray, np.ndarray]:
-        """Orbits of grid(m) under the symmetries of a cube about its centre
-        (sign flips and permutations of the coordinates): rows indexes one
-        representative per orbit into grid(m), counts gives the orbit sizes.
-        The orbits partition the lattice, so counts sums to m^n; there are
-        C(ceil(m/2) + n - 1, n) of them.  Only on a cube are the points of an
-        orbit images of one another."""
+        """Orbits of an m^n lattice under the symmetries of a cube about its
+        centre (sign flips and permutations of the coordinates): rows indexes
+        one representative per orbit into the C-ordered lattice, and orbit
+        gives each lattice point the index of its orbit, so rows[orbit]
+        takes every point to its representative and np.bincount(orbit) gives
+        the orbit sizes.  There are C(ceil(m/2) + n - 1, n) orbits.  The fold
+        reads indices only, so it holds for grid(m) and for any lattice whose
+        axes are symmetric about the centre; only on a cube are the points
+        of an orbit images of one another."""
         n = self.dimension
         idx = np.indices((m,) * n, dtype=np.int32).reshape(n, -1)
         folded = np.sort(np.minimum(idx, m - 1 - idx), axis=0)
         key = np.ravel_multi_index(folded, (m,) * n)
-        _, rows, counts = np.unique(key, return_index=True, return_counts=True)
-        return rows, counts
+        _, rows, orbit = np.unique(key, return_index=True, return_inverse=True)
+        return rows, orbit
 
 
 @dataclass(frozen=True)

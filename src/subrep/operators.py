@@ -17,12 +17,14 @@ reduced rule; every other integrand keeps the full sphere rule.
 The fractional derivative of a test function is needed at thousands of
 quadrature nodes when it feeds an outer potential, so FracDerivativeField
 precomputes it on a grid spanning a padded support box (multilinear
-interpolation inside) and uses a closed form beyond 1.5 support radii, where
-the defining integral collapses to an integral over the support.  For a
-radial f that integral is a power series in |x - c|^-2, whose coefficients
-are moments of the radial profile; for tensor_hat it is a single layer, a
-blocked matrix product against a fixed support rule, with squared distances
-in Gram form.
+interpolation inside), one node per orbit of the cube's symmetries about the
+support centre c.  Inside the support the nodes share one batched shell
+geometry.  Outside it the defining integral collapses to a single layer over
+the support, integrated adaptively as frac_derivative does out to 1.5
+support radii and in closed form beyond: for a radial f a power series in
+|x - c|^-2, whose coefficients are moments of the radial profile, and for
+tensor_hat a blocked matrix product against a fixed support rule, with
+squared distances in Gram form.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .functions import Symmetry, TestFunction, symmetry_of
+from .functions import Box, Symmetry, TestFunction, symmetry_of
 from .quadrature import QuadratureScheme, annulus_nodes, core_ratio, integrate_annular, shell_edges
 from .special import sphere_measure
 from .weights import Weight
@@ -174,9 +176,9 @@ def _support_layer(f: TestFunction, power: float, x: np.ndarray, scheme: Quadrat
     return res.value
 
 
-# Elements per (points x nodes) block of a single-layer sum (the near band,
-# and the far field of a non-radial f) or of the interior shells of
-# FracDerivativeField: 16 MB of float64.
+# Elements per (points x nodes) block of a single-layer sum (the far field
+# of a non-radial f) or of the interior shells of FracDerivativeField: 16 MB
+# of float64.
 _LAYER_BLOCK = 1 << 21
 
 # The far-field series of a radial f is used at |x - c| >= 1.5 s, where its
@@ -217,17 +219,18 @@ class FracDerivativeField:
     integral.
 
     Inside a padded support box the values come from a precomputed grid
-    (multilinear interpolation).  Grid nodes inside the support share one
-    shell geometry, and their core balls come from their innermost shells by
-    the rule integrate_annular uses (core_ratio).  Outside the support f
-    vanishes and the defining integral reduces to the single layer
-    int_supp f(z) |y - z|^{-n-alpha} dz.  Beyond 1.5 s (points outside the
-    box and the far grid nodes) a radial f sums it as a power series in
+    (multilinear interpolation), in three regimes.  Grid nodes inside the
+    support share one shell geometry, and their core balls come from their
+    innermost shells by the rule integrate_annular uses (core_ratio).
+    Outside the support f vanishes and the defining integral reduces to the
+    single layer int_supp f(z) |y - z|^{-n-alpha} dz.  Grid nodes in the
+    near band 1 <= |x - c|/s < 1.5 integrate it adaptively (_support_layer),
+    exactly as frac_derivative does.  Beyond 1.5 s (points outside the box
+    and the far grid nodes) a radial f sums it as a power series in
     (s / |y - c|)^2 (_far_series), and tensor_hat by _single_layer against a
-    fixed rule on the support.  Grid nodes in the near band
-    1 <= |x - c|/s < 1.5 take _single_layer against the support rule at two
-    resolutions, and fall back to adaptive integration where the two
-    disagree beyond the scheme's budget.
+    fixed rule on the support.  The grid evaluates one node per orbit of the
+    cube's symmetries about c and copies its value to the orbit, so the
+    grid values are exactly invariant under the axis flips and transposes.
     """
 
     compact_support = False
@@ -252,8 +255,7 @@ class FracDerivativeField:
             self._far_coefs = self._far_series()
         else:
             self._far_coefs = None
-            nodes, weights = zip(*self._support_rule(12))
-            self._far_nodes, self._far_weights = np.concatenate(nodes), np.concatenate(weights)
+            self._far_nodes, self._far_weights = self._support_rule(12)
         self._grid_values = self._build_grid(scheme)
         from scipy.interpolate import RegularGridInterpolator
 
@@ -278,28 +280,31 @@ class FracDerivativeField:
         return float(self.box_pad * self.f.support_radius * math.sqrt(self.dimension))
 
     def _build_grid(self, scheme: QuadratureScheme) -> np.ndarray:
-        n = self.dimension
+        n, m = self.dimension, self.grid_points
         c, s = self.f.support_center, self.f.support_radius
         mesh = np.meshgrid(*self._axes, indexing="ij")
         X = np.stack([g.ravel() for g in mesh], axis=1)
+        # The axes are symmetric about c, so Box.grid_orbits' index fold
+        # applies: one node per orbit is evaluated, and its value copied.
+        if symmetry_of(self.f).about(c) == "none":
+            rows = orbit = np.arange(len(X))
+        else:
+            rows, orbit = Box(tuple(self._lo), tuple(self._hi)).grid_orbits(m)
+        X = X[rows]
         dist = np.linalg.norm(X - c, axis=1)
         total = np.empty(len(X))
 
-        # Grid points outside the support: the defining integral collapses
-        # to the single layer over supp(f).  Near the support its kernel
-        # peaks, so the fixed rule is checked there against a finer one.
-        near = (dist >= s) & (dist < 1.5 * s)
-        far = dist >= 1.5 * s
-        if np.any(near):
-            total[near] = self._near_values(X[near], scheme)
-        if np.any(far):
-            total[far] = self._far_values(X[far])
-
         inside = dist < s
-        Xi = X[inside]
-        if len(Xi):
-            total[inside] = self._build_inside(Xi, scheme)
-        return total.reshape([self.grid_points] * n)
+        if np.any(inside):
+            total[inside] = self._build_inside(X[inside], scheme)
+        # Outside the support the defining integral collapses to the single
+        # layer over supp(f).  Near it the kernel peaks, so those nodes take
+        # the adaptive rule of frac_derivative; beyond 1.5 s the closed form.
+        near = ~inside & (dist < 1.5 * s)
+        total[near] = [_support_layer(self.f, n + self.alpha, x, scheme) for x in X[near]]
+        far = dist >= 1.5 * s
+        total[far] = self._far_values(X[far])
+        return total[orbit].reshape([m] * n)
 
     def _build_inside(self, X: np.ndarray, scheme: QuadratureScheme) -> np.ndarray:
         """Batched shells around each interior point, sharing one geometry.
@@ -334,33 +339,16 @@ class FracDerivativeField:
         total += np.abs(fx) * sphere_measure(n) * reach ** (-alpha) / alpha
         return total
 
-    def _support_rule(self, m: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    def _support_rule(self, m: int) -> tuple[np.ndarray, np.ndarray]:
         """A fixed rule on the support, m nodes per dimension on each of 16
-        shells: (nodes, weights times f) per shell."""
+        shells: its nodes, and its weights times f."""
         f = self.f
         edges = np.geomspace(1e-4 * f.support_radius, f.support_radius, 17)
-        shells = []
-        for a, b in zip(edges[:-1], edges[1:]):
-            pts, wts, _ = annulus_nodes(f.support_center, float(a), float(b), m)
-            shells.append((pts, wts * f.values(pts)))
+        shells = [annulus_nodes(f.support_center, float(a), float(b), m)[:2]
+                  for a, b in zip(edges, edges[1:])]
+        nodes, weights = map(np.concatenate, zip(*shells))
         # The untouched core ball contributes at most f_max * vol ~ 1e-8 s^n.
-        return shells
-
-    def _near_values(self, X: np.ndarray, scheme: QuadratureScheme) -> np.ndarray:
-        """The single layer at 1 <= |x - c|/s < 1.5, from the support rule at
-        two resolutions.  A point keeps the fine value when its per-shell
-        discrepancies meet the scheme's budget, the test _refine_to_tolerance
-        applies; every other point is integrated adaptively."""
-        c, power = self.f.support_center, self.dimension + self.alpha
-        coarse, fine = (
-            np.array([_single_layer(X, c, z, w, power) for z, w in self._support_rule(m)])
-            for m in (24, 48)
-        )
-        out = fine.sum(axis=0)
-        err = np.abs(fine - coarse).sum(axis=0)
-        for i in np.flatnonzero(~(err <= scheme.budget(out))):
-            out[i] = _support_layer(self.f, power, X[i], scheme)
-        return out
+        return nodes, weights * f.values(nodes)
 
     def _far_series(self) -> np.ndarray:
         """Coefficients C_k of the far field of a radial f = g(|. - c|):
@@ -396,13 +384,14 @@ class FracDerivativeField:
         return q ** (0.5 * p) * np.polyval(self._far_coefs[::-1], q)
 
     def values(self, pts: np.ndarray) -> np.ndarray:
+        # Interpolating every point and overwriting those outside the box
+        # copies no (points x n) block of the inside ones, a per-call
+        # temporary that faulted fresh pages in on every chunk.
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        inside = np.all((pts >= self._lo) & (pts <= self._hi), axis=1)
-        out = np.empty(len(pts))
-        if np.any(inside):
-            out[inside] = np.asarray(self._interp(pts[inside]), dtype=float)
-        if np.any(~inside):
-            out[~inside] = self._far_values(pts[~inside])
+        out = np.asarray(self._interp(pts), dtype=float)
+        outside = ~np.all((pts >= self._lo) & (pts <= self._hi), axis=1)
+        if np.any(outside):
+            out[outside] = self._far_values(pts[outside])
         return out
 
     def value(self, x) -> float:

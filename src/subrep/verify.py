@@ -302,8 +302,8 @@ def _lattice(box: Box, m: int, center, *factors) -> tuple[np.ndarray, np.ndarray
     pts = box.grid(m)
     if symmetry_of(*factors).about(center) == "none":
         return pts, np.ones(len(pts))
-    rows, counts = box.grid_orbits(m)
-    return pts[rows], counts
+    rows, orbit = box.grid_orbits(m)
+    return pts[rows], np.bincount(orbit)
 
 
 def default_a1_balls(f: TestFunction) -> list:

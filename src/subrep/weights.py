@@ -25,6 +25,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from . import quadrature
 from .functions import Symmetry
 
 # integrate_annular is unused here but stays bound: perfbench/tracing.py
@@ -40,9 +41,6 @@ __all__ = [
 ]
 
 _CAP_NODES = 48
-# Most sample points one Weight.values call of estimate_a1 sees, the node
-# budget of a quadrature kernel call.
-_SAMPLE_BLOCK = 12_288
 
 
 @lru_cache(maxsize=8)
@@ -268,7 +266,8 @@ def estimate_a1(
     reported value is a certified-from-below estimate: it never exceeds the
     true A1 constant.  Consecutive balls with one centre share a
     ball_mass_many call, and the samples of consecutive balls share
-    Weight.values calls of at most _SAMPLE_BLOCK points (one ball's, if more).
+    Weight.values calls of at most quadrature._CHUNK_NODES points, the node
+    budget of a quadrature kernel call (one ball's, if more).
     """
     balls = [(np.asarray(center, dtype=float), r) for center, r in balls]
     n = weight.dimension
@@ -278,7 +277,7 @@ def estimate_a1(
         masses = weight.ball_mass_many(group[0][0], np.array([r for _, r in group]))
         avgs += [float(mass) / (ball_volume(n) * r**n) for mass, (_, r) in zip(masses, group)]
     infs = []
-    per_call = max(1, _SAMPLE_BLOCK // samples_per_ball)
+    per_call = max(1, quadrature._CHUNK_NODES // samples_per_ball)
     for lo in range(0, len(balls), per_call):
         pts = [ball_sample_points(c, r, samples_per_ball) for c, r in balls[lo:lo + per_call]]
         infs += weight.values(np.concatenate(pts)).reshape(len(pts), -1).min(axis=1).tolist()

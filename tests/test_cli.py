@@ -151,7 +151,10 @@ def test_config_error_bad_weight_beta(tmp_path, capsys):
     [("function", "amplitude = -1"), ("omega", "k = 0"), ("quadrature", "rel_tol = -1"),
      ("quadrature", "points_per_dim = inf"), ("quadrature", "annuli_per_decade = inf"),
      ("quadrature", "rel_tol = nan"), ("weight", "value = nan"), ("function", "scale = nan"),
-     ("function", "center = nan, 0")],
+     ("function", "center = nan, 0"),
+     # counts are whole numbers, never truncated
+     ("quadrature", "points_per_dim = 2.5"), ("quadrature", "annuli_per_decade = 4.5"),
+     ("omega", "k = 1.9"), ("omega", "profile = sign_profile\ncells = 12.5")],
 )
 def test_config_rejected_by_a_constructor_exits_two(tmp_path, capsys, section, field):
     cfg = write_config(tmp_path, f"[run]\nchecks = bbm_limit\n[{section}]\n{field}\n")

@@ -153,3 +153,53 @@ def test_only_the_weight_reads_its_pole():
         if isinstance(node, ast.Attribute) and node.attr == "pole" and name != "weights.py"
     )
     assert readers == []
+
+
+def _definitions(tree):
+    """(qualified name, node) of every top-level function and of every
+    method of a top-level class."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            yield from ((f"{node.name}.{item.name}", item)
+                        for item in node.body if isinstance(item, ast.FunctionDef))
+
+
+def _callers(callee, test=lambda call: True):
+    """Where the package calls callee, by name or as an attribute."""
+    return sorted(
+        f"{name}:{qualname}"
+        for name, tree in _trees().items()
+        for qualname, node in _definitions(tree)
+        if any(isinstance(call, ast.Call)
+               and (getattr(call.func, "id", None) == callee or getattr(call.func, "attr", None) == callee)
+               and test(call)
+               for call in ast.walk(node))
+    )
+
+
+def test_the_fractional_field_has_one_rule_outside_the_support():
+    # The near band takes frac_derivative's adaptive single layer; the fixed
+    # support rule is summed only for the far field of a non-radial f.
+    named = [
+        f"{name}:{node.lineno}"
+        for name, tree in _trees().items()
+        for node in ast.walk(tree)
+        if "_near_values" in (getattr(node, "id", None), getattr(node, "attr", None),
+                              getattr(node, "name", None))
+    ]
+    assert named == []
+    assert _callers("_single_layer") == ["operators.py:FracDerivativeField._far_values"]
+
+
+def test_only_the_grid_orbits_fold_lattice_indices():
+    # Every lattice folded under the cube's symmetries reads Box.grid_orbits.
+    def folds(call):
+        if len(call.args) != 2:
+            return False
+        idx, mirror = call.args
+        return (isinstance(mirror, ast.BinOp) and isinstance(mirror.op, ast.Sub)
+                and ast.dump(mirror.right) == ast.dump(idx))
+
+    assert _callers("minimum", folds) == ["functions.py:Box.grid_orbits"]

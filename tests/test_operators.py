@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -118,13 +119,22 @@ def test_frac_field_matches_pointwise_outside_box():
         assert field.value(x) == pytest.approx(direct, rel=SCHEME.rel_tol)
 
 
+def _nodes(field):
+    """The grid nodes of a field, in the C order of its values."""
+    mesh = np.meshgrid(*field._axes, indexing="ij")
+    return np.stack([g.ravel() for g in mesh], axis=1)
+
+
+def _band_mask(field, lo, hi):
+    """Which grid nodes have lo <= |x - c|/s < hi."""
+    dist = np.linalg.norm(_nodes(field) - field.support_center, axis=1) / field.f.support_radius
+    return (dist >= lo) & (dist < hi)
+
+
 def _band(field, lo, hi):
     """Grid nodes with lo <= |x - c|/s < hi, and the field's values there."""
-    mesh = np.meshgrid(*field._axes, indexing="ij")
-    X = np.stack([g.ravel() for g in mesh], axis=1)
-    dist = np.linalg.norm(X - field.support_center, axis=1) / field.f.support_radius
-    band = (dist >= lo) & (dist < hi)
-    return X[band], field._grid_values.ravel()[band]
+    band = _band_mask(field, lo, hi)
+    return _nodes(field)[band], field._grid_values.ravel()[band]
 
 
 @pytest.mark.parametrize("alpha", [0.7, 0.9])
@@ -141,21 +151,32 @@ def test_frac_field_interior_core_matches_pointwise(alpha):
 
 def test_frac_field_inside_build_stays_under_layer_block(monkeypatch):
     # (points x nodes) of every block of interior shells stays within
-    # _LAYER_BLOCK; the values do not depend on the blocking.
+    # _LAYER_BLOCK; the values do not depend on the blocking.  The grid
+    # evaluates one interior node per orbit, 17 of them here, so a block
+    # of 512 elements still splits them.
     scheme = QuadratureScheme(points_per_dim=8, rel_tol=1e-2)
     ref = FracDerivativeField(BUMP, 0.5, scheme, grid_points=32)
-    block = 4096
+    block = 512
     monkeypatch.setattr(operators, "_LAYER_BLOCK", block)
-    rows = []
-    values = TestFunction.values
+    interior, rows = [], []
+    build_inside, values = FracDerivativeField._build_inside, TestFunction.values
+
+    def recording_build(self, X, scheme):
+        interior.append(len(X))
+        try:
+            return build_inside(self, X, scheme)
+        finally:
+            interior.append(None)
 
     def recording(self, pts):
-        rows.append(len(pts))
+        if interior and interior[-1] is not None:
+            rows.append(len(pts))
         return values(self, pts)
 
+    monkeypatch.setattr(FracDerivativeField, "_build_inside", recording_build)
     monkeypatch.setattr(TestFunction, "values", recording)
     field = FracDerivativeField(BUMP, 0.5, scheme, grid_points=32)
-    assert len(_band(field, 0.0, 1.0)[0]) * 8**2 > block
+    assert interior == [17, None] and 17 * 8**2 > block
     assert max(rows) <= block
     np.testing.assert_allclose(field._grid_values, ref._grid_values, rtol=1e-14, atol=0.0)
 
@@ -231,20 +252,21 @@ def test_riesz_far_from_the_support_matches_radial_reference(family, n, d):
     assert got == pytest.approx(riesz_of_profile(family, n, 1.0, 1.0, 1.0, d), rel=SCHEME.rel_tol)
 
 
-def test_radial_frac_field_sums_single_layers_only_in_near_band(monkeypatch):
+def test_radial_frac_field_sums_no_single_layer(monkeypatch):
+    # A radial f takes the adaptive rule in the near band and the series
+    # beyond it, on the grid and off it alike.
     calls = []
     single_layer = operators._single_layer
 
     def counting(pts, c, nodes, weights, power):
-        calls.append(np.linalg.norm(pts - c, axis=1))
+        calls.append(len(pts))
         return single_layer(pts, c, nodes, weights, power)
 
     monkeypatch.setattr(operators, "_single_layer", counting)
     field = FracDerivativeField(BUMP, 0.5, SCHEME, grid_points=11)
     field.values(np.array([[3.0, 0.0], [4.0, 3.0], [0.3, 0.2], [0.0, -60.0]]))
-    dist = np.concatenate(calls) / BUMP.support_radius
-    assert len(calls) > 0
-    assert np.all((dist >= 1.0) & (dist < 1.5))
+    assert len(_band(field, 1.0, 1.5)[0]) > 0
+    assert calls == []
 
 
 def test_frac_field_near_band_within_budget_of_adaptive():
@@ -255,20 +277,55 @@ def test_frac_field_near_band_within_budget_of_adaptive():
     X, got = _band(field, 1.0, 1.5)
     adaptive = np.array([_support_layer(BUMP, 2.0 + alpha, x, scheme) for x in X])
     assert np.all(np.abs(got - adaptive) <= scheme.rel_tol * np.abs(adaptive) + scheme.abs_floor)
-    # Most of the band took the two-resolution rule, not the adaptive path.
-    assert np.count_nonzero(got != adaptive) > len(X) // 2
+
+
+def _representatives(field):
+    """Each grid node's orbit representative under the cube's symmetries."""
+    rows, orbit = Cube(tuple(field.support_center), 1.0).to_box().grid_orbits(field.grid_points)
+    return _nodes(field)[rows][orbit]
 
 
 def test_frac_field_near_band_fallback_is_adaptive():
-    # tensor_hat's kinks keep the two fixed rules further apart than the
-    # 1e-3 budget at every near node of this grid, so each one falls back.
+    # Each near node of tensor_hat holds the adaptive value at its orbit
+    # representative, exactly; at its own position that value may differ
+    # by 1 ulp.
     f = TestFunction("tensor_hat", (0.0, 0.0))
     alpha = 0.5
     field = FracDerivativeField(f, alpha, SCHEME, grid_points=11)
     X, got = _band(field, 1.0, 1.5)
     assert len(X) == 16
-    adaptive = [_support_layer(f, 2.0 + alpha, x, SCHEME) for x in X]
+    reps = _representatives(field)[_band_mask(field, 1.0, 1.5)]
+    adaptive = [_support_layer(f, 2.0 + alpha, x, SCHEME) for x in reps]
     assert got.tolist() == adaptive
+
+
+LIGHT_FIELD = QuadratureScheme(rel_tol=1e-2, points_per_dim=8)
+
+
+@pytest.mark.parametrize("family", ["smooth_bump", "tensor_hat"])
+@pytest.mark.parametrize("center, grid", [((0.3, -0.2), 16), ((0.3, -0.2, 0.1), 9)])
+def test_frac_field_near_band_is_frac_derivative_at_representatives(family, center, grid):
+    # One rule outside the support: every near-band node holds what the
+    # pointwise operator returns at its orbit representative, bit for bit.
+    f = TestFunction(family, center, 0.8)
+    field = FracDerivativeField(f, 0.5, LIGHT_FIELD, grid_points=grid)
+    band = _band_mask(field, 1.0, 1.5)
+    assert np.count_nonzero(band) > 0
+    reps = _representatives(field)[band]
+    expected = [frac_derivative(f, 0.5, x, LIGHT_FIELD) for x in reps]
+    assert field._grid_values.ravel()[band].tolist() == expected
+
+
+@pytest.mark.parametrize("family", ["smooth_bump", "tensor_hat"])
+@pytest.mark.parametrize("center, grid", [((0.3, -0.2), 16), ((0.3, -0.2, 0.1), 9)])
+def test_frac_field_grid_is_invariant_under_the_cube_group(family, center, grid):
+    field = FracDerivativeField(TestFunction(family, center, 0.8), 0.5, LIGHT_FIELD, grid_points=grid)
+    values = field._grid_values
+    n = len(center)
+    for axis in range(n):
+        assert np.array_equal(np.flip(values, axis=axis), values)
+    for perm in itertools.permutations(range(n)):
+        assert np.array_equal(np.transpose(values, perm), values)
 
 
 def test_potential_tw_unit_weight_is_scaled_riesz():
@@ -502,6 +559,9 @@ def _undeclared_calls(n):
     hat = TestFunction("tensor_hat", c, 1.0)
     bump = TestFunction("smooth_bump", c, 1.0)
     off = Weight.power_plus_one(tuple(np.asarray(c) + 0.3), 0.5)
+    # Built here, so that only the outer potential's calls are recorded:
+    # the build's near band declares the radial f's axis.
+    frac = FracDerivativeField(bump, 0.5, light, grid_points=8)
     return {
         "tensor_hat": lambda: (
             riesz_potential(GradientMagnitude(hat), 1.0, x, light),
@@ -515,7 +575,7 @@ def _undeclared_calls(n):
             maximal_Mwc(GradientMagnitude(bump), off, x, None, light),
         ),
         "frac_field": lambda: (
-            riesz_potential(FracDerivativeField(bump, 0.5, light, grid_points=8), 0.5, x, light),
+            riesz_potential(frac, 0.5, x, light),
         ),
     }
 
@@ -532,8 +592,9 @@ def test_undeclared_callers_keep_the_full_rule(monkeypatch, case, n):
         records.append((kwargs.get("axis"), got, annular(*args, **{**kwargs, "axis": None})))
         return got
 
+    call = _undeclared_calls(n)[case]
     monkeypatch.setattr(operators, "integrate_annular", both)
-    _undeclared_calls(n)[case]()
+    call()
     assert records
     for axis, got, full in records:
         assert axis is None

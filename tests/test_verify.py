@@ -569,6 +569,20 @@ def test_identity_fractional_light_config():
     assert r.empirical_constant > 0.0
 
 
+def test_fractional_checks_run_in_three_dimensions():
+    # The field's grid evaluates one node per orbit, so both fractional
+    # checks finish in seconds in 3-d.
+    f = TestFunction("smooth_bump", (0.0, 0.0, 0.0), 1.0)
+    points = [(0.2, 0.1, 0.0), (1.5, 0.0, 0.0)]
+    w = Weight.power_plus_one((0.0, 0.0, 0.0), 0.5)
+    r = check_identity_fractional(f, w, 0.5, points=points, scheme=LIGHT, grid_points=16)
+    assert r.passed
+    assert r.empirical_constant > 0.0
+    r = check_lemma_domination(f, 0.5, points=points, scheme=LIGHT, grid_points=16)
+    assert r.passed
+    assert r.empirical_constant < r.theoretical_constant
+
+
 def test_point_builders_counts():
     f = bump2()
     pts = default_points(f)
