@@ -16,15 +16,18 @@ reduced rule; every other integrand keeps the full sphere rule.
 
 The fractional derivative of a test function is needed at thousands of
 quadrature nodes when it feeds an outer potential, so FracDerivativeField
-precomputes it on a grid spanning a padded support box (multilinear
-interpolation inside), one node per orbit of the cube's symmetries about the
-support centre c.  Inside the support the nodes share one batched shell
-geometry.  Outside it the defining integral collapses to a single layer over
-the support, integrated adaptively as frac_derivative does out to 1.5
-support radii and in closed form beyond: for a radial f a power series in
-|x - c|^-2, whose coefficients are moments of the radial profile, and for
-tensor_hat a blocked matrix product against a fixed support rule, with
-squared distances in Gram form.
+precomputes it, and frac_derivative_field builds it once per (f, alpha,
+scheme, grid_points) and shares it.  For a radial f it is a monotone cubic
+table in r = |y - c|, c the support centre, through pointwise
+frac_derivative values out to 1.5 support radii, and declares itself
+radial.  Beyond 1.5 radii the defining integral is a single layer over the
+support, summed in closed form as a power series in |y - c|^-2 whose
+coefficients are moments of the radial profile.  tensor_hat keeps a grid
+spanning a padded support box (multilinear interpolation inside), one node
+per orbit of the cube's symmetries about c: inside the support the nodes
+share one batched shell geometry, near it they take frac_derivative's
+adaptive single layer, and beyond 1.5 radii a blocked matrix product
+against a fixed support rule, with squared distances in Gram form.
 """
 
 from __future__ import annotations
@@ -45,6 +48,7 @@ __all__ = [
     "OperatorError",
     "GradientMagnitude",
     "FracDerivativeField",
+    "frac_derivative_field",
     "SphereSymbol",
     "TruncationGrid",
     "riesz_potential",
@@ -218,50 +222,69 @@ class FracDerivativeField:
     """D^alpha f evaluated everywhere, cheap enough to sit inside another
     integral.
 
-    Inside a padded support box the values come from a precomputed grid
-    (multilinear interpolation), in three regimes.  Grid nodes inside the
-    support share one shell geometry, and their core balls come from their
-    innermost shells by the rule integrate_annular uses (core_ratio).
-    Outside the support f vanishes and the defining integral reduces to the
-    single layer int_supp f(z) |y - z|^{-n-alpha} dz.  Grid nodes in the
-    near band 1 <= |x - c|/s < 1.5 integrate it adaptively (_support_layer),
-    exactly as frac_derivative does.  Beyond 1.5 s (points outside the box
-    and the far grid nodes) a radial f sums it as a power series in
-    (s / |y - c|)^2 (_far_series), and tensor_hat by _single_layer against a
-    fixed rule on the support.  The grid evaluates one node per orbit of the
-    cube's symmetries about c and copies its value to the orbit, so the
-    grid values are exactly invariant under the axis flips and transposes.
+    For a radial f, D^alpha f is radial about the support centre c, so one
+    table in r = |y - c| serves the whole field, which declares itself
+    radial (its symmetry) so that outer potentials take the reduced sphere
+    rule.  The table (_build_table) holds D^alpha f at grid_points radii on
+    [0, 1.5 s], pointwise frac_derivative below 1.5 s, and interpolates
+    them by monotone cubics (PCHIP), mirrored to r < 0 so the slope at the
+    centre is zero, as for any even function of y - c.  From 1.5 s out the
+    single layer int_supp f(z) |y - z|^{-n-alpha} dz, which is D^alpha f
+    where f vanishes, is a power series in (s / |y - c|)^2 (_far_series).
+
+    tensor_hat keeps a grid spanning a padded support box (multilinear
+    interpolation inside).  Grid nodes inside the support share one shell
+    geometry, and their core balls come from their innermost shells by the
+    rule integrate_annular uses (core_ratio); the near band
+    1 <= |x - c|/s < 1.5 takes the adaptive single layer (_support_layer),
+    exactly as frac_derivative does; beyond 1.5 s (and outside the box) the
+    single layer is summed against a fixed rule on the support
+    (_single_layer).  The grid evaluates one node per orbit of the cube's
+    symmetries about c and copies its value to the orbit, so its values are
+    exactly invariant under the axis flips and transposes.
+
+    A built field is never changed, so one field can be shared
+    (frac_derivative_field); its arrays are read-only, but for the grid
+    values the interpolator reads.
     """
 
     compact_support = False
-    symmetry = Symmetry("none")  # the interpolated grid is not exactly radial
-    box_pad = 2.5  # half-side of the cached box, in support radii
+    symmetry = Symmetry("none")  # tensor_hat's interpolated grid is not exactly radial
+    box_pad = 2.5  # half-side of tensor_hat's cached box, in support radii
 
     def __init__(self, f: TestFunction, alpha: float, scheme: QuadratureScheme,
                  grid_points: int = 64):
         if not 0.0 < alpha < 1.0:
             raise OperatorError(f"needs 0 < alpha < 1, got {alpha}")
+        if grid_points < 2:
+            raise OperatorError(f"needs grid_points >= 2, got {grid_points}")
         self.f = f
         self.alpha = alpha
         self.grid_points = int(grid_points)
-        n = f.dimension
         c = f.support_center
-        s = f.support_radius
-        half = self.box_pad * s
-        self._lo = c - half
-        self._hi = c + half
-        self._axes = [np.linspace(self._lo[i], self._hi[i], self.grid_points) for i in range(n)]
         if symmetry_of(f).about(c) == "radial":
+            self.symmetry = Symmetry("radial", f.center)
             self._far_coefs = self._far_series()
+            self._table = self._build_table(scheme)
+            frozen = (self._far_coefs, self._table.x, self._table.c)
         else:
-            self._far_coefs = None
+            self._table = None
             self._far_nodes, self._far_weights = self._support_rule(12)
-        self._grid_values = self._build_grid(scheme)
-        from scipy.interpolate import RegularGridInterpolator
+            half = self.box_pad * f.support_radius
+            self._lo = c - half
+            self._hi = c + half
+            self._axes = [np.linspace(lo, hi, self.grid_points) for lo, hi in zip(self._lo, self._hi)]
+            self._grid_values = self._build_grid(scheme)
+            from scipy.interpolate import RegularGridInterpolator
 
-        self._interp = RegularGridInterpolator(
-            self._axes, self._grid_values, method="linear", bounds_error=False, fill_value=None
-        )
+            self._interp = RegularGridInterpolator(
+                self._axes, self._grid_values, method="linear", bounds_error=False, fill_value=None
+            )
+            # The grid values stay writable: scipy's compiled linear path
+            # reads only writable arrays, and falls back to a slower one.
+            frozen = (self._far_nodes, self._far_weights, self._lo, self._hi, *self._axes)
+        for array in frozen:
+            array.flags.writeable = False
 
     # -- geometry used by the potential operators ------------------------
 
@@ -276,8 +299,33 @@ class FracDerivativeField:
     @property
     def support_radius(self) -> float:
         # Not a true support (the field decays like |y|^{-n-alpha}); this is
-        # the radius enclosing the cached box, used as a truncation seed.
+        # the radius enclosing the box of half-side box_pad * s about c, a
+        # truncation seed.
         return float(self.box_pad * self.f.support_radius * math.sqrt(self.dimension))
+
+    def _build_table(self, scheme: QuadratureScheme):
+        """PCHIP in r through D^alpha f at m = grid_points radii on
+        [0, 1.5 s]: k = round(2m/3) of them below s, at
+        s (1 - ((k - j - 1/2) / (k - 1/2))^2), j < k, and the rest at
+        s (1 + ((i - 1/2) / (m - k - 1/2))^2 / 2), i = 1 .. m - k.  The
+        first radius is 0 and the last 1.5 s.  The steps shrink towards s
+        from both sides, since D^alpha f bends most near the edge of the
+        support (and is not smooth there for truncated_gaussian, whose
+        slope jumps at s), and no radius falls on s itself."""
+        from scipy.interpolate import PchipInterpolator
+
+        f, alpha, m = self.f, self.alpha, self.grid_points
+        c, s = f.support_center, f.support_radius
+        k = round(2 * m / 3)
+        radii = s * np.concatenate((
+            1.0 - ((k - np.arange(k) - 0.5) / (k - 0.5)) ** 2,
+            1.0 + 0.5 * ((np.arange(1, m - k + 1) - 0.5) / (m - k - 0.5)) ** 2,
+        ))
+        axis = np.eye(self.dimension)[0]
+        values = [frac_derivative(f, alpha, c + r * axis, scheme) for r in radii[:-1]]
+        values.append(float(self._series(radii[-1:] ** 2)[0]))
+        return PchipInterpolator(np.concatenate(([-radii[1]], radii)),
+                                 np.concatenate(([values[1]], values)), extrapolate=False)
 
     def _build_grid(self, scheme: QuadratureScheme) -> np.ndarray:
         n, m = self.dimension, self.grid_points
@@ -286,10 +334,7 @@ class FracDerivativeField:
         X = np.stack([g.ravel() for g in mesh], axis=1)
         # The axes are symmetric about c, so Box.grid_orbits' index fold
         # applies: one node per orbit is evaluated, and its value copied.
-        if symmetry_of(self.f).about(c) == "none":
-            rows = orbit = np.arange(len(X))
-        else:
-            rows, orbit = Box(tuple(self._lo), tuple(self._hi)).grid_orbits(m)
+        rows, orbit = Box(tuple(self._lo), tuple(self._hi)).grid_orbits(m)
         X = X[rows]
         dist = np.linalg.norm(X - c, axis=1)
         total = np.empty(len(X))
@@ -299,7 +344,7 @@ class FracDerivativeField:
             total[inside] = self._build_inside(X[inside], scheme)
         # Outside the support the defining integral collapses to the single
         # layer over supp(f).  Near it the kernel peaks, so those nodes take
-        # the adaptive rule of frac_derivative; beyond 1.5 s the closed form.
+        # the adaptive rule of frac_derivative; beyond 1.5 s the fixed rule.
         near = ~inside & (dist < 1.5 * s)
         total[near] = [_support_layer(self.f, n + self.alpha, x, scheme) for x in X[near]]
         far = dist >= 1.5 * s
@@ -374,20 +419,30 @@ class FracDerivativeField:
         return sphere_measure(n) * f.support_radius ** (-alpha) * coef * moments
 
     def _far_values(self, pts: np.ndarray) -> np.ndarray:
-        """D^alpha f at |y - c| >= 1.5 s: the series for a radial f, the
-        single layer against the fixed support rule otherwise."""
-        c, p = self.f.support_center, self.dimension + self.alpha
-        if self._far_coefs is None:
-            return _single_layer(pts, c, self._far_nodes, self._far_weights, p)
-        d = pts - c
-        q = self.f.support_radius**2 / np.einsum("ij,ij->i", d, d)
-        return q ** (0.5 * p) * np.polyval(self._far_coefs[::-1], q)
+        """D^alpha f of tensor_hat at |y - c| >= 1.5 s: the single layer
+        against the fixed support rule."""
+        return _single_layer(pts, self.f.support_center, self._far_nodes, self._far_weights,
+                             self.dimension + self.alpha)
+
+    def _series(self, r2: np.ndarray) -> np.ndarray:
+        """The far series of a radial f at squared distances r2 from c."""
+        q = self.f.support_radius**2 / r2
+        return q ** (0.5 * (self.dimension + self.alpha)) * np.polyval(self._far_coefs[::-1], q)
 
     def values(self, pts: np.ndarray) -> np.ndarray:
-        # Interpolating every point and overwriting those outside the box
-        # copies no (points x n) block of the inside ones, a per-call
-        # temporary that faulted fresh pages in on every chunk.
+        # Interpolating every point and overwriting those beyond the table
+        # or outside the box copies no (points x n) block of the others, a
+        # per-call temporary that faulted fresh pages in on every chunk.
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
+        if self._table is not None:
+            d = pts - self.f.support_center
+            r2 = np.einsum("ij,ij->i", d, d)
+            r = np.sqrt(r2)
+            out = self._table(r)
+            far = r >= self._table.x[-1]
+            if np.any(far):
+                out[far] = self._series(r2[far])
+            return out
         out = np.asarray(self._interp(pts), dtype=float)
         outside = ~np.all((pts >= self._lo) & (pts <= self._hi), axis=1)
         if np.any(outside):
@@ -396,6 +451,16 @@ class FracDerivativeField:
 
     def value(self, x) -> float:
         return float(self.values(np.atleast_2d(x))[0])
+
+
+@lru_cache(maxsize=4)
+def frac_derivative_field(f: TestFunction, alpha: float, scheme: QuadratureScheme,
+                          grid_points: int) -> FracDerivativeField:
+    """FracDerivativeField(f, alpha, scheme, grid_points), built once per
+    key and shared: the checks of a run that need the same field, and the
+    threads that run them, read one object.  Four entries hold two base
+    and refined pairs."""
+    return FracDerivativeField(f, alpha, scheme, grid_points=grid_points)
 
 
 def potential_Tw_pieces(

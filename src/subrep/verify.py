@@ -44,10 +44,10 @@ import numpy as np
 from .functions import Box, Cube, TestFunction, cube_average, symmetry_of
 from .norms import lorentz_norm, lp_norm, sphere_lorentz_weak
 from .operators import (
-    FracDerivativeField,
     GradientMagnitude,
     SphereSymbol,
     TruncationGrid,
+    frac_derivative_field,
     maximal_Mwc,
     mwc_default_radii,
     potential_Tw,
@@ -375,7 +375,7 @@ def _theorem(
         if w is not None:
             constant *= estimate_a1(w, default_a1_balls(f), samples_per_ball=1000 * factor).value
         density = (GradientMagnitude(f) if alpha is None
-                   else FracDerivativeField(f, alpha, sch, grid_points=grid_points * factor))
+                   else frac_derivative_field(f, alpha, sch, grid_points * factor))
 
         # T*_Omega truncates ten octaves below the covering radius, one more
         # in the refined pass.
@@ -484,7 +484,7 @@ def check_lemma_domination(
     points = list(points) if points is not None else inscribed_grid(f, 4)
     theoretical = bbm_constant(alpha, f.dimension)
     grad = GradientMagnitude(f)
-    frac = FracDerivativeField(f, alpha, scheme, grid_points=grid_points)
+    frac = frac_derivative_field(f, alpha, scheme, grid_points)
     records = _samples(points, lambda x: (
         (1.0 - alpha) * riesz_potential(frac, alpha, x, scheme),
         riesz_potential(grad, 1.0, x, scheme),

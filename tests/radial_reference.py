@@ -12,10 +12,14 @@ Riesz kernel as
 
     I_alpha h(x) = sigma_{n-1} int_0^inf h(rho) rho^(n-1) M_(n-alpha)(t, rho) drho,
 
-and outside the support B(c, s) of f, where f(x) = 0,
+and, with p = n + alpha and any R at least the support radius s,
 
-    D^alpha f(x) = int f(y) |x - y|^-p dy
-                 = sigma_{n-1} int_0^s g(rho) rho^(n-1) M_p(t, rho) drho,  p = n + alpha.
+    D^alpha f(x) = int |f(x) - f(y)| |x - y|^-p dy
+                 = sigma_{n-1} [int_0^R |g(t) - g(rho)| rho^(n-1) M_p(t, rho) drho
+                                + g(t) int_R^inf rho^(n-1) M_p(t, rho) drho],
+
+which outside the support B(c, s) of f, where g(t) = 0, is the single layer
+sigma_{n-1} int_0^s g(rho) rho^(n-1) M_p(t, rho) drho.
 """
 
 import math
@@ -64,6 +68,28 @@ def far_frac_derivative(family: str, n: int, alpha: float, scale: float, amplitu
                         rho: float) -> float:
     """D^alpha f at distance rho > scale from the centre of f."""
     return amplitude * _radial_integral(PROFILES[family], n, n + alpha, scale, rho)
+
+
+def frac_derivative_of_profile(family: str, n: int, alpha: float, scale: float,
+                               amplitude: float, t: float) -> float:
+    """D^alpha f at distance t from the centre of f, inside the support or
+    out: the first integral runs over [0, scale] split at rho = t, where
+    |g(t) - g(rho)| M_p(t, rho) peaks like |t - rho|^-alpha, and the second
+    over [scale, inf), where g = 0."""
+    profile, p = PROFILES[family], n + alpha
+    gt = profile(t / scale)
+
+    def near(rho):
+        return abs(gt - profile(rho / scale)) * rho ** (n - 1) * sphere_mean(n, p, t, rho)
+
+    breaks = [t] if 0.0 < t < scale else None
+    inner, _ = integrate.quad(near, 0.0, scale, points=breaks, epsabs=0.0, epsrel=1e-10,
+                              limit=400)
+    outer = 0.0
+    if gt != 0.0:
+        outer, _ = integrate.quad(lambda rho: rho ** (n - 1) * sphere_mean(n, p, t, rho),
+                                  scale, math.inf, epsabs=0.0, epsrel=1e-10, limit=400)
+    return amplitude * _sigma(n) * (inner + gt * outer)
 
 
 def riesz_of_gradient(family: str, n: int, alpha: float, scale: float, amplitude: float,

@@ -178,7 +178,6 @@ def test_criterion_05_theorem_21_suite_stability():
     assert elapsed < 600.0
 
 
-@pytest.mark.slow
 def test_criterion_06_rough_and_fractional_suites():
     started = time.perf_counter()
     r22 = check_rough_subrepresentation(BUMP, W1, OMEGA, scheme=SCHEME)

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from subrep import cli, verify
+from subrep import cli, operators, verify
 from subrep.cli import main
 
 # Independent fine-grid oracle for D^0.5(smooth_bump) at the center, n=2:
@@ -285,6 +285,23 @@ def test_shell_rule_reports_byte_identical_across_thread_counts(tmp_path):
         ini = LIGHT_INI.format(check=checks, out=out).replace("json, csv", "json")
         cfg = write_config(tmp_path, ini, f"t{threads}.ini")
         assert main(["run", cfg, "--threads", threads]) in (0, 1)
+        outs.append(out)
+    names = [f"{c.strip()}.json" for c in checks.split(",")] + ["summary.json"]
+    for name in names:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
+def test_fractional_reports_byte_identical_across_thread_counts(tmp_path):
+    # The four fractional checks share their fields through one memo; with
+    # it emptied before each run, two threads build and read them at once.
+    checks = "fractional_domination, lemma_domination, identity_fractional, rough_fractional"
+    outs = []
+    for threads in ("1", "2"):
+        operators.frac_derivative_field.cache_clear()
+        out = tmp_path / f"t{threads}"
+        ini = LIGHT_INI.format(check=checks, out=out).replace("json, csv", "json")
+        cfg = write_config(tmp_path, ini, f"t{threads}.ini")
+        assert main(["run", cfg, "--threads", threads]) == 0
         outs.append(out)
     names = [f"{c.strip()}.json" for c in checks.split(",")] + ["summary.json"]
     for name in names:

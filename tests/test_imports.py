@@ -193,6 +193,12 @@ def test_the_fractional_field_has_one_rule_outside_the_support():
     assert _callers("_single_layer") == ["operators.py:FracDerivativeField._far_values"]
 
 
+def test_only_the_memo_builds_a_fractional_field():
+    # Every check reads D^alpha f through frac_derivative_field, so a field
+    # is built once per (f, alpha, scheme, grid_points).
+    assert _callers("FracDerivativeField") == ["operators.py:frac_derivative_field"]
+
+
 def test_only_the_grid_orbits_fold_lattice_indices():
     # Every lattice folded under the cube's symmetries reads Box.grid_orbits.
     def folds(call):

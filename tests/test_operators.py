@@ -12,6 +12,7 @@ from radial_reference import (
     PROFILES,
     SLOPES,
     far_frac_derivative,
+    frac_derivative_of_profile,
     riesz_of_gradient,
     riesz_of_profile,
 )
@@ -24,6 +25,7 @@ from subrep.operators import (
     TruncationGrid,
     _support_layer,
     frac_derivative,
+    frac_derivative_field,
     maximal_Mwc,
     mwc_default_radii,
     potential_Tw,
@@ -120,21 +122,35 @@ def test_frac_field_matches_pointwise_outside_box():
 
 
 def _nodes(field):
-    """The grid nodes of a field, in the C order of its values."""
+    """The nodes of a field, in the order of its stored values: the grid
+    nodes in C order, or the points c + r e_1 at the table's radii."""
+    if field._table is not None:
+        radii = field._table.x[1:]  # without the mirrored radius below 0
+        return field.support_center + np.outer(radii, np.eye(field.dimension)[0])
     mesh = np.meshgrid(*field._axes, indexing="ij")
     return np.stack([g.ravel() for g in mesh], axis=1)
 
 
+def _stored(field):
+    """A field's stored values, in the order of _nodes."""
+    if field._table is not None:
+        return field._table(field._table.x[1:])
+    return field._grid_values.ravel()
+
+
 def _band_mask(field, lo, hi):
-    """Which grid nodes have lo <= |x - c|/s < hi."""
+    """Which nodes have lo <= |x - c|/s < hi."""
     dist = np.linalg.norm(_nodes(field) - field.support_center, axis=1) / field.f.support_radius
     return (dist >= lo) & (dist < hi)
 
 
 def _band(field, lo, hi):
-    """Grid nodes with lo <= |x - c|/s < hi, and the field's values there."""
+    """Nodes with lo <= |x - c|/s < hi, and the field's values there."""
     band = _band_mask(field, lo, hi)
-    return _nodes(field)[band], field._grid_values.ravel()[band]
+    return _nodes(field)[band], _stored(field)[band]
+
+
+HAT = TestFunction("tensor_hat", (0.0, 0.0))
 
 
 @pytest.mark.parametrize("alpha", [0.7, 0.9])
@@ -142,11 +158,11 @@ def test_frac_field_interior_core_matches_pointwise(alpha):
     # The core ball below the innermost shell carries a share of order
     # eps^(1 - alpha), about a quarter of D^alpha f at alpha = 0.9; the grid
     # restores it by the rule the pointwise operator uses.
-    field = FracDerivativeField(BUMP, alpha, SCHEME, grid_points=16)
+    field = FracDerivativeField(HAT, alpha, SCHEME, grid_points=16)
     X, got = _band(field, 0.0, 1.0)
     assert len(X) == 32
     for x, value in zip(X[::4], got[::4]):
-        assert value == pytest.approx(frac_derivative(BUMP, alpha, x, SCHEME), rel=2e-2)
+        assert value == pytest.approx(frac_derivative(HAT, alpha, x, SCHEME), rel=2e-2)
 
 
 def test_frac_field_inside_build_stays_under_layer_block(monkeypatch):
@@ -155,7 +171,7 @@ def test_frac_field_inside_build_stays_under_layer_block(monkeypatch):
     # evaluates one interior node per orbit, 17 of them here, so a block
     # of 512 elements still splits them.
     scheme = QuadratureScheme(points_per_dim=8, rel_tol=1e-2)
-    ref = FracDerivativeField(BUMP, 0.5, scheme, grid_points=32)
+    ref = FracDerivativeField(HAT, 0.5, scheme, grid_points=32)
     block = 512
     monkeypatch.setattr(operators, "_LAYER_BLOCK", block)
     interior, rows = [], []
@@ -175,7 +191,7 @@ def test_frac_field_inside_build_stays_under_layer_block(monkeypatch):
 
     monkeypatch.setattr(FracDerivativeField, "_build_inside", recording_build)
     monkeypatch.setattr(TestFunction, "values", recording)
-    field = FracDerivativeField(BUMP, 0.5, scheme, grid_points=32)
+    field = FracDerivativeField(HAT, 0.5, scheme, grid_points=32)
     assert interior == [17, None] and 17 * 8**2 > block
     assert max(rows) <= block
     np.testing.assert_allclose(field._grid_values, ref._grid_values, rtol=1e-14, atol=0.0)
@@ -214,7 +230,8 @@ def test_frac_field_far_values_match_direct_sum(family, center):
 @pytest.mark.parametrize("alpha", [0.1, 0.5, 0.9])
 def test_frac_field_far_series_matches_reference(family, center, alpha):
     # The far field of a radial f is a series in (s/rho)^2; the reference
-    # integrates the sphere mean 2F1 over the radius with scipy quad.
+    # integrates the sphere mean 2F1 over the radius with scipy quad.  At
+    # 1.5 s the table's last radius holds the series.
     s, amplitude = 0.6, 1.3
     f = TestFunction(family, center, s, amplitude)
     field = FracDerivativeField(f, alpha, SCHEME, grid_points=2)
@@ -224,7 +241,7 @@ def test_frac_field_far_series_matches_reference(family, center, alpha):
     dirs /= np.linalg.norm(dirs, axis=1)[:, None]
     pts = np.asarray(center) + s * np.asarray(ratios)[:, None] * dirs
     ref = [far_frac_derivative(family, n, alpha, s, amplitude, s * q) for q in ratios]
-    np.testing.assert_allclose(field._far_values(pts), ref, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(field.values(pts), ref, rtol=1e-12, atol=0.0)
 
 
 @pytest.mark.parametrize("family", sorted(SLOPES))
@@ -254,7 +271,7 @@ def test_riesz_far_from_the_support_matches_radial_reference(family, n, d):
 
 def test_radial_frac_field_sums_no_single_layer(monkeypatch):
     # A radial f takes the adaptive rule in the near band and the series
-    # beyond it, on the grid and off it alike.
+    # beyond it, in its table and off it alike.
     calls = []
     single_layer = operators._single_layer
 
@@ -280,7 +297,10 @@ def test_frac_field_near_band_within_budget_of_adaptive():
 
 
 def _representatives(field):
-    """Each grid node's orbit representative under the cube's symmetries."""
+    """Each grid node's orbit representative under the cube's symmetries;
+    a table's nodes, c + r e_1, represent themselves."""
+    if field._table is not None:
+        return _nodes(field)
     rows, orbit = Cube(tuple(field.support_center), 1.0).to_box().grid_orbits(field.grid_points)
     return _nodes(field)[rows][orbit]
 
@@ -313,19 +333,117 @@ def test_frac_field_near_band_is_frac_derivative_at_representatives(family, cent
     assert np.count_nonzero(band) > 0
     reps = _representatives(field)[band]
     expected = [frac_derivative(f, 0.5, x, LIGHT_FIELD) for x in reps]
-    assert field._grid_values.ravel()[band].tolist() == expected
+    assert _stored(field)[band].tolist() == expected
 
 
 @pytest.mark.parametrize("family", ["smooth_bump", "tensor_hat"])
 @pytest.mark.parametrize("center, grid", [((0.3, -0.2), 16), ((0.3, -0.2, 0.1), 9)])
 def test_frac_field_grid_is_invariant_under_the_cube_group(family, center, grid):
     field = FracDerivativeField(TestFunction(family, center, 0.8), 0.5, LIGHT_FIELD, grid_points=grid)
-    values = field._grid_values
     n = len(center)
+    if field._table is not None:
+        # A table in |y - c| is invariant under every rotation about c, so
+        # the field declares itself radial there; at the cube's images of a
+        # lattice about c its values differ only by the rounding of y - c.
+        c = field.support_center
+        assert symmetry_of(field).about(c) == "radial"
+        axes = [np.linspace(-2.0, 2.0, grid)] * n
+        offsets = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1)
+        values = field.values(c + offsets)
+        for signs in itertools.product((1.0, -1.0), repeat=n):
+            for perm in itertools.permutations(range(n)):
+                image = field.values(c + (offsets * signs)[:, list(perm)])
+                np.testing.assert_allclose(image, values, rtol=1e-13, atol=0.0)
+        return
+    values = field._grid_values
     for axis in range(n):
         assert np.array_equal(np.flip(values, axis=axis), values)
     for perm in itertools.permutations(range(n)):
         assert np.array_equal(np.transpose(values, perm), values)
+
+
+def test_frac_field_table_holds_frac_derivative_at_its_radii():
+    # grid_points radii on [0, 1.5 s]: pointwise frac_derivative below
+    # 1.5 s, bit for bit, and the far series at 1.5 s; none sits at s.
+    f = TestFunction("radial_polynomial_bump", (0.3, -0.2), 0.8)
+    field = FracDerivativeField(f, 0.5, LIGHT_FIELD, grid_points=12)
+    X, got = _band(field, 0.0, 1.5)
+    assert len(X) == 11 and np.count_nonzero(_band_mask(field, 1.0, 1.0 + 1e-9)) == 0
+    assert got.tolist() == [frac_derivative(f, 0.5, x, LIGHT_FIELD) for x in X]
+    radii = field._table.x[1:]
+    assert (radii[0], radii[-1]) == (0.0, 1.5 * 0.8)
+    series = far_frac_derivative(f.family, 2, 0.5, 0.8, 1.0, 1.5 * 0.8)
+    assert _stored(field)[-1] == pytest.approx(series, rel=1e-12)
+
+
+@pytest.mark.parametrize("family", ["smooth_bump", "radial_polynomial_bump"])
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("t", [0.0, 0.35, 0.8, 0.95, 1.2])
+def test_frac_derivative_matches_radial_reference(family, n, t):
+    # D^alpha f inside the support and just outside it, against a 1-d
+    # integral of |g(t) - g(rho)| over the sphere mean M_(n+alpha)(t, rho).
+    center = np.array([0.2, -0.1, 0.05][:n])
+    s, amplitude = 0.8, 1.3
+    f = TestFunction(family, tuple(center), s, amplitude)
+    got = frac_derivative(f, 0.5, center + s * t * np.eye(n)[0], SCHEME)
+    ref = frac_derivative_of_profile(family, n, 0.5, s, amplitude, s * t)
+    assert got == pytest.approx(ref, rel=SCHEME.rel_tol)
+
+
+@pytest.mark.parametrize("family", ["smooth_bump", "radial_polynomial_bump"])
+@pytest.mark.parametrize("n", [2, 3])
+def test_frac_field_table_matches_radial_reference(family, n):
+    # The table at grid 64 on the default scheme, at 30 points with
+    # |x - c| < 1.5 s, where it interpolates: within 2e-3 of the reference.
+    center = np.array([0.2, -0.1, 0.05][:n])
+    s, amplitude = 0.8, 1.3
+    f = TestFunction(family, tuple(center), s, amplitude)
+    field = FracDerivativeField(f, 0.5, SCHEME, grid_points=64)
+    rng = np.random.default_rng(11)
+    dirs = rng.normal(size=(30, n))
+    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+    t = 1.5 * s * rng.uniform(size=30)
+    got = field.values(center + t[:, None] * dirs)
+    ref = [frac_derivative_of_profile(family, n, 0.5, s, amplitude, r) for r in t]
+    np.testing.assert_allclose(got, ref, rtol=2e-3, atol=0.0)
+
+
+def test_frac_derivative_field_is_built_once_per_key():
+    # Equal keys share one field; a change in f, alpha, scheme or
+    # grid_points builds a new one.
+    frac_derivative_field.cache_clear()
+    light = QuadratureScheme(rel_tol=1e-2, points_per_dim=8)
+    field = frac_derivative_field(TestFunction("smooth_bump", (0.0, 0.0)), 0.5, light, 8)
+    again = frac_derivative_field(TestFunction("smooth_bump", (0.0, 0.0)), 0.5,
+                                  QuadratureScheme(rel_tol=1e-2, points_per_dim=8), 8)
+    assert again is field and isinstance(field, FracDerivativeField)
+    changed = [
+        (TestFunction("smooth_bump", (0.0, 0.0), 1.5), 0.5, light, 8),
+        (TestFunction("smooth_bump", (0.0, 0.0)), 0.25, light, 8),
+        (TestFunction("smooth_bump", (0.0, 0.0)), 0.5, light.refined(), 8),
+        (TestFunction("smooth_bump", (0.0, 0.0)), 0.5, light, 9),
+    ]
+    for key in changed:
+        built = frac_derivative_field(*key)
+        assert built is not field
+        assert (built.f, built.alpha, built.grid_points) == (key[0], key[1], key[3])
+    info = frac_derivative_field.cache_info()
+    assert (info.hits, info.misses) == (1, 5)
+    frac_derivative_field.cache_clear()
+
+
+@pytest.mark.parametrize("family", ["smooth_bump", "tensor_hat"])
+def test_frac_field_arrays_are_read_only(family):
+    # A shared field is never changed after its build.  tensor_hat's grid
+    # values stay writable for scipy's compiled interpolation.
+    field = FracDerivativeField(TestFunction(family, (0.0, 0.0)), 0.5, LIGHT_FIELD, grid_points=8)
+    if field._table is not None:
+        arrays = [field._far_coefs, field._table.x, field._table.c]
+    else:
+        arrays = [field._far_nodes, field._far_weights, field._lo, field._hi, *field._axes]
+    for array in arrays:
+        with pytest.raises(ValueError):
+            array.ravel()[0] = 1.0
 
 
 def test_potential_tw_unit_weight_is_scaled_riesz():
@@ -559,9 +677,10 @@ def _undeclared_calls(n):
     hat = TestFunction("tensor_hat", c, 1.0)
     bump = TestFunction("smooth_bump", c, 1.0)
     off = Weight.power_plus_one(tuple(np.asarray(c) + 0.3), 0.5)
-    # Built here, so that only the outer potential's calls are recorded:
-    # the build's near band declares the radial f's axis.
-    frac = FracDerivativeField(bump, 0.5, light, grid_points=8)
+    # Built here, so that only the outer potential's calls are recorded.
+    # tensor_hat's grid declares no symmetry; a radial f's table declares
+    # its axis (test_radial_frac_field_declares_its_axis).
+    frac = FracDerivativeField(hat, 0.5, light, grid_points=8)
     return {
         "tensor_hat": lambda: (
             riesz_potential(GradientMagnitude(hat), 1.0, x, light),
@@ -599,6 +718,23 @@ def test_undeclared_callers_keep_the_full_rule(monkeypatch, case, n):
     for axis, got, full in records:
         assert axis is None
         assert got == full
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("where", ["interior", "exterior", "centre"])
+def test_radial_frac_field_declares_its_axis(monkeypatch, where, n):
+    # The outer potential of a radial f's field takes the reduced sphere
+    # rule about c, and agrees with the full rule within rel_tol.
+    scheme = SCHEME if n == 2 else LIGHT_3D
+    center = np.array([0.2, -0.1, 0.05][:n])
+    f = TestFunction("smooth_bump", tuple(center), 1.0)
+    x = center + {"interior": np.array([0.35, 0.2, 0.1][:n]), "exterior": 1.5 * np.eye(n)[0],
+                  "centre": np.zeros(n)}[where]
+    field = FracDerivativeField(f, 0.5, scheme, grid_points=16)
+    call = lambda: riesz_potential(field, 0.5, x, scheme)
+    full, axes = _undeclared(monkeypatch, operators, call)
+    assert axes and all(np.array_equal(axis, center) for axis in axes)
+    assert call() == pytest.approx(full, rel=scheme.rel_tol)
 
 
 def _split_against_folded(monkeypatch, module):
