@@ -389,9 +389,7 @@ class FracDerivativeField:
         shells: its nodes, and its weights times f."""
         f = self.f
         edges = np.geomspace(1e-4 * f.support_radius, f.support_radius, 17)
-        shells = [annulus_nodes(f.support_center, float(a), float(b), m)[:2]
-                  for a, b in zip(edges, edges[1:])]
-        nodes, weights = map(np.concatenate, zip(*shells))
+        nodes, weights, _ = annulus_nodes(f.support_center, edges[:-1], edges[1:], m)
         # The untouched core ball contributes at most f_max * vol ~ 1e-8 s^n.
         return nodes, weights * f.values(nodes)
 

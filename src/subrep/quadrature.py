@@ -24,12 +24,12 @@ q = center.  The shells and their refinement are the same either way.
 One chunk rule bounds memory whatever the refinement: the shell rule and the
 box rule both walk flat node ranges of at most _CHUNK_NODES = 12,288 nodes
 (radial-major for a shell, C order for a box), so no kernel or fn call sees
-more.  A shell range is fetched through annulus_nodes(span=), from a
-unit-sphere rule built once per (n, m).  The shells refined in one round
-share kernel calls, and a radial factor (radial=) is taken once per radius
-of a round, not per node.  Node values are summed pairwise (np.sum) within a
-chunk and with math.fsum across chunks, shells and pieces; neither depends
-on the packing or the thread schedule, so results are reproducible.
+more.  The shells refined in one round share kernel calls, each fetching
+its nodes of one m by one annulus_nodes(span=) call over the round's shells
+of that m, stacked; sphere rules are built once per m per integral, radial
+factors (radial=) once per radius.  Node values are summed pairwise
+(np.sum) within a chunk and with math.fsum across chunks, shells and
+pieces; neither the packing nor the thread schedule changes a result.
 """
 
 from __future__ import annotations
@@ -203,13 +203,14 @@ def _sphere_rule(center: np.ndarray, m: int,
 
 def annulus_nodes(
     center: np.ndarray,
-    a: float,
-    b: float,
+    a,
+    b,
     m: int,
     *,
     span: Optional[tuple[int, int]] = None,
     scale: Optional[np.ndarray] = None,
     axis: Optional[np.ndarray] = None,
+    rule: Optional[tuple[np.ndarray, np.ndarray]] = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Tensor rule on the annulus a < |y - center| < b.
 
@@ -217,7 +218,8 @@ def annulus_nodes(
     repeated once per direction in a contiguous run.  The rule integrates the
     annulus measure exactly in every dimension handled here (1, 2, 3): the
     radial part is Gauss-Legendre against r^{n-1} dr written out explicitly,
-    the angular part is the cached unit-sphere rule (_unit_rule).
+    the angular part is the cached unit-sphere rule (_unit_rule).  Arrays a
+    and b stack their shells' rules: shell, then radius, then direction.
 
     axis = q declares an integrand that depends on y only through
     |y - center| and |y - q|.  The angular part is then its reduction, still
@@ -229,21 +231,23 @@ def annulus_nodes(
 
     span = (lo, hi) returns only the nodes lo <= i < hi of that radial-major
     order; a span within one radial run builds only its own directions.
-    scale, m factors in the order of the radii, multiplies the radial weights.
+    scale (m factors a shell, in the order of the radii) multiplies the radial
+    weights; rule, the prebuilt _sphere_rule(center, m, axis), replaces axis.
     """
     center = np.asarray(center, dtype=float)
     n = center.size
-    if not 0.0 <= a < b:
+    a, b = np.atleast_1d(a).astype(float)[:, None], np.atleast_1d(b).astype(float)[:, None]
+    if a.shape != b.shape or a.ndim != 2 or not np.all((0.0 <= a) & (a < b)):
         raise QuadratureError(f"bad annulus [{a}, {b}]")
-    dirs, wang = _sphere_rule(center, m, axis)
+    dirs, wang = _sphere_rule(center, m, axis) if rule is None else rule
     per_row = len(wang)
-    lo, hi = (0, m * per_row) if span is None else span
+    lo, hi = (0, a.size * m * per_row) if span is None else span
     i0, i1 = lo // per_row, -(-hi // per_row)  # the radial rows spanned
     lo, hi = lo - i0 * per_row, hi - i0 * per_row
     if i1 - i0 == 1:
         dirs, wang, lo, hi = dirs[lo:hi], wang[lo:hi], 0, hi - lo
-    r, w = _gl_radii(a, b, m)[i0:i1], _gauss_legendre(m)[1][i0:i1]
-    wr = 0.5 * (b - a) * w * r ** (n - 1) * (1.0 if scale is None else scale[i0:i1])
+    r, w = (x.ravel()[i0:i1] for x in (_gl_radii(a, b, m), 0.5 * (b - a) * _gauss_legendre(m)[1]))
+    wr = w * r ** (n - 1) * (1.0 if scale is None else scale[i0:i1])
     pts = (center + r[:, None, None] * dirs[None, :, :]).reshape(-1, n)[lo:hi]
     wts = (wr[:, None] * wang[None, :]).ravel()[lo:hi]
     rad = np.repeat(r, len(wang))[lo:hi]
@@ -273,41 +277,58 @@ def _gl_radii(a: float, b: float, m: int) -> np.ndarray:
 
 
 def _shell_values(kernel: Kernel, center: np.ndarray, rules: Sequence[tuple[float, float, int]],
-                  radial: Optional[Radial],
-                  axis: Optional[np.ndarray] = None) -> list[tuple[float, int]]:
+                  radial: Optional[Radial], axis: Optional[np.ndarray] = None,
+                  sphere: Optional[Callable] = None) -> list[tuple[float, int]]:
     """(value, evaluations) of each shell rule (a, b, m) of one round.
 
     Consecutive _chunks pieces, of one rule or of several, share kernel calls
     of at most _CHUNK_NODES nodes.  Each piece is summed on its own and each
     rule by math.fsum, so no value depends on the packing.  radial is called
-    on the rules' radii and folded into their radial weights; axis selects
-    annulus_nodes' reduced sphere rule.
+    on the rules' radii and folded into their radial weights.  A call's
+    pieces of one m come from one annulus_nodes call on the round's stacked
+    rules of that m, with the sphere rule sphere(m) (default: about axis).
     """
-    counts = [m * len(_sphere_rule(center, m, axis)[1]) for _, _, m in rules]
-    scales = [None] * len(rules)
+    sphere = sphere or partial(_sphere_rule, center, axis=axis)
+    counts = [m * len(sphere(m)[1]) for _, _, m in rules]
+    first = np.cumsum([0] + [m for _, _, m in rules])  # each rule's radii
     if radial is not None:
         radii = np.concatenate([_gl_radii(a, b, m) for a, b, m in rules])
         # 256 radii per call keep _cap_integral's radii x _CAP_NODES (48)
         # arrays of a ball-mass radial within 12,288 elements, the chunk budget.
         fac = np.concatenate([radial(radii[lo:lo + 256]) for lo in range(0, radii.size, 256)])
-        scales = np.split(fac, np.cumsum([m for _, _, m in rules])[:-1])
-    calls = [[]]  # greedy: (rule, lo, hi) pieces of at most _CHUNK_NODES in all
+    stacks = {m: [i for i, rule in enumerate(rules) if rule[2] == m] for m in {r[2] for r in rules}}
+    slot = {i: k for idx in stacks.values() for k, i in enumerate(idx)}  # shell i of its stack
+    stacks = {m: (*np.array([rules[i][:2] for i in idx]).T, None if radial is None
+                  else np.concatenate([fac[first[i]:first[i + 1]] for i in idx]))
+              for m, idx in stacks.items()}
+    calls, size = [[]], 0  # greedy: (rule, lo, hi, offset) pieces of _CHUNK_NODES in all
     for i, count in enumerate(counts):
         for lo, hi in _chunks(count):
-            if sum(h - l for _, l, h in calls[-1]) + hi - lo > _CHUNK_NODES:
+            if size + hi - lo > _CHUNK_NODES:
                 calls.append([])
-            calls[-1].append((i, lo, hi))
+                size = 0
+            calls[-1].append((i, lo, hi, size))
+            size += hi - lo
     sums = [[] for _ in rules]
     for call in calls:
-        nodes = [annulus_nodes(center, *rules[i], span=(lo, hi), scale=scales[i], axis=axis)
-                 for i, lo, hi in call]
+        # Only a call's first piece starts inside its rule, and only a lone
+        # piece ends inside it, so the call's pieces of one m are a run of a stack.
+        spans, parts = {}, []
+        for i, lo, hi, _ in call:
+            m, at = rules[i][2], slot[i] * counts[i]
+            spans[m] = (spans.get(m, (at + lo,))[0], at + hi)
+            parts.append((m, at + lo - spans[m][0], at + hi - spans[m][0]))
+        built = {m: annulus_nodes(center, a, b, m, span=spans[m], scale=scale, rule=sphere(m))
+                 for m, (a, b, scale) in stacks.items() if m in spans}
+        nodes = [[x[lo:hi] for x in built[m]] for m, lo, hi in parts]
         pts, wts, rad = nodes[0] if len(call) == 1 else map(np.concatenate, zip(*nodes))
+        del built, nodes  # the stacked builds, freed before the kernel runs
         vals = np.asarray(kernel(pts, rad), dtype=float)
         if vals.shape != wts.shape:
             raise QuadratureError(f"kernel returned shape {vals.shape}, expected {wts.shape}")
-        ends = np.cumsum([hi - lo for _, lo, hi in call])[:-1]
-        for (i, _, _), piece in zip(call, np.split(wts * vals, ends)):
-            sums[i].append(float(np.sum(piece)))
+        prod = wts * vals
+        for i, lo, hi, at in call:
+            sums[i].append(float(np.sum(prod[at:at + hi - lo])))
     return [(math.fsum(s), c) for s, c in zip(sums, counts)]
 
 
@@ -455,7 +476,8 @@ def integrate_annular(
     lowest = r_inner or scheme.inner_cutoff_factor * (cuts[0] if cuts else r_outer)
     edges = shell_edges([lowest, *cuts, r_outer], scheme.shell_ratio)
     m0 = scheme.points_per_dim
-    evaluate = partial(_shell_values, kernel, center, radial=radial, axis=axis)
+    sphere = lru_cache(maxsize=None)(partial(_sphere_rule, center, axis=axis))
+    evaluate = partial(_shell_values, kernel, center, radial=radial, sphere=sphere)
     shells = _new_shells(evaluate, list(zip(edges[1:], edges)), m0)
     # The core ball below the innermost shell, read off that shell's current
     # value (core_ratio); none when the range starts at r_inner > 0.

@@ -1,5 +1,6 @@
 import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -223,6 +224,27 @@ def test_frac_field_far_values_match_direct_sum(family, center):
     dist = np.linalg.norm(pts[:, None, :] - field._far_nodes[None, :, :], axis=2)
     direct = dist ** -(n + alpha) @ field._far_weights
     np.testing.assert_allclose(field._far_values(pts), direct, rtol=1e-13)
+
+
+@pytest.mark.parametrize("center", [(0.7, -0.4), (0.7, -0.4, 0.2)])
+def test_frac_field_support_rule_is_its_shells_stacked(center):
+    # tensor_hat's far rule, one stacked annulus_nodes call over 16 shells,
+    # is the concatenation of the 16 single-shell rules, and so are its far
+    # values, bit for bit.
+    alpha = 0.5
+    f = TestFunction("tensor_hat", center, 0.6)
+    field = FracDerivativeField(f, alpha, SCHEME, grid_points=2)
+    edges = np.geomspace(1e-4 * f.support_radius, f.support_radius, 17)
+    shells = [quadrature.annulus_nodes(f.support_center, float(a), float(b), 12)[:2]
+              for a, b in zip(edges, edges[1:])]
+    nodes, weights = map(np.concatenate, zip(*shells))
+    weights = weights * f.values(nodes)
+    assert np.array_equal(field._far_nodes, nodes)
+    assert np.array_equal(field._far_weights, weights)
+    dirs = np.random.default_rng(5).normal(size=(30, f.dimension))
+    pts = f.support_center + np.geomspace(1.5 * 0.6, 50.0, 30)[:, None] * dirs
+    ref = operators._single_layer(pts, f.support_center, nodes, weights, f.dimension + alpha)
+    assert np.array_equal(field._far_values(pts), ref)
 
 
 @pytest.mark.parametrize("family", sorted(PROFILES))
@@ -592,6 +614,50 @@ def test_potential_tw_3d_refined_one_mass_call_per_round_and_block(monkeypatch):
     blocks = sum(-(-sum(m for _, _, m in rules) // 256) for rules in rounds)
     assert len(mass_sizes) <= blocks
     assert max(mass_sizes) <= 256
+
+
+def test_potential_tw_builds_each_sphere_rule_once(monkeypatch):
+    # A 2-d T_w whose radial field and weight declare their centre as the
+    # axis: each integrate_annular call builds its rotated sphere rule once
+    # per m, and each kernel call takes its nodes of one m from one stacked
+    # annulus_nodes call.
+    c = (0.2, -0.1)
+    field, w = GradientMagnitude(TestFunction("smooth_bump", c)), Weight.power_plus_one(c, 0.5)
+    assert symmetry_of(field, w).axis is not None
+    sphere_rule, nodes = quadrature._sphere_rule, quadrature.annulus_nodes
+    shell_values, annular = quadrature._shell_values, quadrature.integrate_annular
+    calls, open_ = [], []  # per integrate_annular: (rules built, nodes built per kernel call)
+
+    def call(*args, **kwargs):
+        open_.append((Counter(), [Counter()]))
+        try:
+            return annular(*args, **kwargs)
+        finally:
+            calls.append(open_.pop())
+
+    def rule(center, m, axis):
+        open_[-1][0][m] += 1
+        return sphere_rule(center, m, axis)
+
+    def built(center, a, b, m, **kwargs):
+        open_[-1][1][-1][m] += 1
+        return nodes(center, a, b, m, **kwargs)
+
+    def round_(kernel, *args, **kwargs):
+        def recording(pts, rad):
+            open_[-1][1].append(Counter())
+            return kernel(pts, rad)
+
+        return shell_values(recording, *args, **kwargs)
+
+    monkeypatch.setattr(operators, "integrate_annular", call)
+    monkeypatch.setattr(quadrature, "_sphere_rule", rule)
+    monkeypatch.setattr(quadrature, "annulus_nodes", built)
+    monkeypatch.setattr(quadrature, "_shell_values", round_)
+    potential_Tw(field, w, 1.0, [0.5, 0.1], SCHEME)
+    [(rules, per_call)] = calls
+    assert len(rules) > 1 and max(rules.values()) == 1
+    assert len(per_call) > 2 and max(max(k.values(), default=0) for k in per_call) == 1
 
 
 # -- the symmetry contract: integrate_annular(axis=q) ---------------------------

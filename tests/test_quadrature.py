@@ -67,6 +67,45 @@ def test_annulus_spans_are_slices_of_the_whole_rule(n):
                 assert np.array_equal(got, ref[lo:hi])
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("axis", [False, True], ids=["full", "axis"])
+@pytest.mark.parametrize("scaled", [False, True], ids=["unscaled", "scaled"])
+def test_stacked_annuli_are_the_concatenated_shells(n, axis, scaled):
+    # Three shells at one m: the stacked rule and its spans are the
+    # concatenation of the single-shell rules, bit for bit.
+    m = 6
+    center = np.linspace(-0.4, 0.3, n)
+    q = center + 0.5 if axis else None
+    a, b = np.array([0.1, 0.3, 0.45]), np.array([0.3, 0.45, 1.7])
+    scale = np.linspace(0.5, 2.0, 3 * m) if scaled else None
+    shells = [annulus_nodes(center, a[k], b[k], m, axis=q,
+                            scale=None if scale is None else scale[k * m:(k + 1) * m])
+              for k in range(3)]
+    whole = [np.concatenate(x) for x in zip(*shells)]
+    per_shell = len(shells[0][1])
+    per_row = per_shell // m
+    rule = quadrature._sphere_rule(center, m, q)
+    for span in (None,
+                 (2, per_row - 1),  # inside one radial run
+                 (per_shell + 1, 2 * per_shell),  # starts inside a shell, ends at its end
+                 (per_shell - per_row - 1, per_shell + per_row + 2),  # across a boundary
+                 (3, 3 * per_shell - 2),  # across every shell, ends inside the last
+                 (per_shell, 3 * per_shell)):
+        lo, hi = (0, 3 * per_shell) if span is None else span
+        for kw in ({"axis": q}, {"rule": rule}):
+            part = annulus_nodes(center, a, b, m, span=span, scale=scale, **kw)
+            for got, ref in zip(part, whole):
+                assert np.array_equal(got, ref[lo:hi])
+
+
+def test_stacked_annuli_need_matching_shells():
+    center = np.zeros(2)
+    with pytest.raises(QuadratureError):
+        annulus_nodes(center, np.array([0.1, 0.3]), np.array([0.3]), 6)
+    with pytest.raises(QuadratureError):
+        annulus_nodes(center, np.array([0.1, 0.5]), np.array([0.3, 0.4]), 6)
+
+
 @pytest.mark.parametrize("n", [2, 3])
 @pytest.mark.parametrize("m", [7, 8])
 @pytest.mark.parametrize("where", ["off_center", "at_center"])
