@@ -271,8 +271,9 @@ def _chunks(count: int):
     return ((lo, min(lo + _CHUNK_NODES, count)) for lo in range(0, count, _CHUNK_NODES))
 
 
-def _gl_radii(a: float, b: float, m: int) -> np.ndarray:
-    """The m Gauss-Legendre radii of a shell rule on [a, b], ascending."""
+def _gl_radii(a, b, m: int) -> np.ndarray:
+    """The m Gauss-Legendre radii of a shell rule on [a, b], ascending; one
+    row per shell for a and b of shape (k, 1)."""
     return 0.5 * (b + a) + 0.5 * (b - a) * _gauss_legendre(m)[0]
 
 
@@ -291,14 +292,16 @@ def _shell_values(kernel: Kernel, center: np.ndarray, rules: Sequence[tuple[floa
     sphere = sphere or partial(_sphere_rule, center, axis=axis)
     counts = [m * len(sphere(m)[1]) for _, _, m in rules]
     first = np.cumsum([0] + [m for _, _, m in rules])  # each rule's radii
+    stacks = {m: [i for i, rule in enumerate(rules) if rule[2] == m] for m in {r[2] for r in rules}}
+    slot = {i: k for idx in stacks.values() for k, i in enumerate(idx)}  # shell i of its stack
+    edges = {m: np.array([rules[i][:2] for i in idx]).T for m, idx in stacks.items()}
     if radial is not None:
-        radii = np.concatenate([_gl_radii(a, b, m) for a, b, m in rules])
+        rows = {m: _gl_radii(a[:, None], b[:, None], m) for m, (a, b) in edges.items()}
+        radii = np.concatenate([rows[m][slot[i]] for i, (_, _, m) in enumerate(rules)])
         # 256 radii per call keep _cap_integral's radii x _CAP_NODES (48)
         # arrays of a ball-mass radial within 12,288 elements, the chunk budget.
         fac = np.concatenate([radial(radii[lo:lo + 256]) for lo in range(0, radii.size, 256)])
-    stacks = {m: [i for i, rule in enumerate(rules) if rule[2] == m] for m in {r[2] for r in rules}}
-    slot = {i: k for idx in stacks.values() for k, i in enumerate(idx)}  # shell i of its stack
-    stacks = {m: (*np.array([rules[i][:2] for i in idx]).T, None if radial is None
+    stacks = {m: (*edges[m], None if radial is None
                   else np.concatenate([fac[first[i]:first[i + 1]] for i in idx]))
               for m, idx in stacks.items()}
     calls, size = [[]], 0  # greedy: (rule, lo, hi, offset) pieces of _CHUNK_NODES in all

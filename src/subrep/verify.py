@@ -37,6 +37,7 @@ import json
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -312,6 +313,14 @@ def default_a1_balls(f: TestFunction) -> list:
     return [(c, lam * s) for c in centers for lam in (0.3, 0.6, 1.2)]
 
 
+@lru_cache(maxsize=32)
+def _a1_constant(w: Weight, f: TestFunction, samples_per_ball: int) -> float:
+    """estimate_a1 of w on default_a1_balls(f), once per key and shared by
+    the checks and threads of a run.  32 entries keep 16 (w, f) pairs at
+    both pass resolutions."""
+    return estimate_a1(w, default_a1_balls(f), samples_per_ball=samples_per_ball).value
+
+
 # -- the stability runner and the pointwise checks -----------------------------
 
 
@@ -357,7 +366,8 @@ def _theorem(
     D^alpha f given alpha, of order alpha (else 1): T_{w,order} given w,
     I_order without.  Its constant is (1 - alpha), ||Omega||_{L^{n/order,inf}}
     and [w]_A1, each present only with its ingredient, multiplied in that
-    order."""
+    order; [w]_A1 depends on no point, so _a1_constant samples it once per
+    (w, f, samples per ball)."""
     if alpha is not None:
         _require_alpha(alpha)
     scheme = scheme or QuadratureScheme()
@@ -373,7 +383,7 @@ def _theorem(
         if omega is not None:
             constant *= omega_norm
         if w is not None:
-            constant *= estimate_a1(w, default_a1_balls(f), samples_per_ball=1000 * factor).value
+            constant *= _a1_constant(w, f, 1000 * factor)
         density = (GradientMagnitude(f) if alpha is None
                    else frac_derivative_field(f, alpha, sch, grid_points * factor))
 

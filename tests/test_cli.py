@@ -274,38 +274,46 @@ def test_run_round_trip_every_check(tmp_path, check):
     assert (out / f"{check}.csv").exists()
 
 
-def test_shell_rule_reports_byte_identical_across_thread_counts(tmp_path):
-    # Node arrays are summed pairwise and shell values with fsum, each in a
-    # fixed order, so the thread count changes no byte of a report.
-    checks = ("subrepresentation_identity, rough_subrepresentation, annuli_absorption, "
-              "poincare_bbm, hedberg_split, sobolev_mapping")
+def _reports_identical_across_thread_counts(tmp_path, checks, codes=(0,), memos=()):
+    """Run checks at --threads 1 and 2, each run after emptying memos, and
+    compare the JSON reports byte for byte."""
     outs = []
     for threads in ("1", "2"):
+        for memo in memos:
+            memo.cache_clear()
         out = tmp_path / f"t{threads}"
         ini = LIGHT_INI.format(check=checks, out=out).replace("json, csv", "json")
         cfg = write_config(tmp_path, ini, f"t{threads}.ini")
-        assert main(["run", cfg, "--threads", threads]) in (0, 1)
+        assert main(["run", cfg, "--threads", threads]) in codes
         outs.append(out)
     names = [f"{c.strip()}.json" for c in checks.split(",")] + ["summary.json"]
     for name in names:
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
+def test_shell_rule_reports_byte_identical_across_thread_counts(tmp_path):
+    # Node arrays are summed pairwise and shell values with fsum, each in a
+    # fixed order, so the thread count changes no byte of a report.
+    _reports_identical_across_thread_counts(
+        tmp_path, "subrepresentation_identity, rough_subrepresentation, annuli_absorption, "
+        "poincare_bbm, hedberg_split, sobolev_mapping", codes=(0, 1))
 
 
 def test_fractional_reports_byte_identical_across_thread_counts(tmp_path):
     # The four fractional checks share their fields through one memo; with
     # it emptied before each run, two threads build and read them at once.
-    checks = "fractional_domination, lemma_domination, identity_fractional, rough_fractional"
-    outs = []
-    for threads in ("1", "2"):
-        operators.frac_derivative_field.cache_clear()
-        out = tmp_path / f"t{threads}"
-        ini = LIGHT_INI.format(check=checks, out=out).replace("json, csv", "json")
-        cfg = write_config(tmp_path, ini, f"t{threads}.ini")
-        assert main(["run", cfg, "--threads", threads]) == 0
-        outs.append(out)
-    names = [f"{c.strip()}.json" for c in checks.split(",")] + ["summary.json"]
-    for name in names:
-        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+    _reports_identical_across_thread_counts(
+        tmp_path, "fractional_domination, lemma_domination, identity_fractional, rough_fractional",
+        memos=(operators.frac_derivative_field,))
+
+
+def test_weighted_reports_byte_identical_across_thread_counts(tmp_path):
+    # The four weighted theorems share [w]_A1 through one memo; with it
+    # emptied before each run, two threads estimate and read it at once.
+    _reports_identical_across_thread_counts(
+        tmp_path, "subrepresentation_identity, rough_subrepresentation, "
+        "identity_fractional, rough_fractional",
+        memos=(verify._a1_constant, operators.frac_derivative_field))
 
 
 def test_identity_fractional_runs_in_one_dimension(tmp_path):

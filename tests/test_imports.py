@@ -4,6 +4,9 @@ reached only from the tests, and only the stability runner refines a
 scheme."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import subrep
@@ -197,6 +200,23 @@ def test_only_the_memo_builds_a_fractional_field():
     # Every check reads D^alpha f through frac_derivative_field, so a field
     # is built once per (f, alpha, scheme, grid_points).
     assert _callers("FracDerivativeField") == ["operators.py:frac_derivative_field"]
+
+
+def test_only_the_memo_estimates_a1():
+    # [w]_A1 depends on no point, so the checks sample it once per
+    # (w, f, samples per ball) through verify._a1_constant.
+    assert _callers("estimate_a1") == ["verify.py:_a1_constant"]
+
+
+def test_importing_the_cli_loads_no_scipy():
+    # scipy is imported only where a rule needs it, so every subrep process
+    # starts without paying for it.
+    code = "import sys, subrep.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(PACKAGE.parent),
+                                                        os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_only_the_grid_orbits_fold_lattice_indices():

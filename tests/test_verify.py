@@ -697,3 +697,38 @@ def test_pointwise_theorems_multiply_the_stated_constant(check_id):
     assert set(r.config) == keys
     assert r.extras.get("omega_norm") == (omega_norm if rough else None)
     assert r.notes == ((verify.ROUGH_FACTORIZATION_NOTE,) if rough else ())
+
+
+# -- [w]_A1 is sampled once per (w, f, samples per ball) ----------------------
+
+
+def test_a1_constant_is_estimated_once_per_pass(monkeypatch):
+    # Two calls at different points, each with its own equal weight and
+    # function objects, share the base and the refined estimate.
+    verify._a1_constant.cache_clear()
+    calls = _counting(monkeypatch, "estimate_a1")
+    points = ([0.3, 0.1], [-0.2, 0.4])
+    reports = [check_subrepresentation_identity(
+        bump2(), Weight.power_plus_one((0.0, 0.0), 0.5), points=[x], scheme=LIGHT)
+        for x in points]
+    assert len(calls) == 2
+    f, w = bump2(), Weight.power_plus_one((0.0, 0.0), 0.5)
+    a1 = estimate_a1(w, verify.default_a1_balls(f), 1000).value
+    for r, x in zip(reports, points):
+        assert r.samples[0].rhs == a1 * potential_Tw(GradientMagnitude(f), w, 1.0, np.array(x), LIGHT)
+
+
+@pytest.mark.parametrize("w, f", [
+    (Weight.power_plus_one((0.0, 0.0), 0.25), bump2()),
+    (Weight.power_plus_one((0.1, 0.0), 0.5), bump2()),
+    (Weight.power_plus_one((0.0, 0.0), 0.5), TestFunction("smooth_bump", (0.0, 0.0), 0.5)),
+    (Weight.power_plus_one((0.0, 0.0), 0.5), TestFunction("smooth_bump", (0.2, 0.0), 1.0)),
+], ids=["beta", "pole", "scale", "centre"])
+def test_a1_constant_is_estimated_again_for_a_new_key(monkeypatch, w, f):
+    verify._a1_constant.cache_clear()
+    calls = _counting(monkeypatch, "estimate_a1")
+    base = verify._a1_constant(Weight.power_plus_one((0.0, 0.0), 0.5), bump2(), 1000)
+    assert verify._a1_constant(Weight.power_plus_one((0.0, 0.0), 0.5), bump2(), 1000) == base
+    assert len(calls) == 1
+    assert verify._a1_constant(w, f, 1000) == estimate_a1(w, verify.default_a1_balls(f), 1000).value
+    assert len(calls) == 2
