@@ -212,6 +212,20 @@ class TestFunction:
     def symmetry(self) -> Symmetry:
         return Symmetry("cube" if self.family == "tensor_hat" else "radial", self.center)
 
+    @property
+    def cells(self) -> Optional[tuple[Box, ...]]:
+        """The boxes on each of which f is a polynomial and off which it
+        vanishes: for tensor_hat the 2^n orthant cells about center of the
+        cube of half-width s / sqrt(n), for the radial families None."""
+        if self.family != "tensor_hat":
+            return None
+        n, c = self.dimension, self.support_center
+        h = self.scale / math.sqrt(n)
+        corners = [c + h * np.array([1.0 if k >> i & 1 else -1.0 for i in range(n)])
+                   for k in range(2**n)]
+        return tuple(Box(tuple(map(float, np.minimum(c, far))), tuple(map(float, np.maximum(c, far))))
+                     for far in corners)
+
     def support_box(self, pad: float = 1.0) -> Box:
         c = self.support_center
         r = self.scale * pad

@@ -24,10 +24,10 @@ radial.  Beyond 1.5 radii the defining integral is a single layer over the
 support, summed in closed form as a power series in |y - c|^-2 whose
 coefficients are moments of the radial profile.  tensor_hat keeps a grid
 spanning a padded support box (multilinear interpolation inside), one node
-per orbit of the cube's symmetries about c: inside the support the nodes
-share one batched shell geometry, near it they take frac_derivative's
-adaptive single layer, and beyond 1.5 radii a blocked matrix product
-against a fixed support rule, with squared distances in Gram form.
+per orbit of the cube's symmetries about c: within 1.5 radii each node
+takes pointwise frac_derivative, and beyond it a blocked matrix product
+against a tensor Gauss rule on the cells where f is a polynomial
+(TestFunction.cells), with squared distances in Gram form.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .functions import Box, Symmetry, TestFunction, symmetry_of
-from .quadrature import QuadratureScheme, annulus_nodes, core_ratio, integrate_annular, shell_edges
+from .quadrature import QuadratureScheme, integrate_annular
 from .special import sphere_measure
 from .weights import Weight
 
@@ -180,10 +180,15 @@ def _support_layer(f: TestFunction, power: float, x: np.ndarray, scheme: Quadrat
     return res.value
 
 
-# Elements per (points x nodes) block of a single-layer sum (the far field
-# of a non-radial f) or of the interior shells of FracDerivativeField: 16 MB
-# of float64.
+# Elements per (points x nodes) block of a single-layer sum, the far field
+# of a non-radial f: 16 MB of float64.
 _LAYER_BLOCK = 1 << 21
+
+# Gauss-Legendre nodes per axis on each cell of a non-radial f, where it is
+# a polynomial (tensor_hat's 2^n orthants, on which it is multilinear): 256
+# nodes in 2-d, 4,096 in 3-d.  From 1.5 s out the kernel is smooth on every
+# cell, and the far field is within 2e-11 of kink-split references there.
+_CELL_NODES = 8
 
 # The far-field series of a radial f is used at |x - c| >= 1.5 s, where its
 # term ratio tends to (s / |x - c|)^2 <= 1 / 2.25 = 0.445: after 48 terms the
@@ -233,15 +238,14 @@ class FracDerivativeField:
     where f vanishes, is a power series in (s / |y - c|)^2 (_far_series).
 
     tensor_hat keeps a grid spanning a padded support box (multilinear
-    interpolation inside).  Grid nodes inside the support share one shell
-    geometry, and their core balls come from their innermost shells by the
-    rule integrate_annular uses (core_ratio); the near band
-    1 <= |x - c|/s < 1.5 takes the adaptive single layer (_support_layer),
-    exactly as frac_derivative does; beyond 1.5 s (and outside the box) the
-    single layer is summed against a fixed rule on the support
-    (_single_layer).  The grid evaluates one node per orbit of the cube's
-    symmetries about c and copies its value to the orbit, so its values are
-    exactly invariant under the axis flips and transposes.
+    interpolation inside).  Grid nodes with |x - c| < 1.5 s hold pointwise
+    frac_derivative, which takes the adaptive single layer (_support_layer)
+    outside the support; beyond 1.5 s (and outside the box) the single
+    layer is summed against a tensor Gauss-Legendre rule on the 2^n orthant
+    cells where the hat is multilinear (_cell_rule, _single_layer).  The
+    grid evaluates one node per orbit of the cube's symmetries about c and
+    copies its value to the orbit, so its values are exactly invariant
+    under the axis flips and transposes.
 
     A built field is never changed, so one field can be shared
     (frac_derivative_field); its arrays are read-only, but for the grid
@@ -269,7 +273,7 @@ class FracDerivativeField:
             frozen = (self._far_coefs, self._table.x, self._table.c)
         else:
             self._table = None
-            self._far_nodes, self._far_weights = self._support_rule(12)
+            self._far_nodes, self._far_weights = self._cell_rule()
             half = self.box_pad * f.support_radius
             self._lo = c - half
             self._hi = c + half
@@ -329,69 +333,29 @@ class FracDerivativeField:
 
     def _build_grid(self, scheme: QuadratureScheme) -> np.ndarray:
         n, m = self.dimension, self.grid_points
-        c, s = self.f.support_center, self.f.support_radius
         mesh = np.meshgrid(*self._axes, indexing="ij")
         X = np.stack([g.ravel() for g in mesh], axis=1)
         # The axes are symmetric about c, so Box.grid_orbits' index fold
         # applies: one node per orbit is evaluated, and its value copied.
         rows, orbit = Box(tuple(self._lo), tuple(self._hi)).grid_orbits(m)
         X = X[rows]
-        dist = np.linalg.norm(X - c, axis=1)
+        near = np.linalg.norm(X - self.f.support_center, axis=1) < 1.5 * self.f.support_radius
         total = np.empty(len(X))
-
-        inside = dist < s
-        if np.any(inside):
-            total[inside] = self._build_inside(X[inside], scheme)
-        # Outside the support the defining integral collapses to the single
-        # layer over supp(f).  Near it the kernel peaks, so those nodes take
-        # the adaptive rule of frac_derivative; beyond 1.5 s the fixed rule.
-        near = ~inside & (dist < 1.5 * s)
-        total[near] = [_support_layer(self.f, n + self.alpha, x, scheme) for x in X[near]]
-        far = dist >= 1.5 * s
-        total[far] = self._far_values(X[far])
+        total[near] = [frac_derivative(self.f, self.alpha, x, scheme) for x in X[near]]
+        total[~near] = self._far_values(X[~near])
         return total[orbit].reshape([m] * n)
 
-    def _build_inside(self, X: np.ndarray, scheme: QuadratureScheme) -> np.ndarray:
-        """Batched shells around each interior point, sharing one geometry.
-
-        Every point sees the support within the shared reach, so the
-        truncation is exact for all of them; the remainder integrates in
-        closed form because f vanishes there.  The core ball comes from each
-        point's innermost shell by core_ratio, the rule integrate_annular
-        uses.  Point blocks keep (points x nodes) within _LAYER_BLOCK.
-        """
-        n = self.dimension
-        f, alpha = self.f, self.alpha
-        c, s = f.support_center, f.support_radius
-        fx = f.values(X)
-        reach = float(np.max(np.linalg.norm(X - c, axis=1))) + s
-        eps = scheme.inner_cutoff_factor * reach
-        edges = shell_edges([eps, reach], scheme.shell_ratio)
-        m = scheme.points_per_dim
-        total = np.zeros(len(X))
-        shell = np.empty(len(X))
-        for k in range(len(edges) - 1):
-            offs, wts, rad = annulus_nodes(np.zeros(n), edges[k + 1], edges[k], m)
-            kern_w = wts * rad ** (-(n + alpha))
-            step = max(1, _LAYER_BLOCK // len(offs))
-            for lo in range(0, len(X), step):
-                pts = X[lo:lo + step, None, :] + offs[None, :, :]
-                fy = f.values(pts.reshape(-1, n)).reshape(len(pts), -1)
-                shell[lo:lo + step] = np.abs(fx[lo:lo + step, None] - fy) @ kern_w
-            total += shell
-        # Inner core from the innermost shell, outer tail (f = 0 beyond the reach).
-        total += core_ratio(edges[-1], edges[-2], n, n + alpha - 1.0) * shell
-        total += np.abs(fx) * sphere_measure(n) * reach ** (-alpha) / alpha
-        return total
-
-    def _support_rule(self, m: int) -> tuple[np.ndarray, np.ndarray]:
-        """A fixed rule on the support, m nodes per dimension on each of 16
-        shells: its nodes, and its weights times f."""
-        f = self.f
-        edges = np.geomspace(1e-4 * f.support_radius, f.support_radius, 17)
-        nodes, weights, _ = annulus_nodes(f.support_center, edges[:-1], edges[1:], m)
-        # The untouched core ball contributes at most f_max * vol ~ 1e-8 s^n.
-        return nodes, weights * f.values(nodes)
+    def _cell_rule(self) -> tuple[np.ndarray, np.ndarray]:
+        """A tensor Gauss-Legendre rule of _CELL_NODES nodes per axis on
+        each of f's cells: its nodes, and its weights times f."""
+        n, cells = self.dimension, self.f.cells
+        t, w = np.polynomial.legendre.leggauss(_CELL_NODES)
+        # The rule on the unit cube [0, 1]^n, mapped onto each cell.
+        unit = np.stack([g.ravel() for g in np.meshgrid(*[0.5 * (t + 1.0)] * n, indexing="ij")], axis=1)
+        unit_weights = np.prod(np.meshgrid(*[0.5 * w] * n, indexing="ij"), axis=0).ravel()
+        nodes = np.concatenate([np.asarray(box.lower) + box.side_lengths * unit for box in cells])
+        weights = np.concatenate([box.volume * unit_weights for box in cells])
+        return nodes, weights * self.f.values(nodes)
 
     def _far_series(self) -> np.ndarray:
         """Coefficients C_k of the far field of a radial f = g(|. - c|):
@@ -418,7 +382,7 @@ class FracDerivativeField:
 
     def _far_values(self, pts: np.ndarray) -> np.ndarray:
         """D^alpha f of tensor_hat at |y - c| >= 1.5 s: the single layer
-        against the fixed support rule."""
+        against the cell rule."""
         return _single_layer(pts, self.f.support_center, self._far_nodes, self._far_weights,
                              self.dimension + self.alpha)
 

@@ -183,8 +183,8 @@ def _callers(callee, test=lambda call: True):
 
 
 def test_the_fractional_field_has_one_rule_outside_the_support():
-    # The near band takes frac_derivative's adaptive single layer; the fixed
-    # support rule is summed only for the far field of a non-radial f.
+    # The near band takes frac_derivative's adaptive single layer; the cell
+    # rule is summed only for the far field of a non-radial f.
     named = [
         f"{name}:{node.lineno}"
         for name, tree in _trees().items()
@@ -194,6 +194,14 @@ def test_the_fractional_field_has_one_rule_outside_the_support():
     ]
     assert named == []
     assert _callers("_single_layer") == ["operators.py:FracDerivativeField._far_values"]
+
+
+def test_shell_geometry_lives_only_in_quadrature():
+    # One shell and refinement engine: every other module reaches shells
+    # through integrate_annular, never by building them itself.
+    for name in ("annulus_nodes", "shell_edges", "core_ratio"):
+        callers = _callers(name)
+        assert callers and all(c.startswith("quadrature.py:") for c in callers), (name, callers)
 
 
 def test_only_the_memo_builds_a_fractional_field():

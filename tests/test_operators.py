@@ -154,50 +154,6 @@ def _band(field, lo, hi):
 HAT = TestFunction("tensor_hat", (0.0, 0.0))
 
 
-@pytest.mark.parametrize("alpha", [0.7, 0.9])
-def test_frac_field_interior_core_matches_pointwise(alpha):
-    # The core ball below the innermost shell carries a share of order
-    # eps^(1 - alpha), about a quarter of D^alpha f at alpha = 0.9; the grid
-    # restores it by the rule the pointwise operator uses.
-    field = FracDerivativeField(HAT, alpha, SCHEME, grid_points=16)
-    X, got = _band(field, 0.0, 1.0)
-    assert len(X) == 32
-    for x, value in zip(X[::4], got[::4]):
-        assert value == pytest.approx(frac_derivative(HAT, alpha, x, SCHEME), rel=2e-2)
-
-
-def test_frac_field_inside_build_stays_under_layer_block(monkeypatch):
-    # (points x nodes) of every block of interior shells stays within
-    # _LAYER_BLOCK; the values do not depend on the blocking.  The grid
-    # evaluates one interior node per orbit, 17 of them here, so a block
-    # of 512 elements still splits them.
-    scheme = QuadratureScheme(points_per_dim=8, rel_tol=1e-2)
-    ref = FracDerivativeField(HAT, 0.5, scheme, grid_points=32)
-    block = 512
-    monkeypatch.setattr(operators, "_LAYER_BLOCK", block)
-    interior, rows = [], []
-    build_inside, values = FracDerivativeField._build_inside, TestFunction.values
-
-    def recording_build(self, X, scheme):
-        interior.append(len(X))
-        try:
-            return build_inside(self, X, scheme)
-        finally:
-            interior.append(None)
-
-    def recording(self, pts):
-        if interior and interior[-1] is not None:
-            rows.append(len(pts))
-        return values(self, pts)
-
-    monkeypatch.setattr(FracDerivativeField, "_build_inside", recording_build)
-    monkeypatch.setattr(TestFunction, "values", recording)
-    field = FracDerivativeField(HAT, 0.5, scheme, grid_points=32)
-    assert interior == [17, None] and 17 * 8**2 > block
-    assert max(rows) <= block
-    np.testing.assert_allclose(field._grid_values, ref._grid_values, rtol=1e-14, atol=0.0)
-
-
 def test_frac_field_batches_agree_with_scalars():
     field = FracDerivativeField(BUMP, 0.3, SCHEME, grid_points=32)
     pts = np.array([[0.1, 0.2], [2.9, 0.0], [-0.7, 1.1], [5.0, 5.0]])
@@ -224,27 +180,6 @@ def test_frac_field_far_values_match_direct_sum(family, center):
     dist = np.linalg.norm(pts[:, None, :] - field._far_nodes[None, :, :], axis=2)
     direct = dist ** -(n + alpha) @ field._far_weights
     np.testing.assert_allclose(field._far_values(pts), direct, rtol=1e-13)
-
-
-@pytest.mark.parametrize("center", [(0.7, -0.4), (0.7, -0.4, 0.2)])
-def test_frac_field_support_rule_is_its_shells_stacked(center):
-    # tensor_hat's far rule, one stacked annulus_nodes call over 16 shells,
-    # is the concatenation of the 16 single-shell rules, and so are its far
-    # values, bit for bit.
-    alpha = 0.5
-    f = TestFunction("tensor_hat", center, 0.6)
-    field = FracDerivativeField(f, alpha, SCHEME, grid_points=2)
-    edges = np.geomspace(1e-4 * f.support_radius, f.support_radius, 17)
-    shells = [quadrature.annulus_nodes(f.support_center, float(a), float(b), 12)[:2]
-              for a, b in zip(edges, edges[1:])]
-    nodes, weights = map(np.concatenate, zip(*shells))
-    weights = weights * f.values(nodes)
-    assert np.array_equal(field._far_nodes, nodes)
-    assert np.array_equal(field._far_weights, weights)
-    dirs = np.random.default_rng(5).normal(size=(30, f.dimension))
-    pts = f.support_center + np.geomspace(1.5 * 0.6, 50.0, 30)[:, None] * dirs
-    ref = operators._single_layer(pts, f.support_center, nodes, weights, f.dimension + alpha)
-    assert np.array_equal(field._far_values(pts), ref)
 
 
 @pytest.mark.parametrize("family", sorted(PROFILES))
@@ -344,18 +279,64 @@ def test_frac_field_near_band_fallback_is_adaptive():
 LIGHT_FIELD = QuadratureScheme(rel_tol=1e-2, points_per_dim=8)
 
 
-@pytest.mark.parametrize("family", ["smooth_bump", "tensor_hat"])
-@pytest.mark.parametrize("center, grid", [((0.3, -0.2), 16), ((0.3, -0.2, 0.1), 9)])
-def test_frac_field_near_band_is_frac_derivative_at_representatives(family, center, grid):
-    # One rule outside the support: every near-band node holds what the
-    # pointwise operator returns at its orbit representative, bit for bit.
-    f = TestFunction(family, center, 0.8)
-    field = FracDerivativeField(f, 0.5, LIGHT_FIELD, grid_points=grid)
-    band = _band_mask(field, 1.0, 1.5)
-    assert np.count_nonzero(band) > 0
-    reps = _representatives(field)[band]
-    expected = [frac_derivative(f, 0.5, x, LIGHT_FIELD) for x in reps]
-    assert _stored(field)[band].tolist() == expected
+@pytest.mark.parametrize("f, alpha, scheme, grid", [
+    *[pytest.param(TestFunction(family, center, 0.8), 0.5, LIGHT_FIELD, grid,
+                   id=f"{family}-{len(center)}d")
+      for family in ("smooth_bump", "tensor_hat")
+      for center, grid in (((0.3, -0.2), 16), ((0.3, -0.2, 0.1), 9))],
+    # At alpha near 1 the core ball below the innermost shell carries about
+    # a quarter of D^alpha f, restored by the pointwise operator's rule.
+    *[pytest.param(HAT, alpha, SCHEME, 16, id=f"tensor_hat-2d-alpha{alpha}") for alpha in (0.7, 0.9)],
+])
+def test_frac_field_nodes_within_1_5_s_are_frac_derivative_at_representatives(f, alpha, scheme, grid):
+    # One rule below 1.5 s, inside the support and out: every node there
+    # holds what the pointwise operator returns at its orbit
+    # representative, bit for bit.
+    field = FracDerivativeField(f, alpha, scheme, grid_points=grid)
+    band = _band_mask(field, 0.0, 1.5)
+    assert np.count_nonzero(_band_mask(field, 0.0, 1.0)) > 0
+    assert np.count_nonzero(_band_mask(field, 1.0, 1.5)) > 0
+    reps, back = np.unique(_representatives(field)[band], axis=0, return_inverse=True)
+    expected = np.array([frac_derivative(f, alpha, x, scheme) for x in reps])
+    assert _stored(field)[band].tolist() == expected[back.ravel()].tolist()
+
+
+@pytest.mark.parametrize("center", [(0.7, -0.4), (0.7, -0.4, 0.2)])
+def test_tensor_hat_far_field_matches_kink_split_reference(center):
+    # Beyond 1.5 s the far field is the single layer against the cell rule;
+    # the reference integrates it cell by cell with scipy, so no kink of the
+    # hat falls inside an integration domain.  The direction of a corner of
+    # the support comes nearest the kernel's peak.
+    from scipy.integrate import dblquad, tplquad
+
+    alpha, s = 0.5, 0.6
+    f = TestFunction("tensor_hat", center, s)
+    field = FracDerivativeField(f, alpha, SCHEME, grid_points=2)
+    n = f.dimension
+    p, h = n + alpha, s / math.sqrt(n)
+    corner = np.ones(n) / math.sqrt(n)
+    other = np.random.default_rng(7).normal(size=n)
+    other /= np.linalg.norm(other)
+    if n == 2:
+        pts = np.array([f.support_center + s * q * d for q in (1.5, 2.0, 3.6, 8.0) for d in (corner, other)])
+    else:
+        pts = np.array([f.support_center + s * q * d for q, d in ((1.5, corner), (2.0, other), (8.0, corner))])
+    # The hat's kinks: each axis splits at c_i into two halves of width h.
+    cells = list(itertools.product(*[((ci - h, ci), (ci, ci + h)) for ci in center]))
+
+    def integrand(y):
+        def value(*reversed_z):  # scipy passes the innermost variable first
+            z = reversed_z[::-1]
+            hat = math.prod(1.0 - abs(zi - ci) / h for zi, ci in zip(z, center))
+            return hat * math.dist(z, y) ** -p
+        return value
+
+    def layer(y):
+        quad, tol = (dblquad, 1e-12) if n == 2 else (tplquad, 1e-11)
+        return sum(quad(integrand(y), *itertools.chain(*cell), epsabs=0.0, epsrel=tol)[0]
+                   for cell in cells)
+
+    np.testing.assert_allclose(field._far_values(pts), [layer(y) for y in pts], rtol=1e-9, atol=0.0)
 
 
 @pytest.mark.parametrize("family", ["smooth_bump", "tensor_hat"])
