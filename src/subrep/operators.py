@@ -40,7 +40,10 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .functions import Box, Symmetry, TestFunction, symmetry_of
-from .quadrature import QuadratureScheme, integrate_annular
+
+# annulus_nodes is unused here but stays bound: perfbench/tracing.py
+# wraps it on every module that imports it.
+from .quadrature import QuadratureScheme, annulus_nodes, integrate_annular  # noqa: F401
 from .special import sphere_measure
 from .weights import Weight
 

@@ -166,10 +166,10 @@ def test_frac_field_batches_agree_with_scalars():
                                     if symmetry_of(TestFunction(fam, (0.0,))).axis is None])
 @pytest.mark.parametrize("center", [(0.7, -0.4), (0.7, -0.4, 0.2)])
 def test_frac_field_far_values_match_direct_sum(family, center):
-    # A non-radial far field is a single layer against the fixed support
-    # rule: Gram-form distances against the plain difference-array sum, from
-    # the box face out to 1e3 s.  grid_points = 2 puts the whole grid in the
-    # far band, so the build is cheap.
+    # A non-radial far field is a single layer against the cell rule
+    # (_cell_rule): Gram-form distances against the plain difference-array
+    # sum, from the box face out to 1e3 s.  grid_points = 2 puts the whole
+    # grid in the far band, so the build is cheap.
     alpha, s = 0.5, 0.6
     f = TestFunction(family, center, s)
     field = FracDerivativeField(f, alpha, SCHEME, grid_points=2)
