@@ -31,7 +31,6 @@ Config files are INI-style.  Sections and keys, all optional except
     profile = cosine_harmonic | sign_profile | odd_polynomial
     k = 1
     amplitude = 1.0
-    cells = 64
     coefficients = 1.0, -0.5
 
     [params]
@@ -219,7 +218,7 @@ def _build_omega(src: _Fields, n: int) -> SphereSymbol:
     if profile == "cosine_harmonic":
         return SphereSymbol.cosine_harmonic(k=src.count("k", 1), amplitude=amplitude)
     if profile == "sign_profile":
-        return SphereSymbol.sign_profile(cells=src.count("cells", 64), amplitude=amplitude)
+        return SphereSymbol.sign_profile(amplitude=amplitude)
     if profile == "odd_polynomial":
         coeffs = _floats(src.text("coefficients", "1.0"), src.label("coefficients"))
         return SphereSymbol.odd_polynomial(list(coeffs), amplitude=amplitude)

@@ -12,10 +12,10 @@ use the normalized measure dx / |Q| sampled at deterministic low-discrepancy
 points; the step-function distribution makes the t-integral a finite sum,
 evaluated in closed form below.
 
-Sphere symbols get their weak norms from exact exceedance measures, and the
+Sphere symbols state their own weak norms (SphereSymbol.weak_norm), and the
 ball weak norm is recomputed per radius by slicing the ball into rows where
-the exceedance region is a union of exactly measurable segments; this is the
-honest scale-invariance test, no homogeneity shortcut.
+the exceedance region is a union of exactly measurable segments; this is
+the honest scale-invariance test, no homogeneity shortcut.
 """
 
 from __future__ import annotations
@@ -88,40 +88,12 @@ def lp_norm(field, w: Weight, p: float, box, scheme: QuadratureScheme) -> float:
     return val ** (1.0 / p)
 
 
-def _sup_on_grid(v, lo: float, hi: float, coarse: int = 2048, golden_iters: int = 60) -> float:
-    """sup of a continuous v on [lo, hi]: dense grid, then golden refinement
-    around the best cell."""
-    ts = np.linspace(lo, hi, coarse)
-    vals = v(ts)
-    k = int(np.argmax(vals))
-    a = ts[max(k - 1, 0)]
-    b = ts[min(k + 1, coarse - 1)]
-    gold = (math.sqrt(5.0) - 1.0) / 2.0
-    c, d = b - gold * (b - a), a + gold * (b - a)
-    for _ in range(golden_iters):
-        if v(np.array([c]))[0] > v(np.array([d]))[0]:
-            b, d = d, c
-            c = b - gold * (b - a)
-        else:
-            a, c = c, d
-            d = a + gold * (b - a)
-    best_ref = v(np.array([(a + b) / 2.0]))[0]
-    return float(max(vals[k], best_ref))
-
-
 def sphere_lorentz_weak(omega: SphereSymbol, p: float) -> float:
     """||Omega||_{L^{p,inf}(S^{n-1})} = sup_t t sigma(|Omega| > t)^{1/p},
-    using the exact exceedance measure of the profile."""
+    read off the profile (SphereSymbol.weak_norm)."""
     if p <= 0.0:
         raise NormError(f"p must be positive, got {p}")
-    top = omega.sup_norm
-
-    def v(ts):
-        return np.array(
-            [t * omega.exceedance_measure(float(t)) ** (1.0 / p) for t in np.atleast_1d(ts)]
-        )
-
-    return _sup_on_grid(v, 0.0, top * (1.0 - 1e-12))
+    return omega.weak_norm(p)
 
 
 # -- ball weak norms, computed per radius without homogeneity ---------------

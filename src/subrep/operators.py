@@ -44,6 +44,7 @@ from .functions import Box, Symmetry, TestFunction, symmetry_of
 # annulus_nodes is unused here but stays bound: perfbench/tracing.py
 # wraps it on every module that imports it.
 from .quadrature import QuadratureScheme, annulus_nodes, integrate_annular  # noqa: F401
+from .quadrature import gauss_legendre
 from .special import sphere_measure
 from .weights import Weight
 
@@ -352,7 +353,7 @@ class FracDerivativeField:
         """A tensor Gauss-Legendre rule of _CELL_NODES nodes per axis on
         each of f's cells: its nodes, and its weights times f."""
         n, cells = self.dimension, self.f.cells
-        t, w = np.polynomial.legendre.leggauss(_CELL_NODES)
+        t, w = gauss_legendre(_CELL_NODES)
         # The rule on the unit cube [0, 1]^n, mapped onto each cell.
         unit = np.stack([g.ravel() for g in np.meshgrid(*[0.5 * (t + 1.0)] * n, indexing="ij")], axis=1)
         unit_weights = np.prod(np.meshgrid(*[0.5 * w] * n, indexing="ij"), axis=0).ravel()
@@ -377,7 +378,7 @@ class FracDerivativeField:
         k = np.arange(_SERIES_TERMS - 1)
         ratios = (0.5 * (n + alpha) + k) * (0.5 * alpha + 1.0 + k) / ((0.5 * n + k) * (k + 1.0))
         coef = np.cumprod(np.concatenate(([1.0], ratios)))
-        t, w = np.polynomial.legendre.leggauss(_SERIES_NODES)
+        t, w = gauss_legendre(_SERIES_NODES)
         u = 0.5 * (t + 1.0)
         g = f.values(f.support_center + np.outer(f.support_radius * u, np.eye(n)[0]))
         moments = np.power.outer(u * u, np.arange(_SERIES_TERMS)).T @ (0.5 * w * g * u ** (n - 1))
@@ -494,12 +495,13 @@ def potential_Tw(field, w: Weight, alpha: float, x, scheme: QuadratureScheme) ->
 
 @dataclass(frozen=True)
 class SphereSymbol:
-    """Mean-zero angular symbol Omega on the unit sphere.
+    """Mean-zero angular symbol Omega on the unit sphere, in closed form.
 
-    Profiles: cosine_harmonic (n = 2, Omega = A cos(k theta)),
-    odd_polynomial (n = 3, Omega = P(cos theta) with P odd), and tabulated
-    (n = 2, samples on a uniform angle grid).  Mean zero is enforced at
-    construction; the analytic profiles satisfy it identically.
+    Profiles: cosine_harmonic (n = 2, Omega = A cos(k theta)), sign_profile
+    (n = 2, Omega = A sign(cos theta)) and odd_polynomial (n = 3,
+    Omega = A P(cos theta) with P odd).  Each has mean zero identically, and
+    each states its own weak norm (weak_norm), so the constant of a rough
+    check belongs to the profile that the check integrates.
     """
 
     profile: str
@@ -507,7 +509,6 @@ class SphereSymbol:
     k: int = 1
     amplitude: float = 1.0
     coefficients: Optional[tuple[float, ...]] = None  # odd powers of u
-    table: Optional[np.ndarray] = None
 
     @classmethod
     def cosine_harmonic(cls, k: int, amplitude: float = 1.0) -> "SphereSymbol":
@@ -525,22 +526,11 @@ class SphereSymbol:
         return cls("odd_polynomial", 3, amplitude=amplitude, coefficients=coeffs)
 
     @classmethod
-    def tabulated(cls, values: np.ndarray) -> "SphereSymbol":
-        values = np.asarray(values, dtype=float)
-        if values.ndim != 1 or len(values) < 8:
-            raise ValueError("tabulated symbol needs >= 8 samples on the circle")
-        scale = float(np.max(np.abs(values)))
-        if scale == 0.0:
-            raise ValueError("tabulated symbol is identically zero")
-        if abs(float(np.mean(values))) > 1e-8 * scale:
-            raise ValueError("tabulated symbol must have zero mean on the sphere")
-        return cls("tabulated", 2, table=values.copy())
-
-    @classmethod
-    def sign_profile(cls, cells: int = 64, amplitude: float = 1.0) -> "SphereSymbol":
-        """Tabulated sign(cos theta) profile: constant magnitude, zero mean."""
-        theta = 2.0 * math.pi * (np.arange(cells) + 0.5) / cells
-        return cls.tabulated(amplitude * np.sign(np.cos(theta)))
+    def sign_profile(cls, amplitude: float = 1.0) -> "SphereSymbol":
+        """A sign(cos theta): constant magnitude |A| off the two jumps."""
+        if amplitude == 0.0:
+            raise ValueError("sign profile needs a nonzero amplitude")
+        return cls("sign_profile", 2, amplitude=amplitude)
 
     def unit_values(self, dirs: np.ndarray) -> np.ndarray:
         """Omega on unit direction vectors, shape (M, n)."""
@@ -548,99 +538,82 @@ class SphereSymbol:
         if self.profile == "cosine_harmonic":
             theta = np.arctan2(dirs[:, 1], dirs[:, 0])
             return self.amplitude * np.cos(self.k * theta)
-        if self.profile == "odd_polynomial":
-            u = np.clip(dirs[:, 2], -1.0, 1.0)
-            acc = np.zeros(len(u))
-            for j, cj in enumerate(self.coefficients):
-                acc += cj * u ** (2 * j + 1)
-            return self.amplitude * acc
-        theta = np.mod(np.arctan2(dirs[:, 1], dirs[:, 0]), 2.0 * math.pi)
-        m = len(self.table)
-        # Periodic linear interpolation between cell midpoints.
-        pos = theta / (2.0 * math.pi) * m - 0.5
-        i0 = np.floor(pos).astype(int)
-        frac = pos - i0
-        return (1.0 - frac) * self.table[i0 % m] + frac * self.table[(i0 + 1) % m]
+        if self.profile == "sign_profile":
+            return self.amplitude * np.sign(dirs[:, 0])
+        u = np.clip(dirs[:, 2], -1.0, 1.0)
+        acc = np.zeros(len(u))
+        for j, cj in enumerate(self.coefficients):
+            acc += cj * u ** (2 * j + 1)
+        return self.amplitude * acc
 
     @property
     def sup_norm(self) -> float:
-        if self.profile == "cosine_harmonic":
-            return abs(self.amplitude)
         if self.profile == "odd_polynomial":
             u = np.linspace(-1.0, 1.0, 1 << 15)
             return float(np.max(np.abs(self.unit_values(self._dirs_from_u(u)))))
-        return float(np.max(np.abs(self.table)))
+        return abs(self.amplitude)
 
     @staticmethod
     def _dirs_from_u(u: np.ndarray) -> np.ndarray:
         s = np.sqrt(np.clip(1.0 - u**2, 0.0, 1.0))
         return np.stack([s, np.zeros_like(u), u], axis=1)
 
-    def exceedance_measure(self, t: float) -> float:
-        """sigma({|Omega| > t}) on the unit sphere."""
-        if t < 0.0:
-            raise ValueError("threshold must be nonnegative")
+    def weak_norm(self, p: float) -> float:
+        """||Omega||_{L^{p,inf}(S^{n-1})} = sup_t t sigma(|Omega| > t)^{1/p}.
+
+        sign_profile: sigma = 2 pi below |A|, so the sup is |A| (2 pi)^{1/p}.
+        cosine_harmonic: sigma(|A| cos theta) = 4 theta for any k, and
+        d/dtheta [cos theta (4 theta)^{1/p}] = 0 at theta tan theta = 1/p,
+        solved by bisection on (0, pi/2).  odd_polynomial: the measure is
+        the step function of _sorted_abs_samples, whose sup sits at the
+        left limits, v_(i) (4 pi i / N)^{1/p} for the samples descending.
+        """
+        a = abs(self.amplitude)
+        if self.profile == "sign_profile":
+            return a * (2.0 * math.pi) ** (1.0 / p)
         if self.profile == "cosine_harmonic":
-            a = abs(self.amplitude)
-            if t >= a:
-                return 0.0
-            # |cos(k theta)| > t/a occupies 4 arccos(t/a) of angle, for any k.
-            return 4.0 * math.acos(t / a)
-        if self.profile == "odd_polynomial":
-            vals = _sorted_abs_samples(self)
-            above = len(vals) - int(np.searchsorted(vals, t, side="right"))
-            return 2.0 * math.pi * 2.0 * (above / len(vals))  # 2 pi int_{-1}^{1} du
-        m = len(self.table)
-        return 2.0 * math.pi * float(np.count_nonzero(np.abs(self.table) > t)) / m
+            lo, hi = 0.0, 0.5 * math.pi
+            while True:
+                mid = 0.5 * (lo + hi)
+                if mid in (lo, hi):
+                    break
+                lo, hi = (mid, hi) if mid * math.tan(mid) < 1.0 / p else (lo, mid)
+            return a * math.cos(mid) * (4.0 * mid) ** (1.0 / p)
+        vals = _sorted_abs_samples(self)[::-1]
+        share = np.arange(1, len(vals) + 1) / len(vals)
+        return float(np.max(vals * (4.0 * math.pi * share) ** (1.0 / p)))
 
     def arcs_above(self, t: float) -> list[tuple[float, float]]:
         """For n = 2: the angular arcs where |Omega| > t, as (lo, hi) pairs
         in [0, 2 pi)."""
         if self.dimension != 2:
             raise OperatorError("arcs_above is a planar notion")
-        if self.profile == "cosine_harmonic":
-            a = abs(self.amplitude)
-            if t >= a:
-                return []
-            half = math.acos(t / a) / self.k
-            out = []
-            for j in range(2 * self.k):
-                center = j * math.pi / self.k
-                out.append(((center - half) % (2.0 * math.pi), (center + half) % (2.0 * math.pi)))
-            return out
-        m = len(self.table)
-        above = np.abs(self.table) > t
-        if not np.any(above):
+        a = abs(self.amplitude)
+        if t >= a:
             return []
-        if np.all(above):
+        if self.profile == "sign_profile":
             return [(0.0, 2.0 * math.pi)]
-        edges = np.flatnonzero(np.diff(above.astype(int)) != 0) + 1
-        cells = np.split(np.arange(m), edges)
+        half = math.acos(t / a) / self.k
         out = []
-        width = 2.0 * math.pi / m
-        for cell in cells:
-            if above[cell[0]]:
-                out.append((cell[0] * width, (cell[-1] + 1) * width))
-        if above[0] and above[-1] and len(out) >= 2:
-            first, last = out[0], out.pop()
-            out[0] = (last[0], first[1])
+        for j in range(2 * self.k):
+            center = j * math.pi / self.k
+            out.append(((center - half) % (2.0 * math.pi), (center + half) % (2.0 * math.pi)))
         return out
 
     def describe(self) -> dict:
         d = {"profile": self.profile, "dimension": self.dimension}
         if self.profile == "cosine_harmonic":
-            d.update(k=self.k, amplitude=self.amplitude)
+            d.update(k=self.k)
         elif self.profile == "odd_polynomial":
-            d.update(coefficients=list(self.coefficients), amplitude=self.amplitude)
-        else:
-            d.update(cells=len(self.table))
+            d.update(coefficients=list(self.coefficients))
+        d.update(amplitude=self.amplitude)
         return d
 
 
 @lru_cache(maxsize=8)
 def _sorted_abs_samples(omega: SphereSymbol) -> np.ndarray:
     """|Omega| of an odd_polynomial symbol at 2^17 midpoints in u = cos(theta),
-    sorted once so each exceedance threshold is one searchsorted."""
+    sorted once."""
     u = (np.arange(1 << 17) + 0.5) / (1 << 17) * 2.0 - 1.0
     vals = np.sort(np.abs(omega.unit_values(omega._dirs_from_u(u))))
     vals.flags.writeable = False

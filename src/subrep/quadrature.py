@@ -50,6 +50,7 @@ __all__ = [
     "AnnularResult",
     "annulus_nodes",
     "core_ratio",
+    "gauss_legendre",
     "integrate_annular",
     "integrate_box",
     "shell_edges",
@@ -119,8 +120,13 @@ class QuadratureScheme:
 
 
 @lru_cache(maxsize=64)
-def _gauss_legendre(m: int) -> tuple[np.ndarray, np.ndarray]:
+def gauss_legendre(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The m-point Gauss-Legendre nodes and weights on [-1, 1].
+
+    Memoized, so the arrays are shared and read-only."""
     x, w = np.polynomial.legendre.leggauss(m)
+    x.flags.writeable = False
+    w.flags.writeable = False
     return x, w
 
 
@@ -140,7 +146,7 @@ def _unit_rule(n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
         if n == 2:
             dirs, wang = cs, wphi
         else:
-            xu, wu = _gauss_legendre(m)
+            xu, wu = gauss_legendre(m)
             st = np.sqrt(np.clip(1.0 - xu**2, 0.0, 1.0))
             dirs = np.concatenate(
                 [st[:, None, None] * cs[None, :, :], np.broadcast_to(xu[:, None, None], (m, m, 1))],
@@ -164,8 +170,8 @@ def _axis_rule(n: int, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     Memoized, so the arrays are shared and read-only."""
     if n == 3:
-        u, wu = _gauss_legendre(m)
-        cos, sin, w = u.copy(), np.sqrt(np.clip(1.0 - u**2, 0.0, 1.0)), 2.0 * math.pi * wu
+        u, wu = gauss_legendre(m)
+        cos, sin, w = u, np.sqrt(np.clip(1.0 - u**2, 0.0, 1.0)), 2.0 * math.pi * wu
     else:
         phi = 2.0 * math.pi * (np.arange((m + 1) // 2) + 0.5) / m
         cos, sin, w = np.cos(phi), np.sin(phi), np.full(phi.size, 4.0 * math.pi / m)
@@ -180,10 +186,15 @@ def _sphere_rule(center: np.ndarray, m: int,
                  axis: Optional[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """Directions and angular weights of a shell rule about center.
 
-    Without an axis (and in 1-d) this is _unit_rule.  With one, the integrand
-    depends on the direction only through its angle to axis - center, so the
-    rule is _axis_rule in the plane of that line and a fixed perpendicular,
-    and a single direction of weight sigma_{n-1} when axis = center."""
+    Without an axis (and in 1-d) this is _unit_rule.  axis = q declares an
+    integrand that depends on y only through |y - center| and |y - q|.  The
+    rule is then its reduction, still exact for the measure, which
+    _axis_rule gives in the plane of q - center and a fixed perpendicular:
+    m Gauss-Legendre nodes in the cosine of the angle to q - center at one
+    azimuth, weighted 2 pi w_u (n = 3, m nodes per radius instead of m^2),
+    the mirror half of the midpoint rule in the angle from q - center with
+    doubled weights (n = 2, ceil(m/2) nodes instead of m), or one direction
+    weighted sigma_{n-1} when q = center."""
     n = center.size
     if axis is None or n not in (2, 3):
         return _unit_rule(n, m)
@@ -209,7 +220,6 @@ def annulus_nodes(
     *,
     span: Optional[tuple[int, int]] = None,
     scale: Optional[np.ndarray] = None,
-    axis: Optional[np.ndarray] = None,
     rule: Optional[tuple[np.ndarray, np.ndarray]] = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Tensor rule on the annulus a < |y - center| < b.
@@ -218,35 +228,28 @@ def annulus_nodes(
     repeated once per direction in a contiguous run.  The rule integrates the
     annulus measure exactly in every dimension handled here (1, 2, 3): the
     radial part is Gauss-Legendre against r^{n-1} dr written out explicitly,
-    the angular part is the cached unit-sphere rule (_unit_rule).  Arrays a
-    and b stack their shells' rules: shell, then radius, then direction.
-
-    axis = q declares an integrand that depends on y only through
-    |y - center| and |y - q|.  The angular part is then its reduction, still
-    exact for the measure: m Gauss-Legendre nodes in the cosine of the angle
-    to q - center at one azimuth, weighted 2 pi w_u (n = 3, m nodes per radius
-    instead of m^2), the mirror half of the midpoint rule in the angle from
-    q - center with doubled weights (n = 2, ceil(m/2) nodes instead of m), or
-    one direction weighted sigma_{n-1} when q = center.  n = 1 ignores axis.
+    the angular part is rule, a prebuilt _sphere_rule(center, m, axis)
+    (default: the cached unit-sphere rule, _unit_rule).  Arrays a and b stack
+    their shells' rules: shell, then radius, then direction.
 
     span = (lo, hi) returns only the nodes lo <= i < hi of that radial-major
     order; a span within one radial run builds only its own directions.
     scale (m factors a shell, in the order of the radii) multiplies the radial
-    weights; rule, the prebuilt _sphere_rule(center, m, axis), replaces axis.
+    weights.
     """
     center = np.asarray(center, dtype=float)
     n = center.size
     a, b = np.atleast_1d(a).astype(float)[:, None], np.atleast_1d(b).astype(float)[:, None]
     if a.shape != b.shape or a.ndim != 2 or not np.all((0.0 <= a) & (a < b)):
         raise QuadratureError(f"bad annulus [{a}, {b}]")
-    dirs, wang = _sphere_rule(center, m, axis) if rule is None else rule
+    dirs, wang = _unit_rule(n, m) if rule is None else rule
     per_row = len(wang)
     lo, hi = (0, a.size * m * per_row) if span is None else span
     i0, i1 = lo // per_row, -(-hi // per_row)  # the radial rows spanned
     lo, hi = lo - i0 * per_row, hi - i0 * per_row
     if i1 - i0 == 1:
         dirs, wang, lo, hi = dirs[lo:hi], wang[lo:hi], 0, hi - lo
-    r, w = (x.ravel()[i0:i1] for x in (_gl_radii(a, b, m), 0.5 * (b - a) * _gauss_legendre(m)[1]))
+    r, w = (x.ravel()[i0:i1] for x in (_gl_radii(a, b, m), 0.5 * (b - a) * gauss_legendre(m)[1]))
     wr = w * r ** (n - 1) * (1.0 if scale is None else scale[i0:i1])
     pts = (center + r[:, None, None] * dirs[None, :, :]).reshape(-1, n)[lo:hi]
     wts = (wr[:, None] * wang[None, :]).ravel()[lo:hi]
@@ -274,7 +277,7 @@ def _chunks(count: int):
 def _gl_radii(a, b, m: int) -> np.ndarray:
     """The m Gauss-Legendre radii of a shell rule on [a, b], ascending; one
     row per shell for a and b of shape (k, 1)."""
-    return 0.5 * (b + a) + 0.5 * (b - a) * _gauss_legendre(m)[0]
+    return 0.5 * (b + a) + 0.5 * (b - a) * gauss_legendre(m)[0]
 
 
 def _shell_values(kernel: Kernel, center: np.ndarray, rules: Sequence[tuple[float, float, int]],

@@ -43,12 +43,6 @@ __all__ = [
 _CAP_NODES = 48
 
 
-@lru_cache(maxsize=8)
-def _unit_gauss(m: int) -> tuple[np.ndarray, np.ndarray]:
-    x, w = np.polynomial.legendre.leggauss(m)
-    return (x + 1.0) / 2.0, w / 2.0
-
-
 @lru_cache(maxsize=32)
 def _unit_jacobi(m: int, nu: float) -> tuple[np.ndarray, np.ndarray]:
     # Nodes and weights for int_0^1 u^nu g(u) du on smooth g.
@@ -171,7 +165,8 @@ class Weight:
         a = np.abs(radii - D)
         b = radii + D
         mid = 0.5 * (a + b)
-        v, wv = _unit_gauss(_CAP_NODES)
+        x, wx = quadrature.gauss_legendre(_CAP_NODES)
+        v, wv = 0.5 * (x + 1.0), 0.5 * wx  # the rule on [0, 1]
 
         def cap(rho: np.ndarray, r) -> np.ndarray:
             t = np.clip((rho**2 + D**2 - r**2) / (2.0 * rho * D), -1.0, 1.0)

@@ -154,7 +154,9 @@ def test_config_error_bad_weight_beta(tmp_path, capsys):
      ("function", "center = nan, 0"),
      # counts are whole numbers, never truncated
      ("quadrature", "points_per_dim = 2.5"), ("quadrature", "annuli_per_decade = 4.5"),
-     ("omega", "k = 1.9"), ("omega", "profile = sign_profile\ncells = 12.5")],
+     ("omega", "k = 1.9"),
+     # a zero sign profile is no symbol
+     ("omega", "profile = sign_profile\namplitude = 0")],
 )
 def test_config_rejected_by_a_constructor_exits_two(tmp_path, capsys, section, field):
     cfg = write_config(tmp_path, f"[run]\nchecks = bbm_limit\n[{section}]\n{field}\n")

@@ -204,6 +204,12 @@ def test_shell_geometry_lives_only_in_quadrature():
         assert callers and all(c.startswith("quadrature.py:") for c in callers), (name, callers)
 
 
+def test_one_gauss_legendre_table():
+    # Shell rules, ball masses and the fractional field read one memoized,
+    # read-only table, quadrature.gauss_legendre.
+    assert _callers("leggauss") == ["quadrature.py:gauss_legendre"]
+
+
 def test_only_the_memo_builds_a_fractional_field():
     # Every check reads D^alpha f through frac_derivative_field, so a field
     # is built once per (f, alpha, scheme, grid_points).

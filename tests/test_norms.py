@@ -126,11 +126,39 @@ def test_sphere_weak_scales_with_amplitude():
 
 
 def test_sphere_weak_constant_magnitude():
-    omega = SphereSymbol.sign_profile(cells=64)
-    for p in (1.5, 2.0, 4.0):
-        assert sphere_lorentz_weak(omega, p) == pytest.approx(
-            (2.0 * math.pi) ** (1.0 / p), rel=1e-9
-        )
+    for amplitude in (1.0, -2.5):
+        omega = SphereSymbol.sign_profile(amplitude=amplitude)
+        for p in (1.5, 2.0, 4.0):
+            assert sphere_lorentz_weak(omega, p) == pytest.approx(
+                abs(amplitude) * (2.0 * math.pi) ** (1.0 / p), rel=1e-15
+            )
+
+
+@pytest.mark.parametrize("p", [1.01, 2.0, 4.0, 20.0 / 3.0, 50.0])
+def test_sphere_weak_cosine_matches_a_scipy_maximizer(p):
+    # An independent reference: sup_t t (4 arccos t)^{1/p} by scipy's
+    # bounded scalar search, against the bisection on theta tan theta = 1/p.
+    from scipy.optimize import minimize_scalar
+
+    res = minimize_scalar(lambda t: -t * (4.0 * math.acos(t)) ** (1.0 / p), bounds=(0.0, 1.0),
+                          method="bounded", options={"xatol": 1e-14})
+    for k, amplitude in ((1, 1.0), (2, -2.5)):
+        omega = SphereSymbol.cosine_harmonic(k, amplitude=amplitude)
+        expected = -abs(amplitude) * res.fun
+        assert sphere_lorentz_weak(omega, p) == pytest.approx(expected, rel=0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("p", [2.0, 3.0, 6.0])
+def test_sphere_weak_odd_polynomial_is_the_sup_over_its_samples(p):
+    # |Omega| at the 2^17 midpoints in u = cos(theta), each of measure
+    # 4 pi / N: the weak norm is the sup of v sigma(|Omega| >= v)^{1/p} over
+    # the samples v, counted directly here.
+    omega = SphereSymbol.odd_polynomial([0.3, 1.0])
+    u = (np.arange(1 << 17) + 0.5) / (1 << 17) * 2.0 - 1.0
+    vals = np.sort(np.abs(omega.unit_values(np.stack([np.sqrt(1.0 - u**2), 0.0 * u, u], axis=1))))
+    at_least = len(vals) - np.searchsorted(vals, vals, side="left")
+    expected = float(np.max(vals * (4.0 * math.pi * at_least / len(vals)) ** (1.0 / p)))
+    assert sphere_lorentz_weak(omega, p) == pytest.approx(expected, rel=0.0, abs=1e-14)
 
 
 def test_sphere_weak_linear_profile_analytic():
@@ -155,7 +183,7 @@ def test_ball_weak_norm_scale_invariance_cosine():
 
 
 def test_ball_weak_norm_scale_invariance_sign():
-    report = ball_lorentz_scale_invariance(SphereSymbol.sign_profile(cells=64), 3.0, k_values=(-1, 0, 1))
+    report = ball_lorentz_scale_invariance(SphereSymbol.sign_profile(), 3.0, k_values=(-1, 0, 1))
     assert report.max_pairwise_spread < 1e-6
     assert report.max_closed_form_gap < 1e-3
 

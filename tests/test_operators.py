@@ -845,12 +845,10 @@ def test_radial_split_matches_factor_in_kernel(monkeypatch, caller):
 def test_sphere_symbol_cosine_measures():
     om = SphereSymbol.cosine_harmonic(3, amplitude=2.0)
     # |2 cos(3t)| > 1 on measure 4 arccos(1/2) = 4 pi / 3, independent of k.
-    assert om.exceedance_measure(1.0) == pytest.approx(4.0 * math.acos(0.5), rel=1e-12)
-    assert om.exceedance_measure(2.0) == 0.0
-    assert om.exceedance_measure(0.0) == pytest.approx(2.0 * math.pi, rel=1e-12)
     arcs = om.arcs_above(1.0)
     total = sum((b - a) % (2.0 * math.pi) for a, b in arcs)
-    assert total == pytest.approx(om.exceedance_measure(1.0), rel=1e-9)
+    assert total == pytest.approx(4.0 * math.acos(0.5), rel=1e-12)
+    assert om.arcs_above(2.0) == []
 
 
 def test_sphere_symbol_unit_values_on_axes():
@@ -859,35 +857,42 @@ def test_sphere_symbol_unit_values_on_axes():
     assert np.allclose(om.unit_values(dirs), [1.0, 0.0, -1.0], atol=1e-12)
 
 
-def test_sphere_symbol_sign_profile():
-    om = SphereSymbol.sign_profile(cells=64, amplitude=1.5)
-    assert om.exceedance_measure(1.0) == pytest.approx(2.0 * math.pi, rel=1e-12)
-    assert om.exceedance_measure(1.5) == 0.0
-    assert om.sup_norm == pytest.approx(1.5)
+@pytest.mark.parametrize("amplitude", [1.5, -2.0])
+def test_sign_profile_has_constant_magnitude_off_its_jumps(amplitude):
+    # A sign(cos theta) jumps at theta = pi/2 and 3 pi/2 only: every other
+    # direction, however close to a jump, has |Omega| = |A| exactly.
+    om = SphereSymbol.sign_profile(amplitude=amplitude)
+    jumps = np.array([0.5 * math.pi, 1.5 * math.pi])
+    theta = np.concatenate([2.0 * math.pi * (np.arange(997) + 0.37) / 997,
+                            jumps - 1e-9, jumps + 1e-9])
+    values = om.unit_values(np.stack([np.cos(theta), np.sin(theta)], axis=1))
+    assert np.array_equal(values, amplitude * np.sign(np.cos(theta)))
+    assert np.all(np.abs(values) == abs(amplitude))
+    assert om.sup_norm == abs(amplitude)
+    assert om.arcs_above(0.999 * abs(amplitude)) == [(0.0, 2.0 * math.pi)]
+    assert om.arcs_above(abs(amplitude)) == []
 
 
 def test_sphere_symbol_mean_zero_enforced():
+    # Every profile has mean zero identically; a zero sign profile is no
+    # symbol at all.
+    for om in (SphereSymbol.cosine_harmonic(2, amplitude=1.5), SphereSymbol.sign_profile(-0.7),
+               SphereSymbol.odd_polynomial([0.3, 1.0], amplitude=2.0)):
+        dirs, wang = quadrature._unit_rule(om.dimension, 64)
+        assert abs(math.fsum(om.unit_values(dirs) * wang)) < 1e-13
     with pytest.raises(ValueError):
-        SphereSymbol.tabulated(np.ones(32))
+        SphereSymbol.sign_profile(amplitude=0.0)
 
 
-def test_sphere_symbol_odd_polynomial():
-    om = SphereSymbol.odd_polynomial([1.0])  # Omega = cos(theta) on S^2
-    # sigma({|u| > t}) = 2 pi * 2 (1 - t) for the linear profile.
-    for t in (0.25, 0.5, 0.75):
-        assert om.exceedance_measure(t) == pytest.approx(
-            4.0 * math.pi * (1.0 - t), rel=1e-3
-        )
-
-
-def test_sphere_symbol_exceedance_counts_match_direct_samples():
-    # The cached sorted samples give the same count as comparing every
-    # sample with t, so the measure is bit-identical to the direct form.
-    om = SphereSymbol.odd_polynomial([1.0, -0.5, 0.2], amplitude=1.3)
-    u = (np.arange(1 << 17) + 0.5) / (1 << 17) * 2.0 - 1.0
-    vals = np.abs(om.unit_values(np.stack([np.sqrt(1.0 - u**2), 0.0 * u, u], axis=1)))
-    for t in (0.0, 0.1, 0.37, float(np.median(vals)), 0.9, 2.0):
-        assert om.exceedance_measure(t) == 2.0 * math.pi * 2.0 * float(np.mean(vals > t))
+def test_sphere_symbols_describe_their_profile_and_amplitude():
+    symbols = [SphereSymbol.cosine_harmonic(2, amplitude=1.5), SphereSymbol.sign_profile(1.0),
+               SphereSymbol.sign_profile(3.0), SphereSymbol.odd_polynomial([0.3, 1.0], amplitude=2.0)]
+    for om in symbols:
+        assert hash(om) == hash(type(om)(**vars(om)))
+        d = om.describe()
+        assert (d["profile"], d["amplitude"]) == (om.profile, om.amplitude)
+    digests = {verify.config_digest({"omega": om.describe()}) for om in symbols}
+    assert len(digests) == len(symbols)
 
 
 def test_truncation_grid_structure():

@@ -58,11 +58,12 @@ def test_annulus_spans_are_slices_of_the_whole_rule(n):
     m = 8
     center = np.linspace(-0.4, 0.3, n)
     for axis in (None, center + 0.5):  # the full and the reduced sphere rule
-        whole = annulus_nodes(center, 0.3, 1.7, m, axis=axis)
+        rule = quadrature._sphere_rule(center, m, axis)
+        whole = annulus_nodes(center, 0.3, 1.7, m, rule=rule)
         per_row = len(whole[1]) // m
         for lo, hi in ((0, 1), (1, per_row - 1), (3, per_row - 1),
                        (per_row - 1, 3 * per_row + 2), (per_row, 2 * per_row)):
-            part = annulus_nodes(center, 0.3, 1.7, m, span=(lo, hi), axis=axis)
+            part = annulus_nodes(center, 0.3, 1.7, m, span=(lo, hi), rule=rule)
             for got, ref in zip(part, whole):
                 assert np.array_equal(got, ref[lo:hi])
 
@@ -78,13 +79,13 @@ def test_stacked_annuli_are_the_concatenated_shells(n, axis, scaled):
     q = center + 0.5 if axis else None
     a, b = np.array([0.1, 0.3, 0.45]), np.array([0.3, 0.45, 1.7])
     scale = np.linspace(0.5, 2.0, 3 * m) if scaled else None
-    shells = [annulus_nodes(center, a[k], b[k], m, axis=q,
+    rule = quadrature._sphere_rule(center, m, q)
+    shells = [annulus_nodes(center, a[k], b[k], m, rule=rule,
                             scale=None if scale is None else scale[k * m:(k + 1) * m])
               for k in range(3)]
     whole = [np.concatenate(x) for x in zip(*shells)]
     per_shell = len(shells[0][1])
     per_row = per_shell // m
-    rule = quadrature._sphere_rule(center, m, q)
     for span in (None,
                  (2, per_row - 1),  # inside one radial run
                  (per_shell + 1, 2 * per_shell),  # starts inside a shell, ends at its end
@@ -92,10 +93,9 @@ def test_stacked_annuli_are_the_concatenated_shells(n, axis, scaled):
                  (3, 3 * per_shell - 2),  # across every shell, ends inside the last
                  (per_shell, 3 * per_shell)):
         lo, hi = (0, 3 * per_shell) if span is None else span
-        for kw in ({"axis": q}, {"rule": rule}):
-            part = annulus_nodes(center, a, b, m, span=span, scale=scale, **kw)
-            for got, ref in zip(part, whole):
-                assert np.array_equal(got, ref[lo:hi])
+        part = annulus_nodes(center, a, b, m, span=span, scale=scale, rule=rule)
+        for got, ref in zip(part, whole):
+            assert np.array_equal(got, ref[lo:hi])
 
 
 def test_stacked_annuli_need_matching_shells():
@@ -114,7 +114,7 @@ def test_axis_rule_integrates_the_annulus_measure(n, m, where):
     # one when the axis point is the center; the measure is still exact.
     center = np.linspace(-0.4, 0.3, n)
     q = center + np.linspace(0.7, -0.2, n) if where == "off_center" else center.copy()
-    pts, wts, rad = annulus_nodes(center, 0.3, 1.7, m, axis=q)
+    pts, wts, rad = annulus_nodes(center, 0.3, 1.7, m, rule=quadrature._sphere_rule(center, m, q))
     per_radius = 1 if where == "at_center" else (m if n == 3 else -(-m // 2))
     assert len(wts) == m * per_radius
     assert math.fsum(wts) == pytest.approx(sphere_measure(n) * (1.7**n - 0.3**n) / n, rel=1e-13)
@@ -141,7 +141,8 @@ def test_axis_rule_matches_the_full_rule_on_symmetric_kernels(n):
 def test_axis_is_ignored_in_one_dimension():
     center = np.array([0.2])
     whole = annulus_nodes(center, 0.3, 1.7, 8)
-    for got, ref in zip(annulus_nodes(center, 0.3, 1.7, 8, axis=np.array([1.0])), whole):
+    rule = quadrature._sphere_rule(center, 8, np.array([1.0]))
+    for got, ref in zip(annulus_nodes(center, 0.3, 1.7, 8, rule=rule), whole):
         assert np.array_equal(got, ref)
 
 
@@ -155,6 +156,18 @@ def test_unit_rule_memo_is_read_only():
     assert np.array_equal(dirs, quadrature._unit_rule.__wrapped__(3, 8)[0])
     np.testing.assert_allclose(np.linalg.norm(dirs, axis=1), 1.0, rtol=1e-15)
     assert math.fsum(wang) == pytest.approx(4.0 * math.pi, rel=1e-14)
+
+
+def test_gauss_legendre_memo_is_read_only():
+    # One table serves the shell rules, the ball masses and the fractional
+    # field, so no reader may write into it.
+    x, w = quadrature.gauss_legendre(48)
+    assert x is quadrature.gauss_legendre(48)[0]
+    for arr, ref in zip((x, w), np.polynomial.legendre.leggauss(48)):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0.5
+        assert np.array_equal(arr, ref)
 
 
 def test_riesz_kernel_over_unit_ball():
