@@ -13,6 +13,10 @@ Where the rest of the integrand is radial about a point q, as the
 declarations of its field and weight say (functions.symmetry_of), the
 callers pass q as integrate_annular's axis, and each sphere takes its
 reduced rule; every other integrand keeps the full sphere rule.
+riesz_potential, potential_Tw_pieces and rough_maximal name their whole
+integrand (operator, field, then weight, symbol or order as it has them)
+as integrate_annular's key, so within a check's shared_rules() scope a
+refined pass reads back the shell rules its base pass summed.
 
 The fractional derivative of a test function is needed at thousands of
 quadrature nodes when it feeds an outer potential, so FracDerivativeField
@@ -129,6 +133,7 @@ def riesz_potential(field, alpha: float, x, scheme: QuadratureScheme) -> float:
         extend_outer=extend,
         radial=lambda r: r ** (alpha - n),
         axis=symmetry_of(field).axis,
+        key=("riesz_potential", field, alpha),
     )
     return res.value
 
@@ -476,6 +481,7 @@ def potential_Tw_pieces(
         extend_outer=extend,
         radial=radial,
         axis=symmetry_of(field, w).axis,
+        key=("potential_Tw", field, w, alpha),
     )
     return res.pieces + (0.0,) * (len(cuts) - len(inside))
 
@@ -680,7 +686,7 @@ def rough_maximal(
     if not ts:
         return 0.0
     res = integrate_annular(kernel, x, r_max, scheme, r_inner=ts[0], cuts=ts[1:],
-                            radial=lambda r: r ** (-n))
+                            radial=lambda r: r ** (-n), key=("rough_maximal", field, omega))
     return float(np.max(np.abs(np.cumsum(res.pieces[::-1]))))
 
 

@@ -30,12 +30,24 @@ of that m, stacked; sphere rules are built once per m per integral, radial
 factors (radial=) once per radius.  Node values are summed pairwise
 (np.sum) within a chunk and with math.fsum across chunks, shells and
 pieces; neither the packing nor the thread schedule changes a result.
+
+Inside shared_rules(), the scope of one check, a call given a key (a
+hashable name of its whole integrand) stores the value of each rule
+(a, b, m) it sums about its centre, and a later call with that key and
+centre reads it back instead of evaluating it again.  A refined pass keeps
+the shells and starts at the base pass's second rule, so it re-evaluates
+none of the rules the base pass summed; since no value depends on the
+packing, a stored value is the one a fresh evaluation would give.
+evaluations counts the kernel nodes a call evaluated; a rule read from the
+store counts none.
 """
 
 from __future__ import annotations
 
+import contextvars
 import math
 from bisect import bisect_right
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from functools import lru_cache, partial
 from typing import Callable, ClassVar, Optional, Sequence
@@ -54,6 +66,7 @@ __all__ = [
     "integrate_annular",
     "integrate_box",
     "shell_edges",
+    "shared_rules",
     "halton_points",
 ]
 
@@ -68,6 +81,9 @@ _MAX_BOX_CELLS = 1024
 # below glibc's default 128 KB mmap threshold, so chunk temporaries mostly
 # reuse heap pages instead of faulting in fresh mappings.
 _CHUNK_NODES = 12_288
+# The rule store of the enclosing shared_rules() scope, None outside one:
+# {(key, center bytes): {(a, b, m): value}}.
+_RULES: contextvars.ContextVar[Optional[dict]] = contextvars.ContextVar("rules", default=None)
 
 
 class QuadratureError(RuntimeError):
@@ -259,7 +275,9 @@ def annulus_nodes(
 
 @dataclass
 class AnnularResult:
-    """Value and accounting for one annular integral."""
+    """Value and accounting for one annular integral.  evaluations counts the
+    kernel nodes this call evaluated; a rule read from the store of a
+    shared_rules() scope counts none."""
 
     value: float
     error: float
@@ -336,6 +354,27 @@ def _shell_values(kernel: Kernel, center: np.ndarray, rules: Sequence[tuple[floa
         for i, lo, hi, at in call:
             sums[i].append(float(np.sum(prod[at:at + hi - lo])))
     return [(math.fsum(s), c) for s, c in zip(sums, counts)]
+
+
+@contextmanager
+def shared_rules():
+    """The rule store of one check: within the scope, integrate_annular calls
+    with equal key and centre evaluate each shell rule (a, b, m) once.  The
+    store is dropped on exit, and each thread or context sees only its own."""
+    token = _RULES.set({})
+    try:
+        yield
+    finally:
+        _RULES.reset(token)
+
+
+def _stored(evaluate: Callable, known: dict, rules: Sequence[tuple[float, float, int]]):
+    """evaluate(rules), with the rules in known read back at no evaluations
+    and the others evaluated in one call and added to known."""
+    missing = [rule for rule in rules if rule not in known]
+    got = dict(zip(missing, evaluate(missing))) if missing else {}
+    known.update((rule, value) for rule, (value, _) in got.items())
+    return [got.get(rule) or (known[rule], 0) for rule in rules]
 
 
 class _Shell:
@@ -429,6 +468,7 @@ def integrate_annular(
     extend_outer: bool = False,
     radial: Optional[Radial] = None,
     axis: Optional[np.ndarray] = None,
+    key=None,
 ) -> AnnularResult:
     """Integrate kernel(y) radial(|y - center|) dy over r_inner < |y - center| < r_outer.
 
@@ -458,7 +498,12 @@ def integrate_annular(
     times core_ratio(a, b, n, s), taken at that shell's current value, so
     refining the shell refines the core; the core's error is the same ratio
     times the shell's discrepancy, plus 1e-3 of the core.  evaluations counts
-    every kernel node, since the core costs none.
+    every kernel node this call evaluated, since the core costs none.
+
+    key names the whole integrand (kernel, radial and axis) for the store of
+    an enclosing shared_rules() scope: a rule (a, b, m) already summed there
+    with this key and centre is read back, not evaluated, and counts no
+    evaluations.  Without a key or a scope every rule is evaluated.
 
     extend_outer keeps appending shells beyond r_outer, each with twice the
     outer radius of the last, until they stop mattering; the unresolved
@@ -484,6 +529,9 @@ def integrate_annular(
     m0 = scheme.points_per_dim
     sphere = lru_cache(maxsize=None)(partial(_sphere_rule, center, axis=axis))
     evaluate = partial(_shell_values, kernel, center, radial=radial, sphere=sphere)
+    store = _RULES.get()
+    if key is not None and store is not None:
+        evaluate = partial(_stored, evaluate, store.setdefault((key, center.tobytes()), {}))
     shells = _new_shells(evaluate, list(zip(edges[1:], edges)), m0)
     # The core ball below the innermost shell, read off that shell's current
     # value (core_ratio); none when the range starts at r_inner > 0.

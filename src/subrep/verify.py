@@ -56,7 +56,7 @@ from .operators import (
     riesz_potential,
     rough_maximal,
 )
-from .quadrature import QuadratureScheme, integrate_annular, integrate_box
+from .quadrature import QuadratureScheme, integrate_annular, integrate_box, shared_rules
 from .special import (
     ball_volume,
     bbm_constant,
@@ -336,14 +336,17 @@ def _two_pass(
     """Stability rule: run(scheme, factor) returns (records, extras) at one
     resolution, and the empirical constant of the base pass must move at
     most STABILITY_LIMIT in the refined pass, where every resolution doubles
-    (factor 2).  accept, when given, must also hold on the base extras."""
+    (factor 2).  accept, when given, must also hold on the base extras.
+    Both passes share one shared_rules() scope: the refined pass keeps the
+    base shells and reads back every shell rule the base pass summed."""
     config = {**config, "scheme": scheme.describe()}
-    try:
-        base, extras = run(scheme, 1)
-    except _Degenerate as exc:
-        return _report(check_id, config, [], 0.0, True, budget=scheme.rel_tol,
-                       anchor=anchor, degenerate=True, notes=(str(exc),))
-    refined, _ = run(scheme.refined(), 2)
+    with shared_rules():
+        try:
+            base, extras = run(scheme, 1)
+        except _Degenerate as exc:
+            return _report(check_id, config, [], 0.0, True, budget=scheme.rel_tol,
+                           anchor=anchor, degenerate=True, notes=(str(exc),))
+        refined, _ = run(scheme.refined(), 2)
     e1, e2 = _empirical(base), _empirical(refined)
     change = _change(e1, e2)
     return _report(

@@ -154,59 +154,46 @@ class Weight:
         the ball, over the partially covered range |r - D| < rho < r + D.
 
         The cap measure vanishes like a square root at both endpoints, so
-        each half of the range is mapped through rho = end +/- span * v^2,
-        after which plain Gauss-Legendre converges spectrally.  When the pole
-        sits on the ball boundary (r = D) the left endpoint is the pole
-        itself and the integrand behaves like rho^{n-1-beta}; that case is
-        handled with Gauss-Jacobi nodes carrying exactly that power.
+        each half of the range, of width h = min(r, D), is mapped through
+        rho = end +/- h v^2, after which plain Gauss-Legendre converges
+        spectrally.  The cap's 1 - cos of its half-angle at the pole is
+        (r - s)(r + s) / (2 rho D) with s = rho - D, and both factors are
+        formed from h v^2 without a difference of nearby numbers, so balls
+        with r << D keep every digit.  When the pole sits on the ball
+        boundary (r = D) the left endpoint is the pole itself and the
+        integrand behaves like rho^{n-1-beta}; that case is handled with
+        Gauss-Jacobi nodes carrying exactly that power.
         """
         n, beta = self.dimension, self.beta
         radii = np.where(np.abs(radii - D) <= 1e-9 * D, D, radii)
         a = np.abs(radii - D)
-        b = radii + D
-        mid = 0.5 * (a + b)
+        r_col, h = radii[:, None], np.minimum(radii, D)[:, None]
         x, wx = quadrature.gauss_legendre(_CAP_NODES)
-        v, wv = 0.5 * (x + 1.0), 0.5 * wx  # the rule on [0, 1]
+        v = 0.5 * (x + 1.0)  # the rule on [0, 1], weights 0.5 wx
+        hv2, wts = h * v**2, h * v * wx  # wts: drho = 2 h v dv
 
-        def cap(rho: np.ndarray, r) -> np.ndarray:
-            t = np.clip((rho**2 + D**2 - r**2) / (2.0 * rho * D), -1.0, 1.0)
+        def cap(rho: np.ndarray, minus: np.ndarray, plus: np.ndarray) -> np.ndarray:
+            # minus = r - s and plus = r + s, s = rho - D.
+            q = np.clip(minus * plus / (2.0 * rho * D), 0.0, 2.0)  # 1 - cos
             if n == 2:
-                return 2.0 * rho * np.arccos(t)
-            return 2.0 * math.pi * rho**2 * (1.0 - t)
+                return 4.0 * rho * np.arcsin(np.sqrt(0.5 * q))
+            return 2.0 * math.pi * rho**2 * q
 
-        r_col = radii[:, None]
-        right_rho = b[:, None] - (b - mid)[:, None] * v[None, :] ** 2
-        right_w = 2.0 * (b - mid)[:, None] * v[None, :] * wv[None, :]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            right = np.sum(
-                np.where(right_rho > 0.0, right_rho ** (-beta), 0.0)
-                * cap(right_rho, r_col)
-                * right_w,
-                axis=1,
-            )
+        def half(rho: np.ndarray, minus: np.ndarray, plus: np.ndarray) -> np.ndarray:
+            return np.sum(rho ** (-beta) * cap(rho, minus, plus) * wts, axis=1)
 
+        right = half(r_col + D - hv2, hv2, 2.0 * r_col - hv2)  # rho = r + D - h v^2
+        left = half(a[:, None] + hv2, 2.0 * h - hv2,  # rho = |r - D| + h v^2
+                    np.where(r_col > D, 2.0 * a[:, None], 0.0) + hv2)
         boundary = a == 0.0
-        left = np.zeros_like(radii)
-        if np.any(~boundary):
-            sub = ~boundary
-            left_rho = a[sub, None] + (mid - a)[sub, None] * v[None, :] ** 2
-            left_w = 2.0 * (mid - a)[sub, None] * v[None, :] * wv[None, :]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                left[sub] = np.sum(
-                    np.where(left_rho > 0.0, left_rho ** (-beta), 0.0)
-                    * cap(left_rho, radii[sub, None])
-                    * left_w,
-                    axis=1,
-                )
         if np.any(boundary):
             # Peel off the exact power rho^{n-1-beta}: the remaining factor
-            # is smooth on [0, mid], so Jacobi-weighted Gauss is spectral.
+            # is smooth on [0, D], so Jacobi-weighted Gauss is spectral.
             nu = (n - 1.0) - beta
             u, wu = _unit_jacobi(_CAP_NODES, nu)
-            sub = boundary
-            rho = mid[sub, None] * u[None, :]
-            smooth = cap(rho, radii[sub, None]) * rho ** (1.0 - n)
-            left[sub] = mid[sub] ** (nu + 1.0) * np.sum(smooth * wu[None, :], axis=1)
+            rho = D * u
+            smooth = cap(rho, 2.0 * D - rho, rho) * rho ** (1.0 - n)
+            left = np.where(boundary, D ** (nu + 1.0) * np.sum(smooth * wu), left)
         return left + right
 
     def describe(self) -> dict:

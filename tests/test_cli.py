@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import subrep.quadrature as quadrature
 from subrep import cli, operators, verify
 from subrep.cli import main
 
@@ -233,6 +234,20 @@ def test_eval_tw_matches_riesz_up_to_ball_volume(capsys):
 def test_eval_frac_derivative_matches_frozen_oracle(capsys):
     assert main(["eval", "frac_derivative", "--alpha", "0.5"]) == 0
     assert _printed_value(capsys) == pytest.approx(FRAC_ORACLE, rel=1e-3)
+
+
+@pytest.mark.parametrize("operator", ["riesz", "tw"])
+def test_eval_evaluates_every_rule(monkeypatch, capsys, operator):
+    # eval runs no check, so no rule store is open and every rule is summed.
+    stores = []
+
+    def recorded(*args, **kwargs):
+        stores.append(quadrature._RULES.get())
+        return quadrature.integrate_annular(*args, **kwargs)
+
+    monkeypatch.setattr(operators, "integrate_annular", recorded)
+    assert main(["eval", operator, "--x", "0.2,0.1"]) == 0
+    assert stores == [None]
 
 
 def test_eval_rejects_bad_alpha(capsys):

@@ -222,6 +222,15 @@ def test_only_the_memo_estimates_a1():
     assert _callers("estimate_a1") == ["verify.py:_a1_constant"]
 
 
+def test_only_the_stability_runner_shares_rules():
+    # A rule store lives for the two passes of one check, and only the
+    # operators that name their whole integrand read or fill it.
+    assert _callers("shared_rules") == ["verify.py:_two_pass"]
+    keyed = _callers("integrate_annular", lambda call: any(k.arg == "key" for k in call.keywords))
+    assert keyed == ["operators.py:potential_Tw_pieces", "operators.py:riesz_potential",
+                     "operators.py:rough_maximal"]
+
+
 def test_importing_the_cli_loads_no_scipy():
     # scipy is imported only where a rule needs it, so every subrep process
     # starts without paying for it.

@@ -34,7 +34,7 @@ from subrep.operators import (
     riesz_potential,
     rough_maximal,
 )
-from subrep.quadrature import QuadratureScheme, integrate_annular
+from subrep.quadrature import QuadratureScheme, integrate_annular, shared_rules
 from subrep.special import ball_volume, sphere_measure
 from subrep.weights import Weight
 
@@ -1017,3 +1017,74 @@ def test_mwc_default_radii_cover_support():
     r = mwc_default_radii(BUMP, [3.0, 0.0])
     assert r[-1] == pytest.approx(4.0)
     assert r[0] < 1e-3
+
+
+# -- the rule store of one check -------------------------------------------------
+
+HAT = TestFunction("tensor_hat", (0.0, 0.0))
+STORE_POINT = np.array([0.31, -0.17])
+
+
+def _results(monkeypatch):
+    """The AnnularResult of every operator integral, in call order."""
+    results = []
+
+    def recorded(*args, **kwargs):
+        results.append(integrate_annular(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(operators, "integrate_annular", recorded)
+    return results
+
+
+# Each call at a base scheme and, with factor 2, at its refinement, as the
+# two passes of a check make it.
+STORE_CALLS = {
+    "tensor_hat_tw": lambda sch, factor: potential_Tw(
+        GradientMagnitude(HAT), Weight.radial_power((0.0, 0.0), 0.5), 1.0, STORE_POINT, sch),
+    "riesz": lambda sch, factor: riesz_potential(GradientMagnitude(BUMP), 1.0, STORE_POINT, sch),
+    "rough": lambda sch, factor: rough_maximal(
+        BUMP, SphereSymbol.cosine_harmonic(1), STORE_POINT,
+        TruncationGrid.covering(BUMP, STORE_POINT, octaves=9 + factor), sch),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STORE_CALLS))
+def test_a_refined_call_reads_back_the_base_rules(monkeypatch, case):
+    call = STORE_CALLS[case]
+    results = _results(monkeypatch)
+    alone = call(SCHEME.refined(), 2)
+    with shared_rules():
+        call(SCHEME, 1)
+        shared = call(SCHEME.refined(), 2)
+    fresh, _, reused = results
+    assert shared == alone
+    assert (reused.value, reused.error, reused.pieces) == (fresh.value, fresh.error, fresh.pieces)
+    assert 0 < reused.evaluations < fresh.evaluations
+
+
+def test_integrands_that_differ_keep_their_own_rules():
+    field, x = GradientMagnitude(BUMP), STORE_POINT
+    grid = TruncationGrid.covering(BUMP, x, octaves=10)
+    calls = [
+        lambda: potential_Tw(field, Weight.constant(2), 1.0, x, SCHEME),
+        lambda: potential_Tw(field, Weight.power_plus_one((0.0, 0.0), 0.5), 1.0, x, SCHEME),
+        lambda: riesz_potential(field, 1.0, x, SCHEME),
+        lambda: riesz_potential(field, 0.5, x, SCHEME),
+        lambda: rough_maximal(BUMP, SphereSymbol.cosine_harmonic(1), x, grid, SCHEME),
+        lambda: rough_maximal(BUMP, SphereSymbol.sign_profile(1.0), x, grid, SCHEME),
+    ]
+    alone = [call() for call in calls]
+    with shared_rules():
+        shared = [call() for call in calls]
+    assert shared == alone
+
+
+def test_direct_calls_evaluate_every_rule(monkeypatch):
+    results = _results(monkeypatch)
+    for _ in range(2):
+        for call in STORE_CALLS.values():
+            call(SCHEME, 1)
+    first, second = results[:3], results[3:]
+    assert second == first
+    assert all(res.evaluations > 0 for res in first)

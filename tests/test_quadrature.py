@@ -1,4 +1,5 @@
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from subrep.quadrature import (
     halton_points,
     integrate_annular,
     integrate_box,
+    shared_rules,
     shell_edges,
 )
 from subrep.special import sphere_measure
@@ -487,3 +489,49 @@ def test_box_3d_stays_under_budget(monkeypatch):
     assert sum(sizes) == sum(ref_sizes)
     assert val == pytest.approx(ref, rel=1e-14)
     assert err == pytest.approx(ref_err, rel=1e-9, abs=1e-14)
+
+
+def test_a_stored_rule_counts_no_evaluations():
+    # Inside a scope a keyed call reads back every rule an equal call summed;
+    # without a key, or outside a scope, every rule is evaluated again.
+    x = np.array([0.1, -0.2])
+    kw = dict(singular_exponent=1.0, radial=lambda r: 1.0 / r, cuts=[0.4])
+    fresh = integrate_annular(_kinked, x, 1.0, SCHEME, **kw)
+    with shared_rules():
+        first = integrate_annular(_kinked, x, 1.0, SCHEME, key="kinked", **kw)
+        again = integrate_annular(_kinked, x, 1.0, SCHEME, key="kinked", **kw)
+        unkeyed = integrate_annular(_kinked, x, 1.0, SCHEME, **kw)
+    outside = integrate_annular(_kinked, x, 1.0, SCHEME, key="kinked", **kw)
+    assert first == unkeyed == outside == fresh
+    assert again.evaluations == 0 < fresh.evaluations
+    assert (again.value, again.error, again.pieces) == (fresh.value, fresh.error, fresh.pieces)
+
+
+def test_the_store_is_keyed_by_centre_and_refined_rules_are_read_back():
+    x, y = np.array([0.1, -0.2]), np.array([0.1, -0.25])
+    refined = SCHEME.refined()
+    with shared_rules():
+        integrate_annular(_kinked, x, 1.0, SCHEME, key="kinked")
+        other = integrate_annular(_kinked, y, 1.0, refined, key="kinked")
+        shared = integrate_annular(_kinked, x, 1.0, refined, key="kinked")
+    alone = integrate_annular(_kinked, x, 1.0, refined)
+    assert other == integrate_annular(_kinked, y, 1.0, refined)
+    assert (shared.value, shared.pieces) == (alone.value, alone.pieces)
+    assert shared.evaluations < alone.evaluations
+
+
+def test_each_thread_sees_only_its_own_store():
+    x = np.array([0.1, -0.2])
+    got = []
+
+    def keyed():
+        got.append(integrate_annular(_kinked, x, 1.0, SCHEME, key="kinked").evaluations)
+
+    with shared_rules():
+        keyed()
+        worker = threading.Thread(target=keyed)
+        worker.start()
+        worker.join()
+        keyed()
+    assert got[1] == got[0] > 0 and got[2] == 0
+    assert quadrature._RULES.get() is None

@@ -27,6 +27,8 @@ from subrep.operators import (
     riesz_potential,
     rough_maximal,
 )
+import subrep.operators as operators
+import subrep.quadrature as quadrature
 from subrep.quadrature import QuadratureScheme, integrate_annular
 from subrep.special import bbm_constant, sphere_measure
 from subrep import verify
@@ -515,6 +517,28 @@ def test_two_pass_degenerate_base_pass_skips_the_refined_pass():
     assert r.notes == ("nothing to judge",)
     assert r.samples == [] and r.extras == {}
     assert r.config["scheme"] == LIGHT.describe()
+
+
+def test_no_rule_store_outlives_a_check(monkeypatch):
+    # Both passes of a check read one store; none is left once it returns,
+    # whether it judged its passes or found its base pass degenerate.
+    stores = []
+
+    def recorded(*args, **kwargs):
+        stores.append(quadrature._RULES.get())
+        return integrate_annular(*args, **kwargs)
+
+    monkeypatch.setattr(operators, "integrate_annular", recorded)
+    r = check_subrepresentation_identity(bump2(), Weight.constant(2, 1.0), points=[(0.3, 0.1)],
+                                         scheme=LIGHT)
+    assert not r.degenerate
+    assert len(stores) == 2 and stores[0] is stores[1] is not None
+    assert quadrature._RULES.get() is None
+    stores.clear()
+    r = check_hedberg_split(bump2(0.0), Weight.constant(2, 1.0), 1.5, 2.0, (0.1, 0.0), scheme=LIGHT)
+    assert r.degenerate
+    assert stores and stores[0] is not None  # the base pass's maximal function
+    assert quadrature._RULES.get() is None
 
 
 # -- report plumbing ----------------------------------------------------------------

@@ -64,6 +64,39 @@ def test_power_mass_off_pole_frozen_oracle():
         assert w.ball_mass(center, r) == pytest.approx(ref, rel=1e-11)
 
 
+def _hypergeometric_mass(n, beta, D, r):
+    # w = |y|^{-beta}, ball B(x, r) with |x| = D: omega_n r^n D^-beta
+    # 2F1(beta/2, (beta - n)/2 + 1; n/2 + 1; r^2/D^2) for r <= D, and for
+    # r > D the mass at D plus sigma_n/(n - beta) [r^(n-beta) F(D^2/r^2)
+    # - D^(n-beta) F(1)] with F = 2F1(beta/2, (beta - n)/2; n/2; .).
+    from scipy.special import hyp2f1
+
+    if r <= D:
+        return ball_volume(n) * r**n * D**-beta * hyp2f1(beta / 2, (beta - n) / 2 + 1, n / 2 + 1,
+                                                        (r / D) ** 2)
+
+    def F(z):
+        return hyp2f1(beta / 2, (beta - n) / 2, n / 2, z)
+
+    return _hypergeometric_mass(n, beta, D, D) + sphere_measure(n) / (n - beta) * (
+        r ** (n - beta) * F((D / r) ** 2) - D ** (n - beta) * F(1.0))
+
+
+@pytest.mark.parametrize("n, beta", [(2, 0.25), (2, 0.5), (2, 0.9), (2, 1.0), (2, 1.5),
+                                     (3, 0.5), (3, 1.0), (3, 1.5), (3, 2.0), (3, 2.5)])
+def test_power_mass_matches_the_hypergeometric_closed_form(n, beta):
+    # Radii far below |x - pole| = D keep every digit: the cap's 1 - cos is
+    # formed without subtracting nearby numbers.
+    D = 0.7
+    x = np.zeros(n)
+    x[0] = D
+    ratios = np.array([1e-9, 1e-7, 1e-4, 1e-2, 0.5, 2.0, 30.0])
+    got = Weight.radial_power([0.0] * n, beta).ball_mass_many(x, ratios * D)
+    for value, q in zip(got, ratios):
+        exact = _hypergeometric_mass(n, beta, D, q * D)
+        assert value == pytest.approx(exact, rel=1e-10, abs=0.0), q
+
+
 def test_power_mass_matches_annular_quadrature_smooth_case():
     # Pole well outside the integration ball: the annular engine and the
     # cap integral are independent routes to the same number.
