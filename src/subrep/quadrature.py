@@ -9,10 +9,15 @@ exact for the shell measure (Gauss-Legendre in the radius, midpoint in the
 angle, Gauss-Legendre in the polar cosine for n = 3).  Shells are refined
 independently by node doubling until the summed per-shell discrepancies meet
 the tolerance.  A kernel with a power singularity at the center is cut off at
-a tiny core radius a, and the core ball is restored from the innermost shell
-[a, b]: for a kernel c0(theta) r^-s the ball carries that shell's value times
-core_ratio(a, b, n, s) = a^(n-s) / (b^(n-s) - a^(n-s)).  The rule is exact
-for pure powers, costs no evaluation, and refines with the shell.
+a tiny core radius a = 1e-6 b0, b0 the innermost break.  The geometric
+shells stop at 1e-2 b0, where the kernel is c0(theta) r^-s (1 + O(r)), a
+plain power.  Below them one log shell [ratio a, 1e-2 b0], Gauss-Legendre
+in u = log r (radii e^(u_j), radial weights (du/2) w_j r_j^n), spans the
+decades that 16 geometric shells would at 4 per decade, and the anchor
+shell [a, ratio a] restores the core ball: for a kernel c0(theta) r^-s the
+ball carries that shell's value times core_ratio(a, b, n, s) =
+a^(n-s) / (b^(n-s) - a^(n-s)).  The core rule is exact for pure powers,
+costs no evaluation, and refines with the shell.
 
 A kernel that depends on y only through |y - center| and |y - q| for a
 declared axis q (a radial field times powers of the distance) is constant
@@ -29,7 +34,9 @@ its nodes of one m by one annulus_nodes(span=) call over the round's shells
 of that m, stacked; sphere rules are built once per m per integral, radial
 factors (radial=) once per radius.  Node values are summed pairwise
 (np.sum) within a chunk and with math.fsum across chunks, shells and
-pieces; neither the packing nor the thread schedule changes a result.
+pieces; a call's run of whole rules of one m is one row-sum reduction,
+each row bit for bit its rule's np.sum.  Neither the packing nor the
+thread schedule changes a result.
 
 Inside shared_rules(), the scope of one check, a call given a key (a
 hashable name of its whole integrand) stores the value of each rule
@@ -50,6 +57,7 @@ from bisect import bisect_right
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from functools import lru_cache, partial
+from itertools import groupby
 from typing import Callable, ClassVar, Optional, Sequence
 
 import numpy as np
@@ -77,6 +85,13 @@ _MAX_SHELLS = 256
 _MAX_NODES_PER_DIM = 512
 _MAX_DEPTH = 20  # node-doubling rounds allowed during refinement
 _MAX_BOX_CELLS = 1024
+# With r_inner = 0, geometric shells stop at this fraction of the innermost
+# break; the log shell and the anchor shell cover the rest down to the core.
+_LOG_TOP = 1e-2
+# A shell whose outer radius exceeds this many times its inner one takes
+# Gauss-Legendre in log r: only the log shell is that wide, since a geometric
+# shell spans at most one decade (annuli_per_decade >= 1).
+_LOG_SPAN = 100.0
 # Most nodes any kernel or fn call sees.  A float array of this many is 96 KB,
 # below glibc's default 128 KB mmap threshold, so chunk temporaries mostly
 # reuse heap pages instead of faulting in fresh mappings.
@@ -243,7 +258,9 @@ def annulus_nodes(
     Returns (points, weights, radii), radial-major: the radii ascend, each
     repeated once per direction in a contiguous run.  The rule integrates the
     annulus measure exactly in every dimension handled here (1, 2, 3): the
-    radial part is Gauss-Legendre against r^{n-1} dr written out explicitly,
+    radial part is Gauss-Legendre against r^{n-1} dr written out explicitly
+    (on the log shell, wider than _LOG_SPAN, Gauss-Legendre in log r, which
+    is exact for no power but converges fast for every one; _radial_rule),
     the angular part is rule, a prebuilt _sphere_rule(center, m, axis)
     (default: the cached unit-sphere rule, _unit_rule).  Arrays a and b stack
     their shells' rules: shell, then radius, then direction.
@@ -265,7 +282,7 @@ def annulus_nodes(
     lo, hi = lo - i0 * per_row, hi - i0 * per_row
     if i1 - i0 == 1:
         dirs, wang, lo, hi = dirs[lo:hi], wang[lo:hi], 0, hi - lo
-    r, w = (x.ravel()[i0:i1] for x in (_gl_radii(a, b, m), 0.5 * (b - a) * gauss_legendre(m)[1]))
+    r, w = (x.ravel()[i0:i1] for x in _radial_rule(a, b, m))
     wr = w * r ** (n - 1) * (1.0 if scale is None else scale[i0:i1])
     pts = (center + r[:, None, None] * dirs[None, :, :]).reshape(-1, n)[lo:hi]
     wts = (wr[:, None] * wang[None, :]).ravel()[lo:hi]
@@ -292,10 +309,20 @@ def _chunks(count: int):
     return ((lo, min(lo + _CHUNK_NODES, count)) for lo in range(0, count, _CHUNK_NODES))
 
 
-def _gl_radii(a, b, m: int) -> np.ndarray:
-    """The m Gauss-Legendre radii of a shell rule on [a, b], ascending; one
-    row per shell for a and b of shape (k, 1)."""
-    return 0.5 * (b + a) + 0.5 * (b - a) * gauss_legendre(m)[0]
+def _radial_rule(a, b, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The m radii (ascending) and dr weights of a shell rule on [a, b], one
+    row per shell for a and b of shape (k, 1): Gauss-Legendre in r, or on a
+    shell wider than _LOG_SPAN (the log shell) Gauss-Legendre in u = log r,
+    r_j = e^(u_j) with weights (du/2) w_j r_j.  The map follows from (a, b)
+    alone, and the log map is computed only for the rows that take it."""
+    x, w = gauss_legendre(m)
+    r, wr = 0.5 * (b + a) + 0.5 * (b - a) * x, 0.5 * (b - a) * w
+    log = ((a > 0.0) & (b > _LOG_SPAN * a))[:, 0]
+    if log.any():
+        ua, ub = np.log(a[log]), np.log(b[log])
+        r[log] = np.exp(0.5 * (ub + ua) + 0.5 * (ub - ua) * x)
+        wr[log] = 0.5 * (ub - ua) * w * r[log]
+    return r, wr
 
 
 def _shell_values(kernel: Kernel, center: np.ndarray, rules: Sequence[tuple[float, float, int]],
@@ -304,8 +331,10 @@ def _shell_values(kernel: Kernel, center: np.ndarray, rules: Sequence[tuple[floa
     """(value, evaluations) of each shell rule (a, b, m) of one round.
 
     Consecutive _chunks pieces, of one rule or of several, share kernel calls
-    of at most _CHUNK_NODES nodes.  Each piece is summed on its own and each
-    rule by math.fsum, so no value depends on the packing.  radial is called
+    of at most _CHUNK_NODES nodes.  Each piece is summed on its own (a run
+    of whole rules of one m as the rows of one block, each row sum equal to
+    np.sum of its slice) and a rule of several pieces by math.fsum, so no
+    value depends on the packing.  radial is called
     on the rules' radii and folded into their radial weights.  A call's
     pieces of one m come from one annulus_nodes call on the round's stacked
     rules of that m, with the sphere rule sphere(m) (default: about axis).
@@ -317,7 +346,7 @@ def _shell_values(kernel: Kernel, center: np.ndarray, rules: Sequence[tuple[floa
     slot = {i: k for idx in stacks.values() for k, i in enumerate(idx)}  # shell i of its stack
     edges = {m: np.array([rules[i][:2] for i in idx]).T for m, idx in stacks.items()}
     if radial is not None:
-        rows = {m: _gl_radii(a[:, None], b[:, None], m) for m, (a, b) in edges.items()}
+        rows = {m: _radial_rule(a[:, None], b[:, None], m)[0] for m, (a, b) in edges.items()}
         radii = np.concatenate([rows[m][slot[i]] for i, (_, _, m) in enumerate(rules)])
         # 256 radii per call keep _cap_integral's radii x _CAP_NODES (48)
         # arrays of a ball-mass radial within 12,288 elements, the chunk budget.
@@ -334,6 +363,12 @@ def _shell_values(kernel: Kernel, center: np.ndarray, rules: Sequence[tuple[floa
             calls[-1].append((i, lo, hi, size))
             size += hi - lo
     sums = [[] for _ in rules]
+
+    def run_of(piece):
+        """The m of a whole rule; a piece of a rule is a run of its own."""
+        i, lo, hi, _ = piece
+        return rules[i][2] if hi - lo == counts[i] else piece
+
     for call in calls:
         # Only a call's first piece starts inside its rule, and only a lone
         # piece ends inside it, so the call's pieces of one m are a run of a stack.
@@ -351,9 +386,15 @@ def _shell_values(kernel: Kernel, center: np.ndarray, rules: Sequence[tuple[floa
         if vals.shape != wts.shape:
             raise QuadratureError(f"kernel returned shape {vals.shape}, expected {wts.shape}")
         prod = wts * vals
-        for i, lo, hi, at in call:
-            sums[i].append(float(np.sum(prod[at:at + hi - lo])))
-    return [(math.fsum(s), c) for s, c in zip(sums, counts)]
+        # A run of whole rules of one m is summed as the rows of one block;
+        # each row sum is np.sum of its slice, bit for bit.
+        for _, run in groupby(call, key=run_of):
+            run = list(run)
+            size, at = run[0][2] - run[0][1], run[0][3]
+            rows = prod[at:at + len(run) * size].reshape(len(run), size).sum(axis=1)
+            for (i, *_), value in zip(run, rows.tolist()):
+                sums[i].append(value)
+    return [(s[0] if len(s) == 1 else math.fsum(s), c) for s, c in zip(sums, counts)]
 
 
 @contextmanager
@@ -390,10 +431,12 @@ class _Shell:
 
 
 def _new_shells(evaluate: Callable, bounds: Sequence[tuple[float, float]], m: int) -> list[_Shell]:
-    """Shells on the (a, b) in bounds, at m and 2m nodes per dimension, in one round."""
-    got = evaluate([(a, b, k * m) for a, b in bounds for k in (1, 2)])
+    """Shells on the (a, b) in bounds, at m and 2m nodes per dimension, in one
+    round that lists every rule at m before those at 2m, so the rules of one
+    m form runs within a kernel call."""
+    got = evaluate([(a, b, k * m) for k in (1, 2) for a, b in bounds])
     return [_Shell(a, b, 2 * m, prev, value, e1 + e2)
-            for (a, b), (prev, e1), (value, e2) in zip(bounds, got[::2], got[1::2])]
+            for (a, b), (prev, e1), (value, e2) in zip(bounds, got, got[len(bounds):])]
 
 
 def _refine_to_tolerance(
@@ -493,12 +536,17 @@ def integrate_annular(
     singular_exponent declares the power s with kernel = O(r^-s) at the
     center after any cancellation the caller is entitled to; it must satisfy
     s < n for integrability.  With r_inner = 0 the shells stop at a core
-    radius a, inner_cutoff_factor times the innermost break (the smallest cut,
-    or r_outer without cuts).  The core ball is the innermost shell [a, b]
-    times core_ratio(a, b, n, s), taken at that shell's current value, so
-    refining the shell refines the core; the core's error is the same ratio
-    times the shell's discrepancy, plus 1e-3 of the core.  evaluations counts
-    every kernel node this call evaluated, since the core costs none.
+    radius a, inner_cutoff_factor times the innermost break b0 (the smallest
+    cut, or r_outer without cuts).  The geometric shells reach down to
+    1e-2 b0; below them come two more, refined like the rest: the log shell
+    [ratio a, 1e-2 b0], whose radial rule is Gauss-Legendre in log r (any
+    shell wider than _LOG_SPAN takes it, and no geometric shell is that
+    wide), and the anchor shell [a, ratio a].  The core ball is the anchor
+    shell times core_ratio(a, ratio a, n, s), taken at that shell's current
+    value, so refining the shell refines the core; the core's error is the
+    same ratio times the shell's discrepancy, plus 1e-3 of the core.
+    evaluations counts every kernel node this call evaluated, since the core
+    costs none.
 
     key names the whole integrand (kernel, radial and axis) for the store of
     an enclosing shared_rules() scope: a rule (a, b, m) already summed there
@@ -524,8 +572,16 @@ def integrate_annular(
             "declare the cancellation that reduces it"
         )
 
-    lowest = r_inner or scheme.inner_cutoff_factor * (cuts[0] if cuts else r_outer)
-    edges = shell_edges([lowest, *cuts, r_outer], scheme.shell_ratio)
+    step = scheme.shell_ratio
+    if r_inner:
+        edges = shell_edges([r_inner, *cuts, r_outer], step)
+    else:
+        # Geometric shells down to _LOG_TOP of the innermost break b0, then
+        # the log shell down to step * a and the anchor shell [a, step * a]
+        # above the core radius a.
+        b0 = cuts[0] if cuts else r_outer
+        a = scheme.inner_cutoff_factor * b0
+        edges = shell_edges([_LOG_TOP * b0, *cuts, r_outer], step) + [step * a, a]
     m0 = scheme.points_per_dim
     sphere = lru_cache(maxsize=None)(partial(_sphere_rule, center, axis=axis))
     evaluate = partial(_shell_values, kernel, center, radial=radial, sphere=sphere)

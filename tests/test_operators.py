@@ -515,20 +515,31 @@ def test_potential_tw_pieces_match_one_sweep_per_gap(field, alpha):
 
 
 def test_one_dimensional_potentials_keep_their_values():
-    # Reference values from before the 1-d annulus rule listed its radii in
-    # ascending order (nodes at c + r and c - r interleaved per radius).
+    # Pinned values of the shell rule, each beside a reference from
+    # scipy.integrate.quad over y: split at x, at the pole 0.2, at the support
+    # edges -0.9 and 1.1 and at the pole's mirror 2x - 0.2, each piece halved,
+    # and y = end +- t^2 on a half ending at x or at the pole, where the
+    # integrand has an inverse square root (mpmath's tanh-sinh on the same
+    # pieces agrees to 1e-6).  I_alpha is within rel_tol of its reference.
+    # T_w is 1.5e-3 to 2.4e-3 below it: the weight's pole lies inside a shell,
+    # where node doubling underestimates the error of the Gauss rule.
     f = TestFunction("smooth_bump", (0.1,))
     g = GradientMagnitude(f)
     w = Weight.power_plus_one((0.2,), 0.5)
-    expected = {
-        0.0: (0.3864898026379862, 1.115270564563218, 1.072673565240609),
-        0.35: (0.4456298420702615, 1.0738719610755971, 1.2147433607079285),
-        1.5: (0.40568098156281707, 0.3883471724170073, 0.682419128042334),
+    expected = {  # x: (T_w g, I f, I g) pinned, then their quad references
+        0.0: ((0.3864897172555481, 1.115270564563219, 1.0726735652406085),
+              (0.3870976731935191, 1.1152705671827796, 1.0726748914312403)),
+        0.35: ((0.4456298420702609, 1.0738719610755987, 1.2147433607079272),
+               (0.44667741506793973, 1.0738719610730716, 1.2147429676497554)),
+        1.5: ((0.40568098156281707, 0.38834717241700734, 0.682419128042334),
+              (0.40627835469668044, 0.38834717243997907, 0.6824266909405345)),
     }
-    for x, (tw, i_f, i_g) in expected.items():
+    for x, ((tw, i_f, i_g), (_, ref_f, ref_g)) in expected.items():
         assert potential_Tw(g, w, 0.5, [x], SCHEME) == pytest.approx(tw, rel=1e-13)
         assert riesz_potential(f, 0.5, [x], SCHEME) == pytest.approx(i_f, rel=1e-13)
         assert riesz_potential(g, 0.5, [x], SCHEME) == pytest.approx(i_g, rel=1e-13)
+        assert i_f == pytest.approx(ref_f, rel=SCHEME.rel_tol)
+        assert i_g == pytest.approx(ref_g, rel=SCHEME.rel_tol)
 
 
 def test_potential_tw_is_its_uncut_piece():
@@ -601,7 +612,8 @@ def test_potential_tw_builds_each_sphere_rule_once(monkeypatch):
     # A 2-d T_w whose radial field and weight declare their centre as the
     # axis: each integrate_annular call builds its rotated sphere rule once
     # per m, and each kernel call takes its nodes of one m from one stacked
-    # annulus_nodes call.
+    # annulus_nodes call.  At 32 points per dimension the first round's
+    # rules outgrow one kernel call.
     c = (0.2, -0.1)
     field, w = GradientMagnitude(TestFunction("smooth_bump", c)), Weight.power_plus_one(c, 0.5)
     assert symmetry_of(field, w).axis is not None
@@ -635,7 +647,7 @@ def test_potential_tw_builds_each_sphere_rule_once(monkeypatch):
     monkeypatch.setattr(quadrature, "_sphere_rule", rule)
     monkeypatch.setattr(quadrature, "annulus_nodes", built)
     monkeypatch.setattr(quadrature, "_shell_values", round_)
-    potential_Tw(field, w, 1.0, [0.5, 0.1], SCHEME)
+    potential_Tw(field, w, 1.0, [0.5, 0.1], QuadratureScheme(points_per_dim=32))
     [(rules, per_call)] = calls
     assert len(rules) > 1 and max(rules.values()) == 1
     assert len(per_call) > 2 and max(max(k.values(), default=0) for k in per_call) == 1
