@@ -65,12 +65,6 @@ class Box:
     def side_lengths(self) -> np.ndarray:
         return np.subtract(self.upper, self.lower).astype(float)
 
-    def contains(self, pts: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(pts)
-        lo = np.asarray(self.lower)
-        hi = np.asarray(self.upper)
-        return np.all((pts >= lo) & (pts <= hi), axis=1)
-
     def grid(self, m: int) -> np.ndarray:
         """Midpoint lattice with m cells per dimension, shape (m^n, n)."""
         axes = [

@@ -1,12 +1,19 @@
 """Deterministic quadrature for radially singular kernels.
 
-The central routine, integrate_annular, integrates kernel(y) over a ball or
-annulus around a point.  The domain is cut into geometrically graded shells
+Two engines integrate kernel(y) radial(|y - x|) about a singular point x:
+shells over a ball or annulus (integrate_annular), and pyramids over a box
+that contains x (integrate_cells).  One refinement loop serves both: each
+shell or pyramid carries a rule of m nodes per dimension, and the worst
+ones double m until the summed discrepancies meet the tolerance.
+
+integrate_annular cuts the domain into geometrically graded shells
 (shell_edges) whose edges include any radii given as cuts; the integral over
 each gap between cuts comes back as a piece, so a family of truncated or
 nested integrals costs one sweep.  Each shell carries a tensor rule that is
 exact for the shell measure (Gauss-Legendre in the radius, midpoint in the
-angle, Gauss-Legendre in the polar cosine for n = 3).  Shells are refined
+angle, Gauss-Legendre in the polar cosine for n = 3).  A shell narrower
+than the grading ratio, which only cuts make, takes radii in proportion to
+its width in log r, at least 2 (_radii_count).  Shells are refined
 independently by node doubling until the summed per-shell discrepancies meet
 the tolerance.  A kernel with a power singularity at the center is cut off at
 a tiny core radius a = 1e-6 b0, b0 the innermost break.  The geometric
@@ -26,17 +33,24 @@ its reduction (Funk-Hecke): Gauss-Legendre in the cosine of the angle to that
 line in 3-d, the mirror half of the midpoint rule in 2-d, one direction when
 q = center.  The shells and their refinement are the same either way.
 
-One chunk rule bounds memory whatever the refinement: the shell rule and the
-box rule both walk flat node ranges of at most _CHUNK_NODES = 12,288 nodes
-(radial-major for a shell, C order for a box), so no kernel or fn call sees
-more.  The shells refined in one round share kernel calls, each fetching
-its nodes of one m by one annulus_nodes(span=) call over the round's shells
-of that m, stacked; sphere rules are built once per m per integral, radial
-factors (radial=) once per radius.  Node values are summed pairwise
+integrate_cells splits its box at x into at most 2^n cells and each cell
+into n pyramids with apex x (Duffy's rule), so no rule straddles the box's
+faces: y = x + t p, p on a far face, takes tensor Gauss-Legendre on the
+face and, along each ray, Gauss-Legendre in log t above a core node at
+t0 = inner_cutoff_factor that carries the pure-power core below it.
+
+One chunk rule bounds memory whatever the refinement: the shell, pyramid
+and box rules all walk flat node ranges of at most _CHUNK_NODES = 12,288
+nodes (radial-major for a shell, ray by ray for a pyramid, C order for a
+box), so no kernel or fn call sees more.  The shells or pyramids refined
+in one round share kernel calls (_packed), a shell call fetching its nodes
+of one size by one annulus_nodes(span=) call over the round's shells of
+that size, stacked; sphere rules are built once per m per integral, radial
+factors (radial=) once per shell radius.  Node values are summed pairwise
 (np.sum) within a chunk and with math.fsum across chunks, shells and
-pieces; a call's run of whole rules of one m is one row-sum reduction,
-each row bit for bit its rule's np.sum.  Neither the packing nor the
-thread schedule changes a result.
+pieces; a call's run of whole shell rules of one size is one row-sum
+reduction, each row bit for bit its rule's np.sum.  Neither the packing
+nor the thread schedule changes a result.
 
 Inside shared_rules(), the scope of one check, a call given a key (a
 hashable name of its whole integrand) stores the value of each rule
@@ -52,6 +66,7 @@ store counts none.
 from __future__ import annotations
 
 import contextvars
+import itertools
 import math
 from bisect import bisect_right
 from contextlib import contextmanager
@@ -73,6 +88,7 @@ __all__ = [
     "gauss_legendre",
     "integrate_annular",
     "integrate_box",
+    "integrate_cells",
     "shell_edges",
     "shared_rules",
     "halton_points",
@@ -252,6 +268,7 @@ def annulus_nodes(
     span: Optional[tuple[int, int]] = None,
     scale: Optional[np.ndarray] = None,
     rule: Optional[tuple[np.ndarray, np.ndarray]] = None,
+    radii: Optional[int] = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Tensor rule on the annulus a < |y - center| < b.
 
@@ -263,12 +280,13 @@ def annulus_nodes(
     is exact for no power but converges fast for every one; _radial_rule),
     the angular part is rule, a prebuilt _sphere_rule(center, m, axis)
     (default: the cached unit-sphere rule, _unit_rule).  Arrays a and b stack
-    their shells' rules: shell, then radius, then direction.
+    their shells' rules: shell, then radius, then direction.  radii is the
+    number of Gauss radii per shell (default m), fewer on a thin shell.
 
     span = (lo, hi) returns only the nodes lo <= i < hi of that radial-major
     order; a span within one radial run builds only its own directions.
-    scale (m factors a shell, in the order of the radii) multiplies the radial
-    weights.
+    scale (one factor per radius of a shell, in the order of the radii)
+    multiplies the radial weights.
     """
     center = np.asarray(center, dtype=float)
     n = center.size
@@ -276,13 +294,13 @@ def annulus_nodes(
     if a.shape != b.shape or a.ndim != 2 or not np.all((0.0 <= a) & (a < b)):
         raise QuadratureError(f"bad annulus [{a}, {b}]")
     dirs, wang = _unit_rule(n, m) if rule is None else rule
-    per_row = len(wang)
-    lo, hi = (0, a.size * m * per_row) if span is None else span
+    per_row, q = len(wang), m if radii is None else radii
+    lo, hi = (0, a.size * q * per_row) if span is None else span
     i0, i1 = lo // per_row, -(-hi // per_row)  # the radial rows spanned
     lo, hi = lo - i0 * per_row, hi - i0 * per_row
     if i1 - i0 == 1:
         dirs, wang, lo, hi = dirs[lo:hi], wang[lo:hi], 0, hi - lo
-    r, w = (x.ravel()[i0:i1] for x in _radial_rule(a, b, m))
+    r, w = (x.ravel()[i0:i1] for x in _radial_rule(a, b, q))
     wr = w * r ** (n - 1) * (1.0 if scale is None else scale[i0:i1])
     pts = (center + r[:, None, None] * dirs[None, :, :]).reshape(-1, n)[lo:hi]
     wts = (wr[:, None] * wang[None, :]).ravel()[lo:hi]
@@ -292,9 +310,10 @@ def annulus_nodes(
 
 @dataclass
 class AnnularResult:
-    """Value and accounting for one annular integral.  evaluations counts the
-    kernel nodes this call evaluated; a rule read from the store of a
-    shared_rules() scope counts none."""
+    """Value and accounting for one integral of either engine (a pyramid
+    counts as a shell).  evaluations counts the kernel nodes this call
+    evaluated; a rule read from the store of a shared_rules() scope counts
+    none."""
 
     value: float
     error: float
@@ -307,6 +326,21 @@ class AnnularResult:
 def _chunks(count: int):
     """Flat index ranges of at most _CHUNK_NODES covering range(count)."""
     return ((lo, min(lo + _CHUNK_NODES, count)) for lo in range(0, count, _CHUNK_NODES))
+
+
+def _packed(counts: Sequence[int]) -> list[list[tuple[int, int, int, int]]]:
+    """Kernel calls of at most _CHUNK_NODES nodes over rules of counts nodes
+    each: the _chunks pieces of the rules in order, packed greedily, each
+    piece (rule, lo, hi, offset of its first node in the call)."""
+    calls, size = [[]], 0
+    for i, count in enumerate(counts):
+        for lo, hi in _chunks(count):
+            if size + hi - lo > _CHUNK_NODES:
+                calls.append([])
+                size = 0
+            calls[-1].append((i, lo, hi, size))
+            size += hi - lo
+    return calls
 
 
 def _radial_rule(a, b, m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -325,69 +359,77 @@ def _radial_rule(a, b, m: int) -> tuple[np.ndarray, np.ndarray]:
     return r, wr
 
 
+def _radii_count(a: float, b: float, m: int, ratio: Optional[float]) -> int:
+    """Gauss radii of the shell rule (a, b, m): m, or on a shell narrower than
+    the grading ratio (only cuts make one) max(2, ceil(m ln(b/a) / ln ratio)),
+    the radii per unit of log r of a full shell, the ceiling taken 1e-9
+    below so that a shell an exact fraction wide is not rounded up.  ratio
+    None keeps m."""
+    if ratio is None or b >= a * ratio * (1.0 - 1e-9):
+        return m
+    return max(2, math.ceil(m * math.log(b / a) / math.log(ratio) - 1e-9))
+
+
 def _shell_values(kernel: Kernel, center: np.ndarray, rules: Sequence[tuple[float, float, int]],
                   radial: Optional[Radial], axis: Optional[np.ndarray] = None,
-                  sphere: Optional[Callable] = None) -> list[tuple[float, int]]:
+                  sphere: Optional[Callable] = None,
+                  ratio: Optional[float] = None) -> list[tuple[float, int]]:
     """(value, evaluations) of each shell rule (a, b, m) of one round.
 
     Consecutive _chunks pieces, of one rule or of several, share kernel calls
-    of at most _CHUNK_NODES nodes.  Each piece is summed on its own (a run
-    of whole rules of one m as the rows of one block, each row sum equal to
-    np.sum of its slice) and a rule of several pieces by math.fsum, so no
-    value depends on the packing.  radial is called
-    on the rules' radii and folded into their radial weights.  A call's
-    pieces of one m come from one annulus_nodes call on the round's stacked
-    rules of that m, with the sphere rule sphere(m) (default: about axis).
+    of at most _CHUNK_NODES nodes (_packed).  Each piece is summed on its own
+    (a run of whole rules of one size as the rows of one block, each row sum
+    equal to np.sum of its slice) and a rule of several pieces by math.fsum,
+    so no value depends on the packing.  A rule takes _radii_count(a, b, m,
+    ratio) radii.  radial is called on the rules' radii and folded into their
+    radial weights.  A call's pieces of one m and radii count come from one
+    annulus_nodes call on the round's stacked rules of that size, with the
+    sphere rule sphere(m) (default: about axis).
     """
     sphere = sphere or partial(_sphere_rule, center, axis=axis)
-    counts = [m * len(sphere(m)[1]) for _, _, m in rules]
-    first = np.cumsum([0] + [m for _, _, m in rules])  # each rule's radii
-    stacks = {m: [i for i, rule in enumerate(rules) if rule[2] == m] for m in {r[2] for r in rules}}
+    sizes = [(m, _radii_count(a, b, m, ratio)) for a, b, m in rules]  # (m, radii) per rule
+    counts = [q * len(sphere(m)[1]) for m, q in sizes]
+    first = np.cumsum([0] + [q for _, q in sizes])  # each rule's radii
+    stacks = {size: [i for i, other in enumerate(sizes) if other == size] for size in set(sizes)}
     slot = {i: k for idx in stacks.values() for k, i in enumerate(idx)}  # shell i of its stack
-    edges = {m: np.array([rules[i][:2] for i in idx]).T for m, idx in stacks.items()}
+    edges = {size: np.array([rules[i][:2] for i in idx]).T for size, idx in stacks.items()}
     if radial is not None:
-        rows = {m: _radial_rule(a[:, None], b[:, None], m)[0] for m, (a, b) in edges.items()}
-        radii = np.concatenate([rows[m][slot[i]] for i, (_, _, m) in enumerate(rules)])
+        rows = {(m, q): _radial_rule(a[:, None], b[:, None], q)[0] for (m, q), (a, b) in edges.items()}
+        radii = np.concatenate([rows[size][slot[i]] for i, size in enumerate(sizes)])
         # 256 radii per call keep _cap_integral's radii x _CAP_NODES (48)
         # arrays of a ball-mass radial within 12,288 elements, the chunk budget.
         fac = np.concatenate([radial(radii[lo:lo + 256]) for lo in range(0, radii.size, 256)])
-    stacks = {m: (*edges[m], None if radial is None
-                  else np.concatenate([fac[first[i]:first[i + 1]] for i in idx]))
-              for m, idx in stacks.items()}
-    calls, size = [[]], 0  # greedy: (rule, lo, hi, offset) pieces of _CHUNK_NODES in all
-    for i, count in enumerate(counts):
-        for lo, hi in _chunks(count):
-            if size + hi - lo > _CHUNK_NODES:
-                calls.append([])
-                size = 0
-            calls[-1].append((i, lo, hi, size))
-            size += hi - lo
+    stacks = {size: (*edges[size], None if radial is None
+                     else np.concatenate([fac[first[i]:first[i + 1]] for i in idx]))
+              for size, idx in stacks.items()}
     sums = [[] for _ in rules]
 
     def run_of(piece):
-        """The m of a whole rule; a piece of a rule is a run of its own."""
+        """The size of a whole rule; a piece of a rule is a run of its own."""
         i, lo, hi, _ = piece
-        return rules[i][2] if hi - lo == counts[i] else piece
+        return sizes[i] if hi - lo == counts[i] else piece
 
-    for call in calls:
+    for call in _packed(counts):
         # Only a call's first piece starts inside its rule, and only a lone
-        # piece ends inside it, so the call's pieces of one m are a run of a stack.
+        # piece ends inside it, so the call's pieces of one size are a run
+        # of a stack.
         spans, parts = {}, []
         for i, lo, hi, _ in call:
-            m, at = rules[i][2], slot[i] * counts[i]
-            spans[m] = (spans.get(m, (at + lo,))[0], at + hi)
-            parts.append((m, at + lo - spans[m][0], at + hi - spans[m][0]))
-        built = {m: annulus_nodes(center, a, b, m, span=spans[m], scale=scale, rule=sphere(m))
-                 for m, (a, b, scale) in stacks.items() if m in spans}
-        nodes = [[x[lo:hi] for x in built[m]] for m, lo, hi in parts]
+            size, at = sizes[i], slot[i] * counts[i]
+            spans[size] = (spans.get(size, (at + lo,))[0], at + hi)
+            parts.append((size, at + lo - spans[size][0], at + hi - spans[size][0]))
+        built = {(m, q): annulus_nodes(center, a, b, m, span=spans[m, q], scale=scale,
+                                       rule=sphere(m), radii=q)
+                 for (m, q), (a, b, scale) in stacks.items() if (m, q) in spans}
+        nodes = [[x[lo:hi] for x in built[size]] for size, lo, hi in parts]
         pts, wts, rad = nodes[0] if len(call) == 1 else map(np.concatenate, zip(*nodes))
         del built, nodes  # the stacked builds, freed before the kernel runs
         vals = np.asarray(kernel(pts, rad), dtype=float)
         if vals.shape != wts.shape:
             raise QuadratureError(f"kernel returned shape {vals.shape}, expected {wts.shape}")
         prod = wts * vals
-        # A run of whole rules of one m is summed as the rows of one block;
-        # each row sum is np.sum of its slice, bit for bit.
+        # A run of whole rules of one size is summed as the rows of one
+        # block; each row sum is np.sum of its slice, bit for bit.
         for _, run in groupby(call, key=run_of):
             run = list(run)
             size, at = run[0][2] - run[0][1], run[0][3]
@@ -419,10 +461,14 @@ def _stored(evaluate: Callable, known: dict, rules: Sequence[tuple[float, float,
 
 
 class _Shell:
-    __slots__ = ("a", "b", "m", "value", "prev", "evals")
+    """A part of the domain, a shell (a, b) or a pyramid (index,), named by
+    its place: its rule (*place, m) at m nodes per dimension, the value of
+    that rule and of the one at m / 2."""
 
-    def __init__(self, a: float, b: float, m: int, prev: float, value: float, evals: int):
-        self.a, self.b, self.m = a, b, m
+    __slots__ = ("place", "m", "value", "prev", "evals")
+
+    def __init__(self, place: tuple, m: int, prev: float, value: float, evals: int):
+        self.place, self.m = place, m
         self.prev, self.value, self.evals = prev, value, evals
 
     @property
@@ -430,44 +476,39 @@ class _Shell:
         return abs(self.value - self.prev)
 
 
-def _new_shells(evaluate: Callable, bounds: Sequence[tuple[float, float]], m: int) -> list[_Shell]:
-    """Shells on the (a, b) in bounds, at m and 2m nodes per dimension, in one
+def _new_shells(evaluate: Callable, places: Sequence[tuple], m: int) -> list[_Shell]:
+    """Parts at the places given, at m and 2m nodes per dimension, in one
     round that lists every rule at m before those at 2m, so the rules of one
     m form runs within a kernel call."""
-    got = evaluate([(a, b, k * m) for k in (1, 2) for a, b in bounds])
-    return [_Shell(a, b, 2 * m, prev, value, e1 + e2)
-            for (a, b), (prev, e1), (value, e2) in zip(bounds, got, got[len(bounds):])]
+    got = evaluate([(*place, k * m) for k in (1, 2) for place in places])
+    return [_Shell(place, 2 * m, prev, value, e1 + e2)
+            for place, (prev, e1), (value, e2) in zip(places, got, got[len(places):])]
 
 
 def _refine_to_tolerance(
     shells: list[_Shell],
     evaluate: Callable,
     scheme: QuadratureScheme,
-    inner: _Shell,
-    ratio: float,
+    inner: Optional[_Shell] = None,
+    ratio: float = 0.0,
 ) -> tuple[float, float]:
-    """Double nodes on the worst shells until the discrepancy budget holds.
+    """Double nodes on the worst parts until the discrepancy budget holds.
 
     The total includes the core, ratio times the innermost shell's current
-    value; the discrepancy is the shells' own."""
-    for _ in range(_MAX_DEPTH):
-        total = math.fsum(s.value for s in shells) + ratio * inner.value
+    value (none without an inner shell); the discrepancy is the parts' own."""
+    for depth in range(_MAX_DEPTH + 1):
+        total = math.fsum(s.value for s in shells) + (ratio * inner.value if inner else 0.0)
         err = math.fsum(s.error for s in shells)
         budget = scheme.budget(total)
-        if err <= budget:
-            break
         per_shell = budget / max(len(shells), 1)
         refinable = [
             s for s in shells if s.error > per_shell and s.m < _MAX_NODES_PER_DIM
         ]
-        if not refinable:
-            break
-        got = evaluate([(s.a, s.b, 2 * s.m) for s in refinable])
+        if err <= budget or not refinable or depth == _MAX_DEPTH:
+            return total, err
+        got = evaluate([(*s.place, 2 * s.m) for s in refinable])
         for s, (value, e) in zip(refinable, got):
             s.prev, s.value, s.m, s.evals = s.value, value, 2 * s.m, s.evals + e
-    total = math.fsum(s.value for s in shells) + ratio * inner.value
-    err = math.fsum(s.error for s in shells)
-    return total, err
 
 
 def core_ratio(a: float, b: float, n: int, s: float) -> float:
@@ -531,7 +572,9 @@ def integrate_annular(
     gaps between consecutive breaks (r_inner, the sorted cuts, r_outer),
     from the inside out, so one sweep yields every truncated or nested
     integral at the cuts.  The innermost piece includes the analytic core,
-    and the outermost one any shells extend_outer appends.
+    and the outermost one any shells extend_outer appends.  A shell that
+    cuts leave narrower than the grading ratio takes fewer radii, in
+    proportion to its width in log r (_radii_count), and the same sphere rule.
 
     singular_exponent declares the power s with kernel = O(r^-s) at the
     center after any cancellation the caller is entitled to; it must satisfy
@@ -584,7 +627,7 @@ def integrate_annular(
         edges = shell_edges([_LOG_TOP * b0, *cuts, r_outer], step) + [step * a, a]
     m0 = scheme.points_per_dim
     sphere = lru_cache(maxsize=None)(partial(_sphere_rule, center, axis=axis))
-    evaluate = partial(_shell_values, kernel, center, radial=radial, sphere=sphere)
+    evaluate = partial(_shell_values, kernel, center, radial=radial, sphere=sphere, ratio=step)
     store = _RULES.get()
     if key is not None and store is not None:
         evaluate = partial(_stored, evaluate, store.setdefault((key, center.tobytes()), {}))
@@ -592,7 +635,7 @@ def integrate_annular(
     # The core ball below the innermost shell, read off that shell's current
     # value (core_ratio); none when the range starts at r_inner > 0.
     inner = shells[-1]
-    ratio = core_ratio(inner.a, inner.b, n, s_exp) if r_inner == 0.0 else 0.0
+    ratio = core_ratio(*inner.place, n, s_exp) if r_inner == 0.0 else 0.0
     total, err = _refine_to_tolerance(shells, evaluate, scheme, inner, ratio)
 
     tail_err = 0.0
@@ -628,7 +671,7 @@ def integrate_annular(
     core_err = ratio * inner.error + 1e-3 * abs(core_value)
     gaps = [[] for _ in range(len(cuts) + 1)]
     for s in shells:
-        gaps[bisect_right(cuts, s.a)].append(s.value)
+        gaps[bisect_right(cuts, s.place[0])].append(s.value)
     pieces = [math.fsum(g) for g in gaps]
     pieces[0] += core_value
     evals = sum(s.evals for s in shells)
@@ -640,6 +683,134 @@ def integrate_annular(
         evaluations=evals,
         pieces=tuple(pieces),
     )
+
+
+# The pyramid rule's ray parameter t in (0, 1] takes Gauss-Legendre in log t
+# below this, in t above it.
+_RAY_SPLIT = 0.1
+
+
+@lru_cache(maxsize=64)
+def _pyramid_rule(n: int, k: int, s: float, t0: float) -> tuple[np.ndarray, ...]:
+    """One pyramid's rule at k: face nodes v (k^(n-1), n-1) on [0, 1]^(n-1),
+    C order, with tensor Gauss-Legendre weights; and ray nodes t with
+    weights for int_0^1 g(t) t^(n-1) dt, g = O(t^-s): one core node at t0
+    weighted t0^n / (n - s), exact for a pure power below t0 (the
+    assumption core_ratio makes), k Gauss-Legendre nodes in u = log t on
+    [t0, _RAY_SPLIT] and k in t on [_RAY_SPLIT, 1].
+
+    Memoized, so the arrays are shared and read-only."""
+    x, w = gauss_legendre(k)
+    idx = np.indices((k,) * (n - 1)).reshape(n - 1, -1).T if n > 1 else np.zeros((1, 0), dtype=int)
+    v, wv = 0.5 * (x[idx] + 1.0), np.prod(0.5 * w[idx], axis=1)
+    u0, u1 = math.log(t0), math.log(_RAY_SPLIT)
+    t_log = np.exp(0.5 * (u1 + u0) + 0.5 * (u1 - u0) * x)
+    t = np.concatenate([[t0], t_log, 0.5 * (1.0 + _RAY_SPLIT) + 0.5 * (1.0 - _RAY_SPLIT) * x])
+    dt = np.concatenate([[t0 / (n - s)], 0.5 * (u1 - u0) * w * t_log, 0.5 * (1.0 - _RAY_SPLIT) * w])
+    rule = (v, wv, t, dt * t ** (n - 1))
+    for arr in rule:
+        arr.flags.writeable = False
+    return rule
+
+
+def _pyramids(center: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> list[tuple]:
+    """The box lo <= y <= hi split at center into at most 2^n sub-boxes (one
+    per orthant about center, none of zero width), each into n pyramids with
+    apex center, one per far face.  A pyramid is (c, B, V): its far face is
+    c + v B for v in [0, 1]^(n-1), and y = center + t (c + v B) maps
+    (0, 1] x [0, 1]^(n-1) onto it with Jacobian V t^(n-1), V the sub-box's
+    volume.  The set of pyramids is mapped onto itself by any sign flip or
+    permutation of the coordinates that maps the box about center onto
+    itself."""
+    n, out = center.size, []
+    for signs in itertools.product((1.0, -1.0), repeat=n):
+        signs = np.array(signs)
+        h = np.where(signs > 0.0, hi - center, center - lo)
+        if np.all(h > 0.0):
+            edges = np.diag(signs * h)
+            out += [(edges[i], np.delete(edges, i, axis=0), float(np.prod(h))) for i in range(n)]
+    return out
+
+
+def _pyramid_values(kernel: Kernel, radial: Optional[Radial], center: np.ndarray,
+                    pyramids: Sequence[tuple], s_exp: float, t0: float,
+                    rules: Sequence[tuple[int, int]]) -> list[tuple[float, int]]:
+    """(value, evaluations) of each pyramid rule (pyramid index, k) of one
+    round, _pyramid_rule(n, k, s_exp, t0) ray by ray.  The rules share kernel
+    calls of at most _CHUNK_NODES nodes (_packed); each piece is summed on
+    its own and a rule of several pieces by math.fsum, so no value depends
+    on the packing."""
+    n = center.size
+    counts = [k ** (n - 1) * (2 * k + 1) for _, k in rules]
+    sums = [[] for _ in rules]
+    for call in _packed(counts):
+        nodes = []
+        for i, lo, hi, _ in call:
+            (c, B, vol), k = pyramids[rules[i][0]], rules[i][1]
+            v, wv, t, wt = _pyramid_rule(n, k, s_exp, t0)
+            iv, it = np.divmod(np.arange(lo, hi), t.size)
+            p = c + v[iv] @ B
+            nodes.append((center + t[it, None] * p, vol * wv[iv] * wt[it],
+                          t[it] * np.sqrt(np.einsum("ij,ij->i", p, p))))
+        pts, wts, rad = nodes[0] if len(call) == 1 else map(np.concatenate, zip(*nodes))
+        vals = np.asarray(kernel(pts, rad), dtype=float)
+        if vals.shape != wts.shape:
+            raise QuadratureError(f"kernel returned shape {vals.shape}, expected {wts.shape}")
+        prod = wts * vals * (1.0 if radial is None else radial(rad))
+        for i, lo, hi, at in call:
+            sums[i].append(float(np.sum(prod[at:at + hi - lo])))
+    return [(got[0] if len(got) == 1 else math.fsum(got), count)
+            for got, count in zip(sums, counts)]
+
+
+def integrate_cells(
+    kernel: Kernel,
+    center: np.ndarray,
+    lower: Sequence[float],
+    upper: Sequence[float],
+    scheme: QuadratureScheme,
+    *,
+    singular_exponent: Optional[float] = None,
+    radial: Optional[Radial] = None,
+) -> AnnularResult:
+    """Integrate kernel(y) radial(|y - center|) dy over the box lower <= y <= upper,
+    which contains center.
+
+    The box is split at center into at most 2^n cells, and each cell into n
+    pyramids with apex center (M. G. Duffy, SIAM J. Numer. Anal. 19, 1982),
+    y = center + t p with p on the far face, so no rule crosses the box's
+    faces.  Each pyramid takes _pyramid_rule at k: tensor Gauss-Legendre on
+    the far face and, along each ray, Gauss-Legendre in log t and in t above
+    one core node at t0 = inner_cutoff_factor, which carries the core of a
+    kernel O(r^-s), s = singular_exponent.  No node lies nearer the apex
+    than t0, where differences such as |f(x) - f(y)| are rounding noise.  k
+    starts at points_per_dim // 2 and doubles pyramid by pyramid, up to
+    _MAX_NODES_PER_DIM, in the loop that refines integrate_annular's shells.
+    The node set is mapped onto itself by every sign flip and permutation
+    of the coordinates that maps the box about center onto itself.
+
+    kernel(points, radii) and radial(r) are vectorized as in
+    integrate_annular and see at most _CHUNK_NODES nodes a call.  The
+    result counts pyramids as shells; its core_value is 0.0, since each
+    pyramid's value holds its own core, and its one piece is the value.
+    """
+    center = np.asarray(center, dtype=float)
+    lo, hi = np.asarray(lower, dtype=float), np.asarray(upper, dtype=float)
+    n = center.size
+    if lo.shape != (n,) or hi.shape != (n,) or np.any(hi <= lo):
+        raise QuadratureError("box bounds must satisfy lower < upper in the dimension of center")
+    if np.any(center < lo) or np.any(center > hi):
+        raise QuadratureError(f"the pyramid rule needs its apex {center} inside the box")
+    s_exp = 0.0 if singular_exponent is None else float(singular_exponent)
+    if s_exp >= n:
+        raise QuadratureError(f"singular exponent {s_exp} is not integrable in dimension {n}")
+    pyramids = _pyramids(center, lo, hi)
+    evaluate = partial(_pyramid_values, kernel, radial, center, pyramids, s_exp,
+                       scheme.inner_cutoff_factor)
+    parts = _new_shells(evaluate, [(j,) for j in range(len(pyramids))], scheme.points_per_dim // 2)
+    total, err = _refine_to_tolerance(parts, evaluate, scheme)
+    return AnnularResult(value=total, error=err, core_value=0.0, shells=len(parts),
+                         evaluations=sum(part.evals for part in parts), pieces=(total,))
 
 
 def integrate_box(

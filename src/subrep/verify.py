@@ -56,7 +56,7 @@ from .operators import (
     riesz_potential,
     rough_maximal,
 )
-from .quadrature import QuadratureScheme, integrate_annular, integrate_box, shared_rules
+from .quadrature import QuadratureScheme, integrate_annular, integrate_box, integrate_cells, shared_rules
 from .special import (
     ball_volume,
     bbm_constant,
@@ -534,29 +534,21 @@ def _bbm_double_integral(
     f: TestFunction, Q: Cube, alpha: float, scheme: QuadratureScheme, outer_cells: int
 ) -> float:
     """avg over x in Q of int_Q |f(x) - f(y)| / |x - y|^{n + alpha} dy, by
-    the midpoint rule on box.grid(outer_cells).  When f is declared
-    cube-symmetric about Q's centre the inner integral is invariant under
-    Q's symmetries, so only one point per orbit is integrated, weighted by
-    the orbit's size."""
+    the midpoint rule on box.grid(outer_cells).  Each inner integral is
+    integrate_cells' pyramid rule: Q split at x into pyramids with apex x,
+    Gauss-Legendre on each far face and in log t along the rays, so no rule
+    crosses Q's faces.  That rule is mapped onto itself by Q's symmetries, so
+    when f is declared cube-symmetric about Q's centre only one point per
+    orbit is integrated, weighted by the orbit's size."""
     n = Q.dimension
     box = Q.to_box()
     xs, counts = _lattice(box, outer_cells, Q.center, f)
-    corners = np.array(
-        [[box.lower[i] if bit & (1 << i) == 0 else box.upper[i] for i in range(n)]
-         for bit in range(1 << n)]
-    )
     inner_vals = []
     for x in xs:
         fx = f.value(x)
-        far = float(np.max(np.linalg.norm(corners - x[None, :], axis=1)))
-
-        def kernel(pts, rad):
-            inside = box.contains(pts)
-            return np.abs(fx - f.values(pts)) * inside
-
-        res = integrate_annular(
-            kernel, x, far, scheme, singular_exponent=n + alpha - 1.0,
-            radial=lambda r: r ** (-(n + alpha)),
+        res = integrate_cells(
+            lambda pts, rad: np.abs(fx - f.values(pts)), x, box.lower, box.upper, scheme,
+            singular_exponent=n + alpha - 1.0, radial=lambda r: r ** (-(n + alpha)),
         )
         inner_vals.append(res.value)
     return float(np.sum(counts * np.array(inner_vals)) / outer_cells**n)

@@ -204,6 +204,17 @@ def test_shell_geometry_lives_only_in_quadrature():
         assert callers and all(c.startswith("quadrature.py:") for c in callers), (name, callers)
 
 
+def test_pyramid_geometry_lives_only_in_quadrature():
+    # The Poincare inner integral reaches its pyramids through
+    # integrate_cells, whose rule never crosses the faces of Q, so no
+    # module builds the indicator of a box.
+    for name in ("_pyramids", "_pyramid_rule"):
+        callers = _callers(name)
+        assert callers and all(c.startswith("quadrature.py:") for c in callers), (name, callers)
+    assert _callers("integrate_cells") == ["verify.py:_bbm_double_integral"]
+    assert _callers("contains") == []
+
+
 def test_one_gauss_legendre_table():
     # Shell rules, ball masses and the fractional field read one memoized,
     # read-only table, quadrature.gauss_legendre.

@@ -226,6 +226,18 @@ def test_riesz_far_from_the_support_matches_radial_reference(family, n, d):
     assert got == pytest.approx(riesz_of_profile(family, n, 1.0, 1.0, 1.0, d), rel=SCHEME.rel_tol)
 
 
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 3, step 3")
+@pytest.mark.parametrize("x, ref", [((0.69, 0.2), 3.816561452), ((0.705, 0.3), 3.459445165)])
+def test_tensor_hat_riesz_near_its_support_faces(x, ref):
+    # I_1 |grad tensor_hat| just inside the face x_1 = 1/sqrt(2), where
+    # |grad f| jumps to 0 and kinks along the axes cut every shell.  The
+    # references are scipy dblquad over each orthant cell of the hat, the
+    # cell holding x split at x (epsrel 1e-12).  The shells are 3.0e-3 and
+    # 2.7e-3 low.
+    got = riesz_potential(GradientMagnitude(HAT), 1.0, x, SCHEME)
+    assert got == pytest.approx(ref, rel=SCHEME.rel_tol)
+
+
 def test_radial_frac_field_sums_no_single_layer(monkeypatch):
     # A radial f takes the adaptive rule in the near band and the series
     # beyond it, in its table and off it alike.
@@ -838,14 +850,12 @@ RADIAL_CALLERS = {
     "rough_maximal": lambda: rough_maximal(
         GradientMagnitude(BUMP), SphereSymbol.cosine_harmonic(1), [0.5, -0.2],
         TruncationGrid.covering(BUMP, np.array([0.5, -0.2]), octaves=6), SCHEME),
-    "bbm_double_integral": lambda: verify._bbm_double_integral(
-        BUMP, Cube((0.0, 0.0), 1.0), 0.5, SCHEME, 2),
 }
 
 
 @pytest.mark.parametrize("caller", sorted(RADIAL_CALLERS))
 def test_radial_split_matches_factor_in_kernel(monkeypatch, caller):
-    pairs = _split_against_folded(monkeypatch, verify if caller.startswith("bbm") else operators)
+    pairs = _split_against_folded(monkeypatch, operators)
     RADIAL_CALLERS[caller]()
     assert pairs
     for split, folded in pairs:
@@ -1029,6 +1039,63 @@ def test_mwc_default_radii_cover_support():
     r = mwc_default_radii(BUMP, [3.0, 0.0])
     assert r[-1] == pytest.approx(4.0)
     assert r[0] < 1e-3
+
+
+# -- thin cut shells take fewer radii -------------------------------------------
+
+
+def _full_radii(monkeypatch):
+    """Every shell at m radii, as before a thin shell took fewer."""
+    monkeypatch.setattr(quadrature, "_radii_count", lambda a, b, m, ratio: m)
+
+
+def _counted(monkeypatch, call):
+    """call() and the kernel nodes its integrate_annular calls evaluated."""
+    results, annular = [], operators.integrate_annular
+
+    def counted(*args, **kwargs):
+        results.append(annular(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(operators, "integrate_annular", counted)
+    value = call()
+    monkeypatch.setattr(operators, "integrate_annular", annular)
+    return value, sum(res.evaluations for res in results)
+
+
+@pytest.mark.parametrize("x", [[0.3, 0.1], [1.5, 0.0]])
+def test_thin_cut_shells_take_fewer_radii(monkeypatch, x):
+    # The default sweep cuts 32 radii per decade, so each of its 128 gaps is
+    # an eighth of a shell at 4 per decade: 2 radii at m = 16, not 16.
+    w = Weight.power_plus_one((0.0, 0.0), 0.5)
+    call = lambda: maximal_Mwc(BUMP, w, x, None, SCHEME)
+    thin, thin_evals = _counted(monkeypatch, call)
+    _full_radii(monkeypatch)
+    full, full_evals = _counted(monkeypatch, call)
+    assert 4 * thin_evals <= full_evals
+    assert thin == pytest.approx(full, rel=SCHEME.rel_tol)
+
+
+def test_dense_cut_pieces_sum_to_the_uncut_integral(monkeypatch):
+    field, w, x = GradientMagnitude(BUMP), Weight.power_plus_one((0.0, 0.0), 0.5), [0.3, -0.2]
+    call = lambda: potential_Tw_pieces(field, w, 1.0, x, SCHEME, np.geomspace(1e-3, 1.2, 98))
+    pieces, thin_evals = _counted(monkeypatch, call)
+    assert math.fsum(pieces) == pytest.approx(potential_Tw(field, w, 1.0, x, SCHEME),
+                                              rel=SCHEME.rel_tol)
+    _full_radii(monkeypatch)
+    assert 2 * thin_evals <= _counted(monkeypatch, call)[1]
+
+
+def test_cut_free_integrals_keep_m_radii(monkeypatch):
+    # No shell of a cut-free sweep is narrower than the grading ratio, so
+    # each keeps its m radii and every value stays bit for bit the same.
+    w = Weight.power_plus_one((0.0, 0.0), 0.5)
+    calls = [lambda: potential_Tw(GradientMagnitude(BUMP), w, 1.0, [0.3, 0.1], SCHEME),
+             lambda: riesz_potential(HAT, 0.5, [0.2, -0.6], SCHEME),
+             _riesz_extend_outer]
+    before = [call() for call in calls]
+    _full_radii(monkeypatch)
+    assert [call() for call in calls] == before
 
 
 # -- the rule store of one check -------------------------------------------------

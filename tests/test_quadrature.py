@@ -3,8 +3,10 @@ import threading
 
 import numpy as np
 import pytest
+from scipy import integrate
 
 import subrep.quadrature as quadrature
+from subrep.functions import TestFunction
 from subrep.quadrature import (
     QuadratureError,
     QuadratureScheme,
@@ -12,6 +14,7 @@ from subrep.quadrature import (
     halton_points,
     integrate_annular,
     integrate_box,
+    integrate_cells,
     shared_rules,
     shell_edges,
 )
@@ -472,6 +475,24 @@ def _kinked(pts, rad):
     return np.abs(pts[:, 0] - 0.3) * (1.0 + pts[:, 1] ** 2)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_a_thin_shell_takes_fewer_radii(n):
+    # With radii = q the rule has q radii per direction and still integrates
+    # the shell measure exactly; _radii_count gives a thin shell radii in
+    # proportion to its width in log r and keeps m on a full shell.
+    center, ratio = np.zeros(n), SCHEME.shell_ratio
+    a, b = 0.3, 0.3 * ratio ** 0.25
+    pts, wts, rad = annulus_nodes(center, a, b, 16, radii=4)
+    assert len(set(rad.tolist())) == 4
+    assert len(pts) == len(wts) == 4 * len(quadrature._unit_rule(n, 16)[1])
+    exact = sphere_measure(n) * (b**n - a**n) / n
+    assert math.fsum(wts) == pytest.approx(exact, rel=1e-13)
+    assert quadrature._radii_count(a, b, 16, ratio) == 4
+    assert quadrature._radii_count(a, a * ratio ** 0.01, 16, ratio) == 2
+    assert quadrature._radii_count(a / ratio, a, 16, ratio) == 16
+    assert quadrature._radii_count(a, b, 16, None) == 16
+
+
 def test_annular_3d_refinement_stays_under_budget(monkeypatch):
     # The kink along x = 0.3 drives shells to 64 nodes per dimension: 64^3
     # nodes per shell, evaluated in runs of three radial rows.
@@ -577,3 +598,116 @@ def test_each_thread_sees_only_its_own_store():
         keyed()
     assert got[1] == got[0] > 0 and got[2] == 0
     assert quadrature._RULES.get() is None
+
+
+# -- the pyramid rule: integrate_cells --------------------------------------------
+
+BUMP_2D = TestFunction("smooth_bump", (0.0, 0.0))
+BUMP_3D = TestFunction("smooth_bump", (0.0, 0.0, 0.0))
+ALPHAS = (0.3, 0.5, 0.7, 0.9, 0.99)
+
+# int_Q |f(x) - f(y)| |x - y|^(-n-alpha) dy for the unit smooth_bump and
+# Q = [-1, 1]^n, frozen from a polar reference about x: Gauss-Jacobi (weight
+# r^-alpha) and Gauss-Legendre in r on panels split where f(x + r e) = f(x)
+# and at the support sphere, adaptive scipy quad (2-d) or dblquad over each
+# face of Q (3-d) in the direction, split at Q's corners.  Doubling the
+# radial nodes moved no 2-d value by more than 3e-9.
+POINCARE_REFERENCES = {
+    (0.0, 0.0): (1.829632116, 2.023458748, 2.275459193, 2.616487941, 2.812781746),
+    (0.3, 0.1): (2.148249945, 2.784260881, 4.215490543, 11.14546184, 103.7190211),
+    (-5 / 6, -5 / 6): (0.4420567052, 0.4560406990, 0.4735089761, 0.4948658607, 0.5058720124),
+    (0.999, 0.2): (0.7394899324, 0.8194422212, 0.9195190203, 1.045301536, 1.112186513),
+    (0.0, 0.0, 0.0): (4.019922506, 4.395123410, 4.887257434, 5.558001228, 5.945669952),
+    (0.3, 0.1, -0.2): (4.552673231, 5.796613087, 8.582482194, 22.00344170, 200.9604198),
+}
+
+
+def _poincare_inner(f, x, alpha, scheme):
+    n, x = len(x), np.asarray(x, dtype=float)
+    fx = f.value(x)
+    return integrate_cells(lambda pts, rad: np.abs(fx - f.values(pts)), x, (-1.0,) * n, (1.0,) * n,
+                           scheme, singular_exponent=n + alpha - 1.0,
+                           radial=lambda r: r ** (-(n + alpha)))
+
+
+@pytest.mark.parametrize("alpha", ALPHAS)
+@pytest.mark.parametrize("x", sorted(POINCARE_REFERENCES, key=len),
+                         ids=lambda x: ",".join(f"{v:.3g}" for v in x))
+def test_pyramid_rule_matches_the_poincare_references(x, alpha):
+    # The centre, an off-centre point, a lattice corner point, a point 1e-3
+    # from a face, and two 3-d points.
+    f = BUMP_2D if len(x) == 2 else BUMP_3D
+    ref = POINCARE_REFERENCES[x][ALPHAS.index(alpha)]
+    assert _poincare_inner(f, x, alpha, SCHEME).value == pytest.approx(ref, rel=SCHEME.rel_tol)
+
+
+def _power_over_square(x, s):
+    """int over [-1, 1]^2 of |y - x|^-s dy = int R(theta)^(2-s) / (2-s) dtheta,
+    R the distance from x to the square's boundary along theta."""
+    def reach(theta):
+        e = (math.cos(theta), math.sin(theta))
+        return min(((1.0 if e[i] > 0.0 else -1.0) - x[i]) / e[i] for i in range(2) if e[i] != 0.0)
+
+    corners = sorted(math.atan2(cy - x[1], cx - x[0]) % (2.0 * math.pi)
+                     for cx in (-1.0, 1.0) for cy in (-1.0, 1.0))
+    edges = [0.0, *corners, 2.0 * math.pi]
+    return math.fsum(integrate.quad(lambda t: reach(t) ** (2.0 - s) / (2.0 - s), a, b,
+                                    epsabs=0.0, epsrel=1e-13)[0] for a, b in zip(edges, edges[1:]))
+
+
+@pytest.mark.parametrize("x, s", [((0.3, 0.1), 0.5), ((0.3, 0.1), 1.9), ((-0.999, 0.5), 0.5),
+                                  ((-0.999, 0.5), 1.5)], ids=["inside-0.5", "inside-1.9",
+                                                            "near_face-0.5", "near_face-1.5"])
+def test_pyramid_rule_integrates_a_power_over_a_square(x, s):
+    res = integrate_cells(lambda pts, rad: np.ones(len(pts)), x, (-1.0, -1.0), (1.0, 1.0),
+                          QuadratureScheme(rel_tol=1e-8), singular_exponent=s,
+                          radial=lambda r: r**-s)
+    assert res.value == pytest.approx(_power_over_square(x, s), rel=1e-10, abs=0.0)
+    assert res.pieces == (res.value,) and res.core_value == 0.0
+    # 2^n cells of n pyramids each.
+    assert res.shells == 8
+
+
+def test_pyramid_rule_in_one_dimension():
+    # Two pyramids, the segments on either side of x.
+    x, s = 0.4, 0.7
+    res = integrate_cells(lambda pts, rad: np.ones(len(pts)), [x], [-1.0], [1.0],
+                          QuadratureScheme(rel_tol=1e-10), singular_exponent=s, radial=lambda r: r**-s)
+    exact = ((1.0 - x) ** (1.0 - s) + (1.0 + x) ** (1.0 - s)) / (1.0 - s)
+    assert res.value == pytest.approx(exact, rel=1e-12)
+    assert res.shells == 2
+
+
+def test_pyramid_rule_skips_cells_of_zero_width():
+    # x on a face: 2 cells remain in 2-d, x at a corner: 1.
+    kernel, radial = (lambda pts, rad: np.ones(len(pts))), (lambda r: r**-0.5)
+    on_face = integrate_cells(kernel, [1.0, 0.0], [-1.0, -1.0], [1.0, 1.0], SCHEME,
+                              singular_exponent=0.5, radial=radial)
+    assert on_face.shells == 4
+    assert on_face.value == pytest.approx(_power_over_square((1.0, 0.0), 0.5), rel=1e-6)
+    corner = integrate_cells(kernel, [-1.0, -1.0], [-1.0, -1.0], [1.0, 1.0], SCHEME,
+                             singular_exponent=0.5, radial=radial)
+    assert corner.shells == 2
+
+
+def test_pyramid_rule_keeps_kernel_calls_within_the_chunk():
+    # At 32 points per dimension a 3-d pyramid rule starts at 16^2 x 33 and
+    # 32^2 x 65 = 66,560 nodes, so single rules span several kernel calls.
+    sizes = []
+    f, x = BUMP_3D, np.array([0.3, 0.1, -0.2])
+    fx = f.value(x)
+    res = integrate_cells(_recording(lambda pts, rad: np.abs(fx - f.values(pts)), sizes), x,
+                          (-1.0,) * 3, (1.0,) * 3, SCHEME.refined(), singular_exponent=2.5,
+                          radial=lambda r: r**-3.5)
+    assert max(sizes) == quadrature._CHUNK_NODES
+    assert sum(sizes) == res.evaluations
+
+
+def test_pyramid_rule_rejects_bad_setups():
+    kernel = lambda pts, rad: np.ones(len(pts))
+    with pytest.raises(QuadratureError):
+        integrate_cells(kernel, [1.5, 0.0], [-1.0, -1.0], [1.0, 1.0], SCHEME)
+    with pytest.raises(QuadratureError):
+        integrate_cells(kernel, [0.0, 0.0], [-1.0, -1.0], [1.0, -1.0], SCHEME)
+    with pytest.raises(QuadratureError):
+        integrate_cells(kernel, [0.0, 0.0], [-1.0, -1.0], [1.0, 1.0], SCHEME, singular_exponent=2.0)

@@ -6,7 +6,6 @@ Theorem 2.1 run whose radial kernels take the reduced sphere rule and the
 default scheme."""
 
 import hashlib
-import itertools
 import json
 import math
 import os
@@ -29,7 +28,7 @@ from subrep.operators import (
 )
 import subrep.operators as operators
 import subrep.quadrature as quadrature
-from subrep.quadrature import QuadratureScheme, integrate_annular
+from subrep.quadrature import QuadratureScheme, integrate_annular, integrate_cells
 from subrep.special import bbm_constant, sphere_measure
 from subrep import verify
 from subrep.verify import (
@@ -374,16 +373,14 @@ def test_sobolev_zero_family_and_guards():
 
 def _bbm_every_point(f, Q, alpha, scheme, m):
     """The Poincare double integral by the midpoint rule on every point of
-    Q's m^n lattice: one annular integral per point, then their mean."""
+    Q's m^n lattice: one pyramid-rule integral per point, then their mean."""
     n = Q.dimension
     box = Q.to_box()
-    corners = np.array(list(itertools.product(*zip(box.lower, box.upper))))
     vals = []
     for x in box.grid(m):
         fx = f.value(x)
-        far = float(np.max(np.linalg.norm(corners - x, axis=1)))
-        res = integrate_annular(
-            lambda pts, rad: np.abs(fx - f.values(pts)) * box.contains(pts), x, far, scheme,
+        res = integrate_cells(
+            lambda pts, rad: np.abs(fx - f.values(pts)), x, box.lower, box.upper, scheme,
             singular_exponent=n + alpha - 1.0, radial=lambda r: r ** (-(n + alpha)),
         )
         vals.append(res.value)
@@ -442,7 +439,7 @@ def test_folded_lattices_match_every_point_3d(family):
 
 
 def test_folding_cuts_the_poincare_integrals(monkeypatch):
-    calls = _counting(monkeypatch, "integrate_annular")
+    calls = _counting(monkeypatch, "integrate_cells")
     verify._bbm_double_integral(bump2(), Cube((0.0, 0.0), 2.0), 0.5, LIGHT, 6)
     assert len(calls) == 6
 
@@ -452,7 +449,7 @@ def test_off_centre_lattices_keep_every_point(monkeypatch):
     # and the arithmetic is that of the plain midpoint rule, bit for bit.
     Q = Cube((0.1, 0.0), 2.0)
     expected = _bbm_every_point(bump2(), Q, 0.5, LIGHT, 6)
-    calls = _counting(monkeypatch, "integrate_annular")
+    calls = _counting(monkeypatch, "integrate_cells")
     assert verify._bbm_double_integral(bump2(), Q, 0.5, LIGHT, 6) == expected
     assert len(calls) == 36
     w = Weight.power_plus_one((0.1, 0.0), 0.5)
