@@ -84,8 +84,7 @@ def lp_norm(field, w: Weight, p: float, box, scheme: QuadratureScheme) -> float:
         vals = field.values(pts) if hasattr(field, "values") else field(pts)
         return np.abs(np.asarray(vals, dtype=float)) ** p * w.values(pts)
 
-    val, _ = integrate_box(fn, box.lower, box.upper, scheme)
-    return val ** (1.0 / p)
+    return integrate_box(fn, box.lower, box.upper, scheme).value ** (1.0 / p)
 
 
 def sphere_lorentz_weak(omega: SphereSymbol, p: float) -> float:

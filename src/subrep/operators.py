@@ -111,8 +111,9 @@ class GradientMagnitude:
 
 
 def _truncation(field, x: np.ndarray) -> tuple[float, bool]:
-    """Outer radius enclosing everything that matters, and whether shells
-    must keep extending beyond it."""
+    """Outer radius of the support seen from x, and whether the field reaches
+    past it (no compact support, as D^alpha f), so that integrate_annular
+    adds its one tail shell beyond that radius (extend_outer)."""
     d = float(np.linalg.norm(x - field.support_center))
     return d + field.support_radius, not field.compact_support
 

@@ -1,10 +1,13 @@
 """Deterministic quadrature for radially singular kernels.
 
 Two engines integrate kernel(y) radial(|y - x|) about a singular point x:
-shells over a ball or annulus (integrate_annular), and pyramids over a box
-that contains x (integrate_cells).  One refinement loop serves both: each
-shell or pyramid carries a rule of m nodes per dimension, and the worst
-ones double m until the summed discrepancies meet the tolerance.
+shells over a ball, an annulus or all of R^n (integrate_annular), and
+pyramids over a box that contains x (integrate_cells).  integrate_box takes
+the midpoint rule over a box for an integrand without a singular point.
+One refinement loop, _refine_to_tolerance, decides when each of the three
+stops: each shell, pyramid or box carries a rule of m nodes per dimension,
+and the worst ones double m, up to _MAX_NODES_PER_DIM, until the summed
+discrepancies meet the tolerance.
 
 integrate_annular cuts the domain into geometrically graded shells
 (shell_edges) whose edges include any radii given as cuts; the integral over
@@ -24,7 +27,11 @@ decades that 16 geometric shells would at 4 per decade, and the anchor
 shell [a, ratio a] restores the core ball: for a kernel c0(theta) r^-s the
 ball carries that shell's value times core_ratio(a, b, n, s) =
 a^(n-s) / (b^(n-s) - a^(n-s)).  The core rule is exact for pure powers,
-costs no evaluation, and refines with the shell.
+costs no evaluation, and refines with the shell.  The mirror cut bounds an
+integral over all of R^n (extend_outer): one tail shell [r_outer, r_outer /
+inner_cutoff_factor], Gauss-Legendre in log r like the log shell, and
+twice the remainder past it, inner_cutoff_factor^n of the tail's value for
+a pure power |y|^-2n, charged to the error.
 
 A kernel that depends on y only through |y - center| and |y - q| for a
 declared axis q (a radial field times powers of the distance) is constant
@@ -100,13 +107,12 @@ Radial = Callable[[np.ndarray], np.ndarray]
 _MAX_SHELLS = 256
 _MAX_NODES_PER_DIM = 512
 _MAX_DEPTH = 20  # node-doubling rounds allowed during refinement
-_MAX_BOX_CELLS = 1024
 # With r_inner = 0, geometric shells stop at this fraction of the innermost
 # break; the log shell and the anchor shell cover the rest down to the core.
 _LOG_TOP = 1e-2
 # A shell whose outer radius exceeds this many times its inner one takes
-# Gauss-Legendre in log r: only the log shell is that wide, since a geometric
-# shell spans at most one decade (annuli_per_decade >= 1).
+# Gauss-Legendre in log r: only the log and tail shells are that wide, since a
+# geometric shell spans at most one decade (annuli_per_decade >= 1).
 _LOG_SPAN = 100.0
 # Most nodes any kernel or fn call sees.  A float array of this many is 96 KB,
 # below glibc's default 128 KB mmap threshold, so chunk temporaries mostly
@@ -276,8 +282,9 @@ def annulus_nodes(
     repeated once per direction in a contiguous run.  The rule integrates the
     annulus measure exactly in every dimension handled here (1, 2, 3): the
     radial part is Gauss-Legendre against r^{n-1} dr written out explicitly
-    (on the log shell, wider than _LOG_SPAN, Gauss-Legendre in log r, which
-    is exact for no power but converges fast for every one; _radial_rule),
+    (on the log and tail shells, wider than _LOG_SPAN, Gauss-Legendre in
+    log r, which is exact for no power but converges fast for every one;
+    _radial_rule),
     the angular part is rule, a prebuilt _sphere_rule(center, m, axis)
     (default: the cached unit-sphere rule, _unit_rule).  Arrays a and b stack
     their shells' rules: shell, then radius, then direction.  radii is the
@@ -310,8 +317,8 @@ def annulus_nodes(
 
 @dataclass
 class AnnularResult:
-    """Value and accounting for one integral of either engine (a pyramid
-    counts as a shell).  evaluations counts the kernel nodes this call
+    """Value and accounting for one integral of any engine (a pyramid or the
+    box counts as a shell).  evaluations counts the kernel nodes this call
     evaluated; a rule read from the store of a shared_rules() scope counts
     none."""
 
@@ -346,7 +353,7 @@ def _packed(counts: Sequence[int]) -> list[list[tuple[int, int, int, int]]]:
 def _radial_rule(a, b, m: int) -> tuple[np.ndarray, np.ndarray]:
     """The m radii (ascending) and dr weights of a shell rule on [a, b], one
     row per shell for a and b of shape (k, 1): Gauss-Legendre in r, or on a
-    shell wider than _LOG_SPAN (the log shell) Gauss-Legendre in u = log r,
+    shell wider than _LOG_SPAN (the log or tail shell) Gauss-Legendre in u = log r,
     r_j = e^(u_j) with weights (du/2) w_j r_j.  The map follows from (a, b)
     alone, and the log map is computed only for the rows that take it."""
     x, w = gauss_legendre(m)
@@ -461,9 +468,9 @@ def _stored(evaluate: Callable, known: dict, rules: Sequence[tuple[float, float,
 
 
 class _Shell:
-    """A part of the domain, a shell (a, b) or a pyramid (index,), named by
-    its place: its rule (*place, m) at m nodes per dimension, the value of
-    that rule and of the one at m / 2."""
+    """A part of the domain, a shell (a, b), a pyramid (index,) or the whole
+    box (), named by its place: its rule (*place, m) at m nodes per
+    dimension, the value of that rule and of the one at m / 2."""
 
     __slots__ = ("place", "m", "value", "prev", "evals")
 
@@ -572,7 +579,7 @@ def integrate_annular(
     gaps between consecutive breaks (r_inner, the sorted cuts, r_outer),
     from the inside out, so one sweep yields every truncated or nested
     integral at the cuts.  The innermost piece includes the analytic core,
-    and the outermost one any shells extend_outer appends.  A shell that
+    and the outermost one the tail shell extend_outer appends.  A shell that
     cuts leave narrower than the grading ratio takes fewer radii, in
     proportion to its width in log r (_radii_count), and the same sphere rule.
 
@@ -596,9 +603,13 @@ def integrate_annular(
     with this key and centre is read back, not evaluated, and counts no
     evaluations.  Without a key or a scope every rule is evaluated.
 
-    extend_outer keeps appending shells beyond r_outer, each with twice the
-    outer radius of the last, until they stop mattering; the unresolved
-    geometric tail is charged to the error, never to the value.
+    extend_outer carries the integral past r_outer over all of R^n: one tail
+    shell [r_outer, r_outer / inner_cutoff_factor], the mirror of the core
+    cut, joins the shells and their refinement, and takes Gauss-Legendre in
+    log r since it is wider than _LOG_SPAN.  The error takes the integrand
+    to fall like |y|^-2n, as every potential of D^alpha f does: the
+    remainder past the tail shell, inner_cutoff_factor^n times its value for
+    a pure power, is charged to the error twice over, never to the value.
     """
     center = np.asarray(center, dtype=float)
     n = center.size
@@ -625,6 +636,9 @@ def integrate_annular(
         b0 = cuts[0] if cuts else r_outer
         a = scheme.inner_cutoff_factor * b0
         edges = shell_edges([_LOG_TOP * b0, *cuts, r_outer], step) + [step * a, a]
+    if extend_outer:
+        # The tail shell, as far beyond r_outer as the core radius is inside b0.
+        edges.insert(0, r_outer / scheme.inner_cutoff_factor)
     m0 = scheme.points_per_dim
     sphere = lru_cache(maxsize=None)(partial(_sphere_rule, center, axis=axis))
     evaluate = partial(_shell_values, kernel, center, radial=radial, sphere=sphere, ratio=step)
@@ -638,37 +652,12 @@ def integrate_annular(
     ratio = core_ratio(*inner.place, n, s_exp) if r_inner == 0.0 else 0.0
     total, err = _refine_to_tolerance(shells, evaluate, scheme, inner, ratio)
 
-    tail_err = 0.0
-    if extend_outer:
-        lo = r_outer
-        prev_mag = 0.0
-        quiet = 0
-        last = 0.0
-        settled = False
-        for _ in range(48):
-            hi = lo * 2.0
-            [ext] = _new_shells(evaluate, [(lo, hi)], m0)
-            shells.append(ext)
-            last = ext.value
-            total, err = _refine_to_tolerance(shells, evaluate, scheme, inner, ratio)
-            budget = scheme.budget(total)
-            if abs(last) <= 0.25 * budget:
-                quiet += 1
-                if quiet >= 2:
-                    settled = True
-                    break
-            else:
-                quiet = 0
-            prev_mag, lo = abs(last), hi
-        if settled:
-            tail_err = abs(last)
-        elif prev_mag > 0.0 and abs(last) > 0.0:
-            # Geometric remainder estimate from the last observed decay.
-            decay = min(abs(last) / prev_mag, 0.75)
-            tail_err = abs(last) * decay / (1.0 - decay)
-
     core_value = ratio * inner.value if ratio else 0.0
     core_err = ratio * inner.error + 1e-3 * abs(core_value)
+    # Past the reach a pure power |y|^-2n from r_outer on leaves
+    # inner_cutoff_factor^n of the tail shell's value; an integrand that meets
+    # its power law only beyond r_outer leaves more, so the error takes twice it.
+    tail_err = 2.0 * scheme.inner_cutoff_factor**n * abs(shells[0].value) if extend_outer else 0.0
     gaps = [[] for _ in range(len(cuts) + 1)]
     for s in shells:
         gaps[bisect_right(cuts, s.place[0])].append(s.value)
@@ -813,44 +802,48 @@ def integrate_cells(
                          evaluations=sum(part.evals for part in parts), pieces=(total,))
 
 
-def integrate_box(
-    fn: Callable[[np.ndarray], np.ndarray],
-    lower: Sequence[float],
-    upper: Sequence[float],
-    scheme: QuadratureScheme,
-) -> tuple[float, float]:
-    """Midpoint rule over an axis-aligned box, doubled from 16 cells per
-    axis until stable or at 1024 cells per axis.
-
-    Returns (value, discrepancy of the last doubling).  fn takes (M, n)
-    points and returns (M,) values; it is called on the flat C-order ranges
-    of at most _CHUNK_NODES cells that the shell rule also walks (_chunks).
-    """
-    lo = np.asarray(lower, dtype=float)
-    hi = np.asarray(upper, dtype=float)
-    if lo.shape != hi.shape or np.any(hi <= lo):
-        raise QuadratureError("box bounds must satisfy lower < upper")
-    n = lo.size
-
-    def midpoint(m: int) -> float:
+def _midpoint_values(fn: Callable[[np.ndarray], np.ndarray], lo: np.ndarray, hi: np.ndarray,
+                     rules: Sequence[tuple[int]]) -> list[tuple[float, int]]:
+    """(value, evaluations) of each box rule (m,) of one round: the midpoint
+    rule of m^n cells, fn called on its flat C-order ranges of at most
+    _CHUNK_NODES cells (_chunks) and the ranges' sums added by math.fsum."""
+    n, out = lo.size, []
+    for (m,) in rules:
         axes = [lo[i] + (hi[i] - lo[i]) * (np.arange(m) + 0.5) / m for i in range(n)]
-        cell = float(np.prod((hi - lo) / m))
         sums = []
         for span in _chunks(m**n):
             idx = np.unravel_index(np.arange(*span), (m,) * n)
             pts = np.stack([ax[i] for ax, i in zip(axes, idx)], axis=1)
             sums.append(float(np.sum(np.asarray(fn(pts), dtype=float))))
-        return math.fsum(sums) * cell
+        out.append((math.fsum(sums) * float(np.prod((hi - lo) / m)), m**n))
+    return out
 
-    m = 16
-    prev = midpoint(m)
-    while True:
-        m *= 2
-        cur = midpoint(m)
-        err = abs(cur - prev)
-        if err <= scheme.budget(cur) or m >= _MAX_BOX_CELLS:
-            return cur, err
-        prev = cur
+
+def integrate_box(
+    fn: Callable[[np.ndarray], np.ndarray],
+    lower: Sequence[float],
+    upper: Sequence[float],
+    scheme: QuadratureScheme,
+) -> AnnularResult:
+    """Integrate fn(y) dy over the axis-aligned box lower <= y <= upper by the
+    midpoint rule, from 16 cells per axis, doubled in the loop that refines
+    the shells and pyramids up to _MAX_NODES_PER_DIM cells per axis.
+
+    fn takes (M, n) points and returns (M,) values; it is called on the flat
+    C-order ranges of at most _CHUNK_NODES cells that the shell rule also
+    walks (_chunks).  The result counts the box as one shell; its error is
+    the discrepancy of the last doubling, its core_value 0.0 and its one
+    piece the value.
+    """
+    lo = np.asarray(lower, dtype=float)
+    hi = np.asarray(upper, dtype=float)
+    if lo.shape != hi.shape or np.any(hi <= lo):
+        raise QuadratureError("box bounds must satisfy lower < upper")
+    evaluate = partial(_midpoint_values, fn, lo, hi)
+    parts = _new_shells(evaluate, [()], 16)
+    total, err = _refine_to_tolerance(parts, evaluate, scheme)
+    return AnnularResult(value=total, error=err, core_value=0.0, shells=1,
+                         evaluations=parts[0].evals, pieces=(total,))
 
 
 _HALTON_PRIMES = (2, 3, 5, 7, 11, 13)

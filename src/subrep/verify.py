@@ -581,16 +581,14 @@ def check_poincare_bbm(
         else:
             p = 1.0 if variant == "avg_11" else p_conj
             osc = lambda pts: np.abs(f.values(pts) - f_Q) ** p
-            val, _ = integrate_box(osc, box.lower, box.upper, sch)
+            val = integrate_box(osc, box.lower, box.upper, sch).value
             lhs = (val / Q.volume) ** (1.0 / p)
         double = _bbm_double_integral(f, Q, alpha, sch, outer_cells * factor)
         rhs = (1.0 - alpha) * Q.side**alpha * double
         extras = {}
         if variant == "avg_11":
-            grad_avg_val, _ = integrate_box(
-                GradientMagnitude(f).values, box.lower, box.upper, sch
-            )
-            grad_rhs = Q.side * grad_avg_val / Q.volume
+            grad = integrate_box(GradientMagnitude(f).values, box.lower, box.upper, sch)
+            grad_rhs = Q.side * grad.value / Q.volume
             extras["gradient_rhs"] = grad_rhs
             extras["rhs_vs_gradient_ratio"] = _ratio(rhs, grad_rhs)
         return [_record(tuple(Q.center) + (alpha,), lhs, rhs)], extras

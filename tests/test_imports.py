@@ -4,12 +4,14 @@ reached only from the tests, and only the stability runner refines a
 scheme."""
 
 import ast
+import inspect
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import subrep
+from subrep import functions, norms, quadrature, verify
 
 PACKAGE = Path(subrep.__file__).resolve().parent
 
@@ -213,6 +215,23 @@ def test_pyramid_geometry_lives_only_in_quadrature():
         assert callers and all(c.startswith("quadrature.py:") for c in callers), (name, callers)
     assert _callers("integrate_cells") == ["verify.py:_bbm_double_integral"]
     assert _callers("contains") == []
+
+
+def test_one_loop_stops_every_integral():
+    # Shells, pyramids and the box's midpoint rule double in one loop, which
+    # alone decides when an integral stops and holds the one node cap.
+    assert _callers("_refine_to_tolerance") == ["quadrature.py:integrate_annular",
+                                                "quadrature.py:integrate_box",
+                                                "quadrature.py:integrate_cells"]
+    assert "_MAX_BOX_CELLS" not in (PACKAGE / "quadrature.py").read_text()
+
+
+def test_integrate_box_keeps_its_traced_signature():
+    # The benchmark's tracer wraps integrate_box wherever a module binds it
+    # and counts its points through fn, its first argument.
+    for module in (functions, norms, verify):
+        assert module.integrate_box is quadrature.integrate_box, module.__name__
+    assert next(iter(inspect.signature(quadrature.integrate_box).parameters)) == "fn"
 
 
 def test_one_gauss_legendre_table():

@@ -308,6 +308,27 @@ def test_extend_outer_gaussian():
     assert res.value == pytest.approx(math.pi, rel=1e-3)
 
 
+@pytest.mark.parametrize("rel_tol", [1e-3, 1e-9])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_extend_outer_algebraic_tail(n, rel_tol):
+    # int (1 + |y|^2)^-n dy = pi^(n/2) Gamma(n/2) / Gamma(n) over R^n: the
+    # integrand falls like |y|^-2n, as a D^alpha f potential does.  One tail
+    # shell reaches 1e6 from r_outer = 1; in 1-d the 6.4e-7 of the value past
+    # it goes to the error.
+    def kernel(pts, rad):
+        return (1.0 + rad**2) ** -n
+
+    exact = math.pi ** (n / 2) * math.gamma(n / 2) / math.gamma(n)
+    scheme = QuadratureScheme(rel_tol=rel_tol)
+    center = np.zeros(n)
+    res = integrate_annular(kernel, center, 1.0, scheme, extend_outer=True, axis=center)
+    ball = integrate_annular(kernel, center, 1.0, scheme, axis=center)
+    assert res.shells == ball.shells + 1 == 11
+    assert res.error >= abs(res.value - exact)
+    if n > 1:
+        assert res.value == pytest.approx(exact, rel=rel_tol)
+
+
 def test_nonintegrable_exponent_rejected():
     def kernel(pts, rad):
         return rad**-2.0
@@ -421,19 +442,19 @@ def test_box_integrator_polynomial():
     def fn(pts):
         return pts[:, 0] ** 2 + 3.0 * pts[:, 1]
 
-    val, err = integrate_box(fn, [0.0, 0.0], [1.0, 2.0], SCHEME)
+    res = integrate_box(fn, [0.0, 0.0], [1.0, 2.0], SCHEME)
     # int x^2 over [0,1]x[0,2] = 2/3, int 3y = 12 -> wait: int 3y dy over
     # [0,2] is 6, times the unit x-extent.
-    assert val == pytest.approx(2.0 / 3.0 + 6.0, rel=1e-4)
-    assert err < 1e-2
+    assert res.value == pytest.approx(2.0 / 3.0 + 6.0, rel=1e-4)
+    assert res.error < 1e-2
 
 
 def test_box_integrator_gaussian_1d():
     def fn(pts):
         return np.exp(-pts[:, 0] ** 2)
 
-    val, _ = integrate_box(fn, [-8.0], [8.0], SCHEME)
-    assert val == pytest.approx(math.sqrt(math.pi), rel=1e-6)
+    res = integrate_box(fn, [-8.0], [8.0], SCHEME)
+    assert res.value == pytest.approx(math.sqrt(math.pi), rel=1e-6)
 
 
 def test_halton_deterministic_and_spread():
@@ -543,15 +564,31 @@ def test_box_3d_stays_under_budget(monkeypatch):
         return np.abs(pts[:, 0] - 0.3) + pts[:, 1] * pts[:, 2]
 
     sizes = []
-    val, err = integrate_box(_recording(fn, sizes), [-1.0, -1.0, -1.0], [1.0, 1.0, 1.0], SCHEME)
+    res = integrate_box(_recording(fn, sizes), [-1.0, -1.0, -1.0], [1.0, 1.0, 1.0], SCHEME)
     assert max(sizes) <= quadrature._CHUNK_NODES
     ref_sizes = []
     _single_call(monkeypatch)
-    ref, ref_err = integrate_box(_recording(fn, ref_sizes), [-1.0, -1.0, -1.0], [1.0, 1.0, 1.0], SCHEME)
+    ref = integrate_box(_recording(fn, ref_sizes), [-1.0, -1.0, -1.0], [1.0, 1.0, 1.0], SCHEME)
     assert max(ref_sizes) >= 64**3
     assert sum(sizes) == sum(ref_sizes)
-    assert val == pytest.approx(ref, rel=1e-14)
-    assert err == pytest.approx(ref_err, rel=1e-9, abs=1e-14)
+    assert res.value == pytest.approx(ref.value, rel=1e-14)
+    assert res.error == pytest.approx(ref.error, rel=1e-9, abs=1e-14)
+
+
+def test_box_doubling_stops_at_the_node_cap():
+    # A jump never settles under the midpoint rule: the doubling stops at
+    # _MAX_NODES_PER_DIM = 512 cells per axis, where 341 of 512 columns lie
+    # past x1 = 1/3, 171 of 256 at the rule before.
+    def jump(pts):
+        return (pts[:, 0] > 1.0 / 3.0).astype(float)
+
+    sizes = []
+    res = integrate_box(_recording(jump, sizes), [0.0, 0.0], [1.0, 1.0],
+                        QuadratureScheme(rel_tol=1e-9))
+    assert res.value == 341 / 512
+    assert res.error == 171 / 256 - 341 / 512
+    assert res.evaluations == sum(sizes) == sum(m * m for m in (16, 32, 64, 128, 256, 512))
+    assert (res.shells, res.core_value, res.pieces) == (1, 0.0, (res.value,))
 
 
 def test_a_stored_rule_counts_no_evaluations():
