@@ -29,9 +29,9 @@ ball carries that shell's value times core_ratio(a, b, n, s) =
 a^(n-s) / (b^(n-s) - a^(n-s)).  The core rule is exact for pure powers,
 costs no evaluation, and refines with the shell.  The mirror cut bounds an
 integral over all of R^n (extend_outer): one tail shell [r_outer, r_outer /
-inner_cutoff_factor], Gauss-Legendre in log r like the log shell, and
-twice the remainder past it, inner_cutoff_factor^n of the tail's value for
-a pure power |y|^-2n, charged to the error.
+inner_cutoff_factor] (the factor squared in 1-d), Gauss-Legendre in log r
+like the log shell, and twice the remainder past it, inner_cutoff_factor^
+max(n, 2) of the tail's value for a pure power |y|^-2n, charged to the error.
 
 A kernel that depends on y only through |y - center| and |y - q| for a
 declared axis q (a radial field times powers of the distance) is constant
@@ -46,18 +46,18 @@ faces: y = x + t p, p on a far face, takes tensor Gauss-Legendre on the
 face and, along each ray, Gauss-Legendre in log t above a core node at
 t0 = inner_cutoff_factor that carries the pure-power core below it.
 
-One chunk rule bounds memory whatever the refinement: the shell, pyramid
-and box rules all walk flat node ranges of at most _CHUNK_NODES = 12,288
-nodes (radial-major for a shell, ray by ray for a pyramid, C order for a
-box), so no kernel or fn call sees more.  The shells or pyramids refined
-in one round share kernel calls (_packed), a shell call fetching its nodes
-of one size by one annulus_nodes(span=) call over the round's shells of
-that size, stacked; sphere rules are built once per m per integral, radial
-factors (radial=) once per shell radius.  Node values are summed pairwise
-(np.sum) within a chunk and with math.fsum across chunks, shells and
-pieces; a call's run of whole shell rules of one size is one row-sum
-reduction, each row bit for bit its rule's np.sum.  Neither the packing
-nor the thread schedule changes a result.
+One evaluator, _rule_values, makes every kernel (and fn) call and bounds
+memory whatever the refinement: a round's shell, pyramid or box rules walk
+flat node ranges (radial-major, ray by ray, C order) packed into calls of
+at most _CHUNK_NODES = 12,288 nodes (_packed).  The engines only build
+nodes, a shell call fetching its nodes of one size by one
+annulus_nodes(span=) call over the round's shells of that size, stacked;
+sphere rules are built once per m per integral, radial factors (radial=)
+once per shell radius.  Node values are summed pairwise (np.sum) within a
+piece and with math.fsum across pieces, shells and gaps; a call's run of
+whole rules of one node count is one row-sum reduction, each row bit for
+bit its rule's np.sum.  Neither the packing nor the thread schedule
+changes a result.
 
 Inside shared_rules(), the scope of one check, a call given a key (a
 hashable name of its whole integrand) stores the value of each rule
@@ -79,7 +79,6 @@ from bisect import bisect_right
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from functools import lru_cache, partial
-from itertools import groupby
 from typing import Callable, ClassVar, Optional, Sequence
 
 import numpy as np
@@ -330,24 +329,51 @@ class AnnularResult:
     pieces: tuple[float, ...]  # per gap between breaks, inside out; (value,) without cuts
 
 
-def _chunks(count: int):
-    """Flat index ranges of at most _CHUNK_NODES covering range(count)."""
-    return ((lo, min(lo + _CHUNK_NODES, count)) for lo in range(0, count, _CHUNK_NODES))
-
-
 def _packed(counts: Sequence[int]) -> list[list[tuple[int, int, int, int]]]:
     """Kernel calls of at most _CHUNK_NODES nodes over rules of counts nodes
-    each: the _chunks pieces of the rules in order, packed greedily, each
-    piece (rule, lo, hi, offset of its first node in the call)."""
+    each: the rules' ranges of at most _CHUNK_NODES, in order, packed
+    greedily, each piece (rule, lo, hi, offset of its first node in the call)."""
     calls, size = [[]], 0
     for i, count in enumerate(counts):
-        for lo, hi in _chunks(count):
+        for lo in range(0, count, _CHUNK_NODES):
+            hi = min(lo + _CHUNK_NODES, count)
             if size + hi - lo > _CHUNK_NODES:
                 calls.append([])
                 size = 0
             calls[-1].append((i, lo, hi, size))
             size += hi - lo
     return calls
+
+
+def _rule_values(kernel: Kernel, counts: Sequence[int], build: Callable,
+                 radial: Optional[Radial] = None) -> list[tuple[float, int]]:
+    """(value, evaluations) of each rule of one round, of counts nodes each,
+    in kernel calls of _packed pieces whose (points, weights, radii) come
+    from build(call); radial(radii), if given, multiplies the products.
+    Each piece is summed on its own (a run of whole rules of one count as
+    the rows of one block, each row sum np.sum of its slice bit for bit),
+    a rule's pieces by math.fsum, so no value depends on the packing."""
+    sums = [[] for _ in counts]
+
+    def run_of(piece):  # a whole rule's count; a piece of a rule is its own run
+        i, lo, hi, _ = piece
+        return counts[i] if hi - lo == counts[i] else piece
+
+    for call in _packed(counts):
+        nodes = list(build(call))
+        pts, wts, rad = nodes[0] if len(nodes) == 1 else map(np.concatenate, zip(*nodes))
+        del nodes  # the pieces' builds, freed before the kernel runs
+        vals = np.asarray(kernel(pts, rad), dtype=float)
+        if vals.shape != wts.shape:
+            raise QuadratureError(f"kernel returned shape {vals.shape}, expected {wts.shape}")
+        prod = wts * vals if radial is None else wts * vals * radial(rad)
+        for _, run in itertools.groupby(call, key=run_of):
+            run = list(run)
+            size, at = run[0][2] - run[0][1], run[0][3]
+            rows = prod[at:at + len(run) * size].reshape(len(run), size).sum(axis=1)
+            for (i, *_), value in zip(run, rows.tolist()):
+                sums[i].append(value)
+    return [(s[0] if len(s) == 1 else math.fsum(s), c) for s, c in zip(sums, counts)]
 
 
 def _radial_rule(a, b, m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -381,17 +407,14 @@ def _shell_values(kernel: Kernel, center: np.ndarray, rules: Sequence[tuple[floa
                   radial: Optional[Radial], axis: Optional[np.ndarray] = None,
                   sphere: Optional[Callable] = None,
                   ratio: Optional[float] = None) -> list[tuple[float, int]]:
-    """(value, evaluations) of each shell rule (a, b, m) of one round.
+    """(value, evaluations) of each shell rule (a, b, m) of one round, by
+    _rule_values on nodes built radial-major.
 
-    Consecutive _chunks pieces, of one rule or of several, share kernel calls
-    of at most _CHUNK_NODES nodes (_packed).  Each piece is summed on its own
-    (a run of whole rules of one size as the rows of one block, each row sum
-    equal to np.sum of its slice) and a rule of several pieces by math.fsum,
-    so no value depends on the packing.  A rule takes _radii_count(a, b, m,
-    ratio) radii.  radial is called on the rules' radii and folded into their
-    radial weights.  A call's pieces of one m and radii count come from one
-    annulus_nodes call on the round's stacked rules of that size, with the
-    sphere rule sphere(m) (default: about axis).
+    A rule takes _radii_count(a, b, m, ratio) radii.  radial is called on
+    the rules' radii and folded into their radial weights.  A call's pieces
+    of one m and radii count come from one annulus_nodes call on the round's
+    stacked rules of that size, with the sphere rule sphere(m) (default:
+    about axis).
     """
     sphere = sphere or partial(_sphere_rule, center, axis=axis)
     sizes = [(m, _radii_count(a, b, m, ratio)) for a, b, m in rules]  # (m, radii) per rule
@@ -409,14 +432,8 @@ def _shell_values(kernel: Kernel, center: np.ndarray, rules: Sequence[tuple[floa
     stacks = {size: (*edges[size], None if radial is None
                      else np.concatenate([fac[first[i]:first[i + 1]] for i in idx]))
               for size, idx in stacks.items()}
-    sums = [[] for _ in rules]
 
-    def run_of(piece):
-        """The size of a whole rule; a piece of a rule is a run of its own."""
-        i, lo, hi, _ = piece
-        return sizes[i] if hi - lo == counts[i] else piece
-
-    for call in _packed(counts):
+    def build(call):
         # Only a call's first piece starts inside its rule, and only a lone
         # piece ends inside it, so the call's pieces of one size are a run
         # of a stack.
@@ -428,22 +445,9 @@ def _shell_values(kernel: Kernel, center: np.ndarray, rules: Sequence[tuple[floa
         built = {(m, q): annulus_nodes(center, a, b, m, span=spans[m, q], scale=scale,
                                        rule=sphere(m), radii=q)
                  for (m, q), (a, b, scale) in stacks.items() if (m, q) in spans}
-        nodes = [[x[lo:hi] for x in built[size]] for size, lo, hi in parts]
-        pts, wts, rad = nodes[0] if len(call) == 1 else map(np.concatenate, zip(*nodes))
-        del built, nodes  # the stacked builds, freed before the kernel runs
-        vals = np.asarray(kernel(pts, rad), dtype=float)
-        if vals.shape != wts.shape:
-            raise QuadratureError(f"kernel returned shape {vals.shape}, expected {wts.shape}")
-        prod = wts * vals
-        # A run of whole rules of one size is summed as the rows of one
-        # block; each row sum is np.sum of its slice, bit for bit.
-        for _, run in groupby(call, key=run_of):
-            run = list(run)
-            size, at = run[0][2] - run[0][1], run[0][3]
-            rows = prod[at:at + len(run) * size].reshape(len(run), size).sum(axis=1)
-            for (i, *_), value in zip(run, rows.tolist()):
-                sums[i].append(value)
-    return [(s[0] if len(s) == 1 else math.fsum(s), c) for s, c in zip(sums, counts)]
+        return [[x[lo:hi] for x in built[size]] for size, lo, hi in parts]
+
+    return _rule_values(kernel, counts, build)
 
 
 @contextmanager
@@ -605,11 +609,12 @@ def integrate_annular(
 
     extend_outer carries the integral past r_outer over all of R^n: one tail
     shell [r_outer, r_outer / inner_cutoff_factor], the mirror of the core
-    cut, joins the shells and their refinement, and takes Gauss-Legendre in
-    log r since it is wider than _LOG_SPAN.  The error takes the integrand
-    to fall like |y|^-2n, as every potential of D^alpha f does: the
-    remainder past the tail shell, inner_cutoff_factor^n times its value for
-    a pure power, is charged to the error twice over, never to the value.
+    cut (to r_outer / inner_cutoff_factor^2 in 1-d), joins the shells and
+    their refinement, and takes Gauss-Legendre in log r since it is wider
+    than _LOG_SPAN.  The error takes the integrand to fall like |y|^-2n, as
+    every potential of D^alpha f does: the remainder past the tail shell,
+    inner_cutoff_factor^max(n, 2) times its value for a pure power, is
+    charged to the error twice over, never to the value.
     """
     center = np.asarray(center, dtype=float)
     n = center.size
@@ -636,9 +641,11 @@ def integrate_annular(
         b0 = cuts[0] if cuts else r_outer
         a = scheme.inner_cutoff_factor * b0
         edges = shell_edges([_LOG_TOP * b0, *cuts, r_outer], step) + [step * a, a]
+    # A pure power |y|^-2n leaves tail_rest of the tail's value past it: the
+    # tail mirrors the core cut, and reaches twice as far in 1-d.
+    tail_rest = scheme.inner_cutoff_factor ** max(n, 2)
     if extend_outer:
-        # The tail shell, as far beyond r_outer as the core radius is inside b0.
-        edges.insert(0, r_outer / scheme.inner_cutoff_factor)
+        edges.insert(0, r_outer / scheme.inner_cutoff_factor ** (max(n, 2) / n))
     m0 = scheme.points_per_dim
     sphere = lru_cache(maxsize=None)(partial(_sphere_rule, center, axis=axis))
     evaluate = partial(_shell_values, kernel, center, radial=radial, sphere=sphere, ratio=step)
@@ -654,10 +661,9 @@ def integrate_annular(
 
     core_value = ratio * inner.value if ratio else 0.0
     core_err = ratio * inner.error + 1e-3 * abs(core_value)
-    # Past the reach a pure power |y|^-2n from r_outer on leaves
-    # inner_cutoff_factor^n of the tail shell's value; an integrand that meets
-    # its power law only beyond r_outer leaves more, so the error takes twice it.
-    tail_err = 2.0 * scheme.inner_cutoff_factor**n * abs(shells[0].value) if extend_outer else 0.0
+    # An integrand that meets its power law only beyond r_outer leaves more
+    # than the pure power's remainder, so the error takes twice it.
+    tail_err = 2.0 * tail_rest * abs(shells[0].value) if extend_outer else 0.0
     gaps = [[] for _ in range(len(cuts) + 1)]
     for s in shells:
         gaps[bisect_right(cuts, s.place[0])].append(s.value)
@@ -692,10 +698,9 @@ def _pyramid_rule(n: int, k: int, s: float, t0: float) -> tuple[np.ndarray, ...]
     x, w = gauss_legendre(k)
     idx = np.indices((k,) * (n - 1)).reshape(n - 1, -1).T if n > 1 else np.zeros((1, 0), dtype=int)
     v, wv = 0.5 * (x[idx] + 1.0), np.prod(0.5 * w[idx], axis=1)
-    u0, u1 = math.log(t0), math.log(_RAY_SPLIT)
-    t_log = np.exp(0.5 * (u1 + u0) + 0.5 * (u1 - u0) * x)
-    t = np.concatenate([[t0], t_log, 0.5 * (1.0 + _RAY_SPLIT) + 0.5 * (1.0 - _RAY_SPLIT) * x])
-    dt = np.concatenate([[t0 / (n - s)], 0.5 * (u1 - u0) * w * t_log, 0.5 * (1.0 - _RAY_SPLIT) * w])
+    r, wr = _radial_rule(np.array([[t0], [_RAY_SPLIT]]), np.array([[_RAY_SPLIT], [1.0]]), k)
+    t = np.concatenate([[t0], r.ravel()])
+    dt = np.concatenate([[t0 / (n - s)], wr.ravel()])
     rule = (v, wv, t, dt * t ** (n - 1))
     for arr in rule:
         arr.flags.writeable = False
@@ -725,31 +730,21 @@ def _pyramid_values(kernel: Kernel, radial: Optional[Radial], center: np.ndarray
                     pyramids: Sequence[tuple], s_exp: float, t0: float,
                     rules: Sequence[tuple[int, int]]) -> list[tuple[float, int]]:
     """(value, evaluations) of each pyramid rule (pyramid index, k) of one
-    round, _pyramid_rule(n, k, s_exp, t0) ray by ray.  The rules share kernel
-    calls of at most _CHUNK_NODES nodes (_packed); each piece is summed on
-    its own and a rule of several pieces by math.fsum, so no value depends
-    on the packing."""
+    round, by _rule_values on the nodes of _pyramid_rule(n, k, s_exp, t0),
+    built ray by ray."""
     n = center.size
     counts = [k ** (n - 1) * (2 * k + 1) for _, k in rules]
-    sums = [[] for _ in rules]
-    for call in _packed(counts):
-        nodes = []
+
+    def build(call):
         for i, lo, hi, _ in call:
             (c, B, vol), k = pyramids[rules[i][0]], rules[i][1]
             v, wv, t, wt = _pyramid_rule(n, k, s_exp, t0)
             iv, it = np.divmod(np.arange(lo, hi), t.size)
             p = c + v[iv] @ B
-            nodes.append((center + t[it, None] * p, vol * wv[iv] * wt[it],
-                          t[it] * np.sqrt(np.einsum("ij,ij->i", p, p))))
-        pts, wts, rad = nodes[0] if len(call) == 1 else map(np.concatenate, zip(*nodes))
-        vals = np.asarray(kernel(pts, rad), dtype=float)
-        if vals.shape != wts.shape:
-            raise QuadratureError(f"kernel returned shape {vals.shape}, expected {wts.shape}")
-        prod = wts * vals * (1.0 if radial is None else radial(rad))
-        for i, lo, hi, at in call:
-            sums[i].append(float(np.sum(prod[at:at + hi - lo])))
-    return [(got[0] if len(got) == 1 else math.fsum(got), count)
-            for got, count in zip(sums, counts)]
+            yield (center + t[it, None] * p, vol * wv[iv] * wt[it],
+                   t[it] * np.sqrt(np.einsum("ij,ij->i", p, p)))
+
+    return _rule_values(kernel, counts, build, radial)
 
 
 def integrate_cells(
@@ -805,18 +800,20 @@ def integrate_cells(
 def _midpoint_values(fn: Callable[[np.ndarray], np.ndarray], lo: np.ndarray, hi: np.ndarray,
                      rules: Sequence[tuple[int]]) -> list[tuple[float, int]]:
     """(value, evaluations) of each box rule (m,) of one round: the midpoint
-    rule of m^n cells, fn called on its flat C-order ranges of at most
-    _CHUNK_NODES cells (_chunks) and the ranges' sums added by math.fsum."""
-    n, out = lo.size, []
-    for (m,) in rules:
-        axes = [lo[i] + (hi[i] - lo[i]) * (np.arange(m) + 0.5) / m for i in range(n)]
-        sums = []
-        for span in _chunks(m**n):
-            idx = np.unravel_index(np.arange(*span), (m,) * n)
-            pts = np.stack([ax[i] for ax, i in zip(axes, idx)], axis=1)
-            sums.append(float(np.sum(np.asarray(fn(pts), dtype=float))))
-        out.append((math.fsum(sums) * float(np.prod((hi - lo) / m)), m**n))
-    return out
+    rule of m^n cells, by _rule_values on its nodes in C order, each of
+    weight 1.0 (its radius 0.0), the sum times the cell volume."""
+    n = lo.size
+    counts = [m**n for (m,) in rules]
+
+    def build(call):
+        for i, a, b, _ in call:
+            (m,) = rules[i]
+            idx = np.unravel_index(np.arange(a, b), (m,) * n)
+            pts = np.stack([lo[j] + (hi[j] - lo[j]) * (idx[j] + 0.5) / m for j in range(n)], axis=1)
+            yield pts, np.ones(b - a), np.zeros(b - a)
+
+    return [(value * float(np.prod((hi - lo) / m)), count) for (value, count), (m,)
+            in zip(_rule_values(lambda pts, rad: fn(pts), counts, build), rules)]
 
 
 def integrate_box(
@@ -829,11 +826,11 @@ def integrate_box(
     midpoint rule, from 16 cells per axis, doubled in the loop that refines
     the shells and pyramids up to _MAX_NODES_PER_DIM cells per axis.
 
-    fn takes (M, n) points and returns (M,) values; it is called on the flat
-    C-order ranges of at most _CHUNK_NODES cells that the shell rule also
-    walks (_chunks).  The result counts the box as one shell; its error is
-    the discrepancy of the last doubling, its core_value 0.0 and its one
-    piece the value.
+    fn takes (M, n) points and returns (M,) values; _rule_values calls it
+    on flat C-order ranges of cells, a round's rules packed into calls of at
+    most _CHUNK_NODES cells as the shells' are.  The result counts the box
+    as one shell; its error is the discrepancy of the last doubling, its
+    core_value 0.0 and its one piece the value.
     """
     lo = np.asarray(lower, dtype=float)
     hi = np.asarray(upper, dtype=float)

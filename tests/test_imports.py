@@ -226,6 +226,19 @@ def test_one_loop_stops_every_integral():
     assert "_MAX_BOX_CELLS" not in (PACKAGE / "quadrature.py").read_text()
 
 
+def test_one_evaluator_calls_every_kernel():
+    # Shells, pyramids and the box only build nodes: _rule_values alone packs
+    # them into calls, calls the kernel (the box's fn through an adapter) and
+    # sums the products, so the order of summation is written once.
+    assert _callers("kernel") == ["quadrature.py:_rule_values"]
+    assert _callers("fn") == ["quadrature.py:_midpoint_values"]
+    assert _callers("_packed") == ["quadrature.py:_rule_values"]
+    assert not hasattr(quadrature, "_chunks")
+    # One map onto log r serves the log and tail shells and the pyramids' rays.
+    assert [c for c in _callers("exp") if c.startswith("quadrature.py:")] == [
+        "quadrature.py:_radial_rule"]
+
+
 def test_integrate_box_keeps_its_traced_signature():
     # The benchmark's tracer wraps integrate_box wherever a module binds it
     # and counts its points through fn, its first argument.

@@ -313,8 +313,8 @@ def test_extend_outer_gaussian():
 def test_extend_outer_algebraic_tail(n, rel_tol):
     # int (1 + |y|^2)^-n dy = pi^(n/2) Gamma(n/2) / Gamma(n) over R^n: the
     # integrand falls like |y|^-2n, as a D^alpha f potential does.  One tail
-    # shell reaches 1e6 from r_outer = 1; in 1-d the 6.4e-7 of the value past
-    # it goes to the error.
+    # shell reaches 1e6 from r_outer = 1 in 2-d and 3-d, and 1e12 in 1-d,
+    # where |y|^-2 would leave 1e-6 of the value past 1e6.
     def kernel(pts, rad):
         return (1.0 + rad**2) ** -n
 
@@ -325,8 +325,7 @@ def test_extend_outer_algebraic_tail(n, rel_tol):
     ball = integrate_annular(kernel, center, 1.0, scheme, axis=center)
     assert res.shells == ball.shells + 1 == 11
     assert res.error >= abs(res.value - exact)
-    if n > 1:
-        assert res.value == pytest.approx(exact, rel=rel_tol)
+    assert res.value == pytest.approx(exact, rel=rel_tol)
 
 
 def test_nonintegrable_exponent_rejected():
@@ -545,18 +544,52 @@ def test_shell_value_chunks_match_one_call(n, m):
     assert val == pytest.approx(ref, rel=1e-14)
 
 
-@pytest.mark.parametrize("radial", [None, lambda r: r**-1.5], ids=["plain", "radial"])
-def test_shell_values_pack_rules_bit_for_bit(radial):
+def _on_shells(kernel, rules, radial):
+    return quadrature._shell_values(kernel, np.array([0.1, -0.2]), rules, radial)
+
+
+def _on_pyramids(kernel, rules, radial):
+    center = np.array([0.1, -0.2])
+    pyramids = quadrature._pyramids(center, np.array([-1.0, -1.0]), np.array([1.0, 1.0]))
+    return quadrature._pyramid_values(kernel, radial, center, pyramids, 0.5, 1e-6, rules)
+
+
+def _on_the_box(kernel, rules, radial):
+    return quadrature._midpoint_values(lambda pts: kernel(pts, None),
+                                       np.array([-1.0, -1.0]), np.array([1.0, 1.0]), rules)
+
+
+def _power(r):
+    return r**-1.5
+
+
+@pytest.mark.parametrize("engine, rules, radial, calls, counts", [
     # 256 | 12,288 + 4,096 | 1,024 | 4,096 nodes: the second rule is cut in
     # two pieces, and its last piece shares a call with the two rules after it.
-    center = np.array([0.1, -0.2])
-    rules = [(0.1, 0.2, 16), (0.2, 0.4, 128), (0.4, 0.8, 32), (0.8, 1.6, 64)]
+    *(pytest.param(_on_shells, [(0.1, 0.2, 16), (0.2, 0.4, 128), (0.4, 0.8, 32), (0.8, 1.6, 64)],
+                   radial, [256, 12_288, 4_096 + 1_024 + 4_096], [256, 16_384, 1_024, 4_096],
+                   id=f"shells-{name}")
+      for radial, name in [(None, "plain"), (_power, "radial")]),
+    # k (2k + 1) nodes a pyramid: 528 | 32,896 in three pieces, the last
+    # sharing a call with a run of two whole rules of 528 | 8,256.
+    *(pytest.param(_on_pyramids, [(0, 16), (1, 128), (2, 16), (3, 16), (4, 64)], radial,
+                   [528, 12_288, 12_288, 8_320 + 528 + 528, 8_256],
+                   [528, 32_896, 528, 528, 8_256], id=f"pyramids-{name}")
+      for radial, name in [(None, "plain"), (_power, "radial")]),
+    # The box's first round, 16 and 32 cells per axis, is one fn call in 2-d.
+    pytest.param(_on_the_box, [(16,), (32,)], None, [256 + 1_024], [256, 1_024], id="box"),
+    pytest.param(_on_the_box, [(16,), (128,), (32,)], None, [256, 12_288, 4_096 + 1_024],
+                 [256, 16_384, 1_024], id="box-cut"),
+])
+def test_rule_values_pack_rules_bit_for_bit(engine, rules, radial, calls, counts):
+    # Every engine sums a rule the same way whether it shares its kernel
+    # calls or not, so no value depends on the packing.
     sizes = []
-    packed = quadrature._shell_values(_recording(_kinked, sizes), center, rules, radial)
-    assert sizes == [256, 12_288, 4_096 + 1_024 + 4_096]
-    alone = [quadrature._shell_values(_kinked, center, [rule], radial)[0] for rule in rules]
+    packed = engine(_recording(_kinked, sizes), rules, radial)
+    assert sizes == calls
+    alone = [engine(_kinked, [rule], radial)[0] for rule in rules]
     assert packed == alone
-    assert [e for _, e in packed] == [m * m for _, _, m in rules]
+    assert [e for _, e in packed] == counts
 
 
 def test_box_3d_stays_under_budget(monkeypatch):
